@@ -60,10 +60,6 @@ __all__ = [
 State = StateVector | DensityOperator
 
 
-def _state_dim(state: State) -> int:
-    return state.dim
-
-
 def _check_dims(state_dim: int, other_dim: int) -> None:
     if state_dim != other_dim:
         raise DimensionMismatch(f"dimensions differ: {state_dim} vs {other_dim}")
@@ -89,32 +85,21 @@ def event_probability(state: State, projector: Projector | Effect) -> float:
     return float(np.trace(state.matrix @ m).real)
 
 
-def collapse_onto(
-    state: StateVector,
-    projector: Projector,
-    *,
-    zero_prob_tol: float = tol.ZERO_PROB_TOL,
-) -> StateVector:
+def collapse_onto(state: StateVector, projector: Projector) -> StateVector:
     """Post-measurement state P psi / ||P psi|| after the event occurred."""
     _check_dims(state.dim, projector.dim)
     phi = projector.matrix @ state.amplitudes
     p = float(np.linalg.norm(phi) ** 2)
-    if p <= zero_prob_tol:
+    if p <= tol.ZERO_PROB_TOL:
         raise ZeroProbabilityOutcome(
             f"cannot condition on an outcome of probability {p:.3e}"
         )
-    return StateVector(phi / np.sqrt(p))
+    return StateVector._trusted(phi / np.sqrt(p))
 
 
-def collapse(
-    state: StateVector,
-    v: DecisionVariable,
-    value: float,
-    *,
-    zero_prob_tol: float = tol.ZERO_PROB_TOL,
-) -> StateVector:
+def collapse(state: StateVector, v: DecisionVariable, value: float) -> StateVector:
     """State after a perfect measurement of ``v`` returned ``value``."""
-    return collapse_onto(state, v.projector_for(value), zero_prob_tol=zero_prob_tol)
+    return collapse_onto(state, v.projector_for(value))
 
 
 @dataclass(frozen=True)
@@ -144,7 +129,7 @@ class OutcomeDistribution:
 
 def outcome_distribution(state: State, v: DecisionVariable) -> OutcomeDistribution:
     """Born probabilities of every value of ``v`` in the given state."""
-    _check_dims(_state_dim(state), v.dim)
+    _check_dims(state.dim, v.dim)
     probs = [event_probability(state, p) for p in v.eigenprojectors]
     return OutcomeDistribution(v.values, tuple(probs))
 
@@ -200,13 +185,7 @@ class LikelihoodTable:
     probabilities must sum to one.
     """
 
-    def __init__(
-        self,
-        variable: DecisionVariable,
-        entries: Mapping[str, Sequence[float]],
-        *,
-        row_tol: float = tol.LIKELIHOOD_ROW_TOL,
-    ):
+    def __init__(self, variable: DecisionVariable, entries: Mapping[str, Sequence[float]]):
         m = len(variable.values)
         table: dict[str, np.ndarray] = {}
         for label, row in entries.items():
@@ -224,7 +203,7 @@ class LikelihoodTable:
         if not table:
             raise InvariantViolation("likelihood table has no data labels")
         col_sums = np.sum(list(table.values()), axis=0)
-        if float(np.abs(col_sums - 1.0).max()) > row_tol:
+        if not (float(np.abs(col_sums - 1.0).max()) <= tol.LIKELIHOOD_ROW_TOL):
             raise InvariantViolation(
                 f"likelihoods must sum to 1 over labels for every value, got {col_sums}"
             )
@@ -255,8 +234,6 @@ def _as_effect(f) -> Effect:
         return f
     try:
         return Effect(matrix_of(f))
-    except InvalidEffect:
-        raise
     except InvariantViolation as exc:
         raise InvalidEffect(str(exc)) from exc
 
@@ -292,12 +269,12 @@ def ic_effect_basis(r: int) -> list[Effect]:
     if r < 2:
         raise DimensionMismatch(f"informational completeness needs dimension >= 2, got {r}")
     eye = np.eye(r, dtype=complex)
-    effects = [Effect(np.outer(eye[:, j], eye[:, j].conj())) for j in range(r)]
+    effects = [Effect._trusted(np.outer(eye[:, j], eye[:, j].conj())) for j in range(r)]
     for j in range(r):
         for k in range(j + 1, r):
             for phase in (1.0, 1.0j):
                 v = (eye[:, j] + phase * eye[:, k]) / np.sqrt(2.0)
-                effects.append(Effect(np.outer(v, v.conj())))
+                effects.append(Effect._trusted(np.outer(v, v.conj())))
     return effects
 
 
@@ -339,23 +316,18 @@ class DensityReconstruction:
     min_eigenvalue: float
 
 
-def reconstruct_density(
-    samples: Sequence[GPMSample],
-    *,
-    noise_bound: float = tol.NOISE_BOUND,
-    clip_tol: float = tol.PSD_CLIP_TOL,
-) -> DensityReconstruction:
+def reconstruct_density(samples: Sequence[GPMSample]) -> DensityReconstruction:
     """Least-squares inversion of effect probabilities to a density operator.
 
     Solves ``min_rho sum_i (trace(rho F_i) - mu_i)^2`` over Hermitian
     matrices with the trace pinned to 1 by a linear constraint (KKT system).
-    If the minimizer has eigenvalues below ``-clip_tol`` it is projected to
+    If the minimizer has eigenvalues below ``-PSD_CLIP_TOL`` it is projected to
     the positive cone by eigenvalue clipping plus trace renormalization and
     the adjustment is reported on the result.
 
     Raises:
         InsufficientSpan: the effects do not span the Hermitian space.
-        InconsistentSamples: the residual exceeds ``noise_bound``.
+        InconsistentSamples: the residual exceeds ``NOISE_BOUND``.
     """
     if not samples:
         raise InsufficientSpan("no samples given")
@@ -383,17 +355,17 @@ def reconstruct_density(
     raw = _hermitian_from_coords(solution[:n_params], r)
 
     residual = float(np.linalg.norm(design @ solution[:n_params] - mu))
-    if residual > noise_bound:
+    if not (residual <= tol.NOISE_BOUND):
         raise InconsistentSamples(
-            f"least-squares residual {residual:.3e} exceeds noise bound {noise_bound:.1e}"
+            f"least-squares residual {residual:.3e} exceeds noise bound {tol.NOISE_BOUND:.1e}"
         )
 
     w, v = np.linalg.eigh(raw)
     min_eig = float(w.min())
-    clipped = min_eig < -clip_tol
+    clipped = min_eig < -tol.PSD_CLIP_TOL
     if min_eig < -tol.DENSITY_EIG_FLOOR:
         # clip below the density validity floor as well, but only eigenvalues
-        # past clip_tol count as a reported adjustment
+        # past PSD_CLIP_TOL count as a reported adjustment
         w = np.clip(w, 0.0, None)
         w = w / w.sum()
         raw = (v * w) @ v.conj().T

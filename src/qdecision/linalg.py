@@ -1,9 +1,11 @@
 """Dense complex linear algebra with validated quantum types.
 
 Everything downstream computes on the types defined here: state vectors,
-self-adjoint operators, projectors, density operators and effects. All
-invariants are enforced at construction (hard errors, not warnings) and all
-values are immutable afterwards, so they can be shared freely.
+self-adjoint operators, projectors, density operators and effects. The
+public constructors enforce every invariant (hard errors, not warnings) and
+all values are immutable afterwards, so they can be shared freely. Values
+the engine builds itself, exact by construction from already validated
+inputs, go through the private ``_trusted`` constructors instead.
 """
 
 from __future__ import annotations
@@ -92,20 +94,27 @@ def tensor_product(a, b) -> np.ndarray:
 class StateVector:
     """Unit complex vector; a pure state up to global phase."""
 
-    def __init__(self, amplitudes, *, norm_tol: float = tol.UNIT_NORM_TOL):
+    def __init__(self, amplitudes):
         arr = np.array(amplitudes, dtype=complex).reshape(-1)
         if arr.size == 0:
             raise DimensionMismatch("state vector cannot be empty")
         if not np.all(np.isfinite(arr)):
             raise InvariantViolation("state vector contains non-finite entries")
         nrm = float(np.linalg.norm(arr))
-        if abs(nrm - 1.0) > norm_tol:
+        if not (abs(nrm - 1.0) <= tol.UNIT_NORM_TOL):
             raise InvariantViolation(
                 f"state vector violates the unit-norm invariant: ||psi|| = {nrm!r}"
             )
         arr.setflags(write=False)
         self.amplitudes = arr
-        self.norm_tol = norm_tol
+
+    @classmethod
+    def _trusted(cls, amplitudes: np.ndarray) -> "StateVector":
+        """Wrap a finite vector the engine normalized itself; checks nothing."""
+        self = cls.__new__(cls)
+        amplitudes.setflags(write=False)
+        self.amplitudes = amplitudes
+        return self
 
     @property
     def dim(self) -> int:
@@ -124,19 +133,27 @@ class StateVector:
 class HermitianOperator:
     """r x r complex self-adjoint matrix."""
 
-    def __init__(self, matrix, *, herm_tol: float = tol.HERMITIAN_ENTRY_TOL):
+    def __init__(self, matrix):
         arr = as_complex_matrix(matrix, type(self).__name__)
         if arr.shape[0] != arr.shape[1]:
             raise DimensionMismatch(f"{type(self).__name__} must be square, got {arr.shape}")
         dev = float(np.abs(arr - arr.conj().T).max()) if arr.size else 0.0
-        if dev > herm_tol:
+        if not (dev <= tol.HERMITIAN_ENTRY_TOL):
             raise NotHermitian(
                 f"{type(self).__name__} is not self-adjoint: "
-                f"max |A - A^dag| entry = {dev:.3e} > {herm_tol:.1e}"
+                f"max |A - A^dag| entry = {dev:.3e} > {tol.HERMITIAN_ENTRY_TOL:.1e}"
             )
         arr.setflags(write=False)
         self.matrix = arr
-        self.herm_tol = herm_tol
+
+    @classmethod
+    def _trusted(cls, matrix: np.ndarray):
+        """Wrap a finite matrix the engine built to be exactly self-adjoint
+        and to meet the invariants of ``cls``; checks nothing."""
+        self = cls.__new__(cls)
+        matrix.setflags(write=False)
+        self.matrix = matrix
+        return self
 
     @property
     def dim(self) -> int:
@@ -160,49 +177,41 @@ class HermitianOperator:
 class Projector(HermitianOperator):
     """Idempotent Hermitian operator; ``rank`` is its trace rounded."""
 
-    def __init__(
-        self,
-        matrix,
-        *,
-        idem_tol: float = tol.PROJECTOR_IDEM_TOL,
-        trace_tol: float = tol.PROJECTOR_TRACE_TOL,
-        herm_tol: float = tol.HERMITIAN_ENTRY_TOL,
-    ):
-        super().__init__(matrix, herm_tol=herm_tol)
+    def __init__(self, matrix):
+        super().__init__(matrix)
         m = self.matrix
         idem_dev = float(np.linalg.norm(m @ m - m, "fro"))
-        if idem_dev > idem_tol:
+        if not (idem_dev <= tol.PROJECTOR_IDEM_TOL):
             raise InvariantViolation(
-                f"projector violates idempotence: ||P@P - P||_F = {idem_dev:.3e} > {idem_tol:.1e}"
+                f"projector violates idempotence: ||P@P - P||_F = {idem_dev:.3e} > {tol.PROJECTOR_IDEM_TOL:.1e}"
             )
         tr = float(np.trace(m).real)
         rank = round(tr)
-        if rank < 1 or abs(tr - rank) > trace_tol:
+        if rank < 1 or not (abs(tr - rank) <= tol.PROJECTOR_TRACE_TOL):
             raise InvariantViolation(
-                f"projector trace {tr!r} is not a positive integer rank within {trace_tol:.1e}"
+                f"projector trace {tr!r} is not a positive integer rank within {tol.PROJECTOR_TRACE_TOL:.1e}"
             )
         self.rank = rank
+
+    @classmethod
+    def _trusted(cls, matrix: np.ndarray, rank: int) -> "Projector":
+        self = super()._trusted(matrix)
+        self.rank = rank
+        return self
 
 
 class DensityOperator(HermitianOperator):
     """Positive semidefinite, trace-one operator; a possibly mixed state."""
 
-    def __init__(
-        self,
-        matrix,
-        *,
-        eig_floor: float = tol.DENSITY_EIG_FLOOR,
-        trace_tol: float = tol.DENSITY_TRACE_TOL,
-        herm_tol: float = tol.HERMITIAN_ENTRY_TOL,
-    ):
-        super().__init__(matrix, herm_tol=herm_tol)
+    def __init__(self, matrix):
+        super().__init__(matrix)
         tr = float(np.trace(self.matrix).real)
-        if abs(tr - 1.0) > trace_tol:
+        if not (abs(tr - 1.0) <= tol.DENSITY_TRACE_TOL):
             raise InvariantViolation(f"density operator trace {tr!r} differs from 1")
         lo = float(np.linalg.eigvalsh(self.matrix).min())
-        if lo < -eig_floor:
+        if not (lo >= -tol.DENSITY_EIG_FLOOR):
             raise InvariantViolation(
-                f"density operator has negative eigenvalue {lo:.3e} below -{eig_floor:.1e}"
+                f"density operator has negative eigenvalue {lo:.3e} below -{tol.DENSITY_EIG_FLOOR:.1e}"
             )
 
     @classmethod
@@ -214,16 +223,10 @@ class DensityOperator(HermitianOperator):
 class Effect(HermitianOperator):
     """Hermitian operator with spectrum in [0, 1]; a generalized event."""
 
-    def __init__(
-        self,
-        matrix,
-        *,
-        eig_tol: float = tol.EFFECT_EIG_TOL,
-        herm_tol: float = tol.HERMITIAN_ENTRY_TOL,
-    ):
-        super().__init__(matrix, herm_tol=herm_tol)
+    def __init__(self, matrix):
+        super().__init__(matrix)
         w = np.linalg.eigvalsh(self.matrix)
-        if w.size and (w[0] < -eig_tol or w[-1] > 1.0 + eig_tol):
+        if w.size and not (w[0] >= -tol.EFFECT_EIG_TOL and w[-1] <= 1.0 + tol.EFFECT_EIG_TOL):
             raise InvalidEffect(
                 f"effect spectrum [{w[0]:.3e}, {w[-1]:.3e}] is not within [0, 1]"
             )
@@ -285,18 +288,14 @@ def _column_sort_key(col: np.ndarray) -> tuple:
     return (first, tuple(-rounded))
 
 
-def hermitian_eig(a, degeneracy_tol: float | None = None) -> SpectralDecomposition:
+def hermitian_eig(a) -> SpectralDecomposition:
     """Eigendecomposition of a Hermitian matrix with a fixed output convention.
 
     Eigenvalues are sorted ascending. Each eigenvector's global phase is
     fixed (first non-negligible component real positive) and columns inside
     a degeneracy group are deterministically ordered, so repeated runs on
-    the same input produce identical output.
-
-    Args:
-        a: Hermitian matrix (``HermitianOperator`` or array-like).
-        degeneracy_tol: gap under which adjacent eigenvalues are grouped;
-            defaults to ``1e-8 * max(1, spectral range)``.
+    the same input produce identical output. Adjacent eigenvalues closer
+    than ``DEGENERACY_TOL_SCALE * max(1, spectral range)`` share a group.
 
     Raises:
         NotHermitian: relative asymmetry above ``HERMITIAN_REL_TOL``.
@@ -316,9 +315,8 @@ def hermitian_eig(a, degeneracy_tol: float | None = None) -> SpectralDecompositi
     except np.linalg.LinAlgError as exc:
         raise NoConvergence(f"eigensolver did not converge: {exc}") from exc
 
-    if degeneracy_tol is None:
-        spread = float(w[-1] - w[0]) if w.size else 0.0
-        degeneracy_tol = tol.DEGENERACY_TOL_SCALE * max(1.0, spread)
+    spread = float(w[-1] - w[0]) if w.size else 0.0
+    degeneracy_tol = tol.DEGENERACY_TOL_SCALE * max(1.0, spread)
 
     groups: list[list[int]] = []
     for i in range(w.size):
@@ -364,28 +362,31 @@ def _apply_value_map(f, values: np.ndarray) -> np.ndarray:
 def spectral_function(
     a,
     f: Callable[[float], float] | Mapping[float, float],
-    degeneracy_tol: float | None = None,
 ) -> HermitianOperator:
     """Apply a real function to a Hermitian operator through its spectrum.
 
     Returns ``sum_i f(lambda_i) v_i v_i^dag``; commutes with the input.
     ``f`` may be a callable or a value table (eigenvalue -> result).
     """
-    sd = hermitian_eig(a, degeneracy_tol)
+    sd = hermitian_eig(a)
     fvals = _apply_value_map(f, sd.eigenvalues)
     out = (sd.eigenvectors * fvals) @ sd.eigenvectors.conj().T
     return HermitianOperator((out + out.conj().T) / 2.0)
 
 
-def projector_onto_span(
-    vectors: Sequence[StateVector | np.ndarray],
-    *,
-    rank_tol: float = tol.SPAN_RANK_TOL,
-) -> Projector:
+def _span_projection(cols: np.ndarray) -> np.ndarray:
+    """Orthogonal projection matrix onto the span of independent columns,
+    made exactly self-adjoint."""
+    q, _ = np.linalg.qr(cols)
+    p = q @ q.conj().T
+    return (p + p.conj().T) / 2.0
+
+
+def projector_onto_span(vectors: Sequence[StateVector | np.ndarray]) -> Projector:
     """Orthogonal projector onto the span of the given vectors.
 
     Raises ``DegenerateSpan`` if the vectors are linearly dependent within
-    ``rank_tol`` (smallest singular value of the stacked columns).
+    ``SPAN_RANK_TOL`` (smallest singular value of the stacked columns).
     """
     if not vectors:
         raise DegenerateSpan("cannot project onto the span of an empty list")
@@ -395,10 +396,8 @@ def projector_onto_span(
     if cols.shape[1] > cols.shape[0]:
         raise DegenerateSpan(f"{cols.shape[1]} vectors cannot be independent in dimension {cols.shape[0]}")
     sing = np.linalg.svd(cols, compute_uv=False)
-    if sing.min() <= rank_tol:
+    if sing.min() <= tol.SPAN_RANK_TOL:
         raise DegenerateSpan(
             f"vectors are linearly dependent: smallest singular value {sing.min():.3e}"
         )
-    q, _ = np.linalg.qr(cols)
-    p = q @ q.conj().T
-    return Projector((p + p.conj().T) / 2.0)
+    return Projector(_span_projection(cols))

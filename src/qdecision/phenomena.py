@@ -145,8 +145,6 @@ def sure_thing_check(
     condition: DecisionVariable,
     proj_c: Projector,
     threshold: float = 0.5,
-    *,
-    zero_prob_tol: float = tol.ZERO_PROB_TOL,
 ) -> SureThingReport:
     """Test the sure-thing pattern against a binary condition.
 
@@ -163,11 +161,11 @@ def sure_thing_check(
     conditionals = []
     for value, proj in zip(condition.values, condition.eigenprojectors):
         p_cond = event_probability(psi, proj)
-        if p_cond <= zero_prob_tol:
+        if p_cond <= tol.ZERO_PROB_TOL:
             raise ZeroProbabilityOutcome(
                 f"condition outcome {value!r} has probability {p_cond:.3e}"
             )
-        conditioned = collapse_onto(psi, proj, zero_prob_tol=zero_prob_tol)
+        conditioned = collapse_onto(psi, proj)
         cond_probs.append(p_cond)
         conditionals.append(event_probability(conditioned, proj_c))
     p_unconditional = event_probability(psi, proj_c)

@@ -412,7 +412,7 @@ def scenario_to_document(s: Scenario) -> str:
 # execution
 
 
-def _run_query(s: Scenario, q: Query, index: int, seed: int) -> QueryResult:
+def _run_query(s: Scenario, q: Query, index: int) -> QueryResult:
     state = s.initial_state
 
     if q.kind == "distribution":
@@ -528,7 +528,7 @@ def run_scenario(s: Scenario, *, seed: int = 0) -> Report:
     results = []
     for i, q in enumerate(s.queries, start=1):
         try:
-            results.append(_run_query(s, q, i, seed))
+            results.append(_run_query(s, q, i))
         except EngineError as exc:
             raise type(exc)(f"query {i} ({q.kind}): {exc}") from exc
     return Report(

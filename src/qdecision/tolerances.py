@@ -1,8 +1,8 @@
-"""Default numeric tolerances used throughout the engine.
+"""The numeric tolerances of the engine.
 
-Every tolerance is also a keyword parameter on the function or type that
-uses it; the constants here are the defaults and the single place the CLI
-reads when asked to print them.
+This table is the only source of tolerances: every check reads its
+constant from here, no function or type takes a tolerance argument, and
+``qdecision --tolerances`` prints exactly these values.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ PROB_FLOOR = 1e-12              # probabilities may undershoot 0 by at most this
 # Density reconstruction.
 RECONSTRUCTION_TOL = 1e-8       # exact-input round-trip error bound
 PSD_CLIP_TOL = 1e-8             # eigenvalues below -tol trigger reported clipping
-NOISE_BOUND = 1e-6              # default residual bound before samples count as inconsistent
+NOISE_BOUND = 1e-6              # residual bound before samples count as inconsistent
 GRAM_CONDITION_MAX = 1e6        # informational-completeness conditioning gate
 
 # Reporting.
@@ -45,7 +45,7 @@ FLOAT_SIG_DIGITS = 12           # significant digits for every float in reports
 
 
 def all_defaults() -> dict[str, float]:
-    """Name -> value map of every default above, in definition order."""
+    """Name -> value map of every constant above, in definition order."""
     return {
         name: value
         for name, value in globals().items()

@@ -14,8 +14,10 @@ import numpy as np
 
 from . import tolerances as tol
 from .errors import (
+    DegenerateSpan,
     DimensionMismatch,
     DuplicateValues,
+    InvariantViolation,
     NonOrthonormalBasis,
     NotUnitary,
     UnknownValue,
@@ -24,8 +26,8 @@ from .linalg import (
     HermitianOperator,
     Projector,
     StateVector,
+    _span_projection,
     matrix_of,
-    projector_onto_span,
 )
 
 __all__ = [
@@ -49,13 +51,13 @@ def round_value(x: float) -> float:
 class UnitaryOperator:
     """r x r matrix with W^dag W = I within tolerance."""
 
-    def __init__(self, matrix, *, unitary_tol: float = tol.UNITARY_TOL):
+    def __init__(self, matrix):
         arr = matrix_of(matrix).copy()
         if arr.shape[0] != arr.shape[1]:
             raise DimensionMismatch(f"unitary must be square, got {arr.shape}")
         dev = float(np.linalg.norm(arr.conj().T @ arr - np.eye(arr.shape[0]), "fro"))
-        if dev > unitary_tol:
-            raise NotUnitary(f"||W^dag W - I||_F = {dev:.3e} > {unitary_tol:.1e}")
+        if not (dev <= tol.UNITARY_TOL):
+            raise NotUnitary(f"||W^dag W - I||_F = {dev:.3e} > {tol.UNITARY_TOL:.1e}")
         arr.setflags(write=False)
         self.matrix = arr
 
@@ -68,18 +70,11 @@ class DecisionVariable:
     """Named variable with strictly increasing values and eigenprojectors.
 
     Invariants (checked here): values strictly increasing; projectors
-    mutually orthogonal and resolving the identity; operator equal to
-    ``sum_j u_j P_j`` within the resolution tolerance.
+    mutually orthogonal and resolving the identity within
+    ``ORTHONORMALITY_TOL``; operator ``sum_j u_j P_j`` finite.
     """
 
-    def __init__(
-        self,
-        name: str,
-        values: Sequence[float],
-        projectors: Sequence[Projector],
-        *,
-        resolution_tol: float = tol.ORTHONORMALITY_TOL,
-    ):
+    def __init__(self, name: str, values: Sequence[float], projectors: Sequence[Projector]):
         vals = [float(v) for v in values]
         if len(vals) != len(projectors):
             raise DimensionMismatch(
@@ -99,23 +94,43 @@ class DecisionVariable:
                 f"projector ranks sum to {sum(p.rank for p in projectors)}, expected {r}"
             )
         total = sum(p.matrix for p in projectors)
-        if float(np.linalg.norm(total - np.eye(r), "fro")) > resolution_tol:
+        if not (float(np.linalg.norm(total - np.eye(r), "fro")) <= tol.ORTHONORMALITY_TOL):
             raise NonOrthonormalBasis(
                 f"eigenprojectors of {name!r} do not resolve the identity"
             )
         for i in range(len(projectors)):
             for j in range(i + 1, len(projectors)):
                 cross = float(np.linalg.norm(projectors[i].matrix @ projectors[j].matrix, "fro"))
-                if cross > resolution_tol:
+                if not (cross <= tol.ORTHONORMALITY_TOL):
                     raise NonOrthonormalBasis(
                         f"eigenprojectors {i} and {j} of {name!r} are not orthogonal"
                     )
 
+        self._assign(name, vals, projectors)
+
+    @classmethod
+    def _trusted(
+        cls, name: str, values: list[float], projectors: list[Projector]
+    ) -> "DecisionVariable":
+        """Variable from sorted distinct values and eigenprojectors the engine
+        built from a checked orthonormal basis; checks only the values."""
+        self = cls.__new__(cls)
+        self._assign(name, values, projectors)
+        return self
+
+    def _assign(self, name: str, vals: list[float], projectors: Sequence[Projector]) -> None:
         op = sum(u * p.matrix for u, p in zip(vals, projectors))
+        op = (op + op.conj().T) / 2.0
+        # NaN or infinite values, and finite ones so large that the sum
+        # above overflows, all leave non-finite entries
+        if not np.all(np.isfinite(op)):
+            raise InvariantViolation(
+                f"variable {name!r} values must be finite and give a finite operator: {vals}"
+            )
         self.name = str(name)
         self.values = tuple(vals)
         self.eigenprojectors = tuple(projectors)
-        self.operator = HermitianOperator((op + op.conj().T) / 2.0)
+        self.operator = HermitianOperator._trusted(op)
 
     @property
     def dim(self) -> int:
@@ -139,13 +154,13 @@ def variable_from_spectrum(
     name: str,
     values: Sequence[float],
     eigenbasis: Sequence[Sequence[StateVector | np.ndarray]],
-    *,
-    ortho_tol: float = tol.ORTHONORMALITY_TOL,
 ) -> DecisionVariable:
     """Assemble a variable from values and orthonormal eigenvector groups.
 
     ``eigenbasis[j]`` spans the eigenspace of ``values[j]``; the groups must
-    jointly form an orthonormal basis of the full space.
+    jointly form an orthonormal basis of the full space within
+    ``ORTHONORMALITY_TOL``. That one check stands for every projector and
+    variable invariant, so the result is built without re-checking them.
     """
     if len(values) != len(eigenbasis):
         raise DimensionMismatch(
@@ -155,12 +170,11 @@ def variable_from_spectrum(
     if len(set(round_value(v) for v in vals)) != len(vals):
         raise DuplicateValues(f"values must be distinct: {vals}")
 
-    columns = []
-    for group in eigenbasis:
-        for v in group:
-            columns.append(
-                v.amplitudes if isinstance(v, StateVector) else np.asarray(v, dtype=complex).reshape(-1)
-            )
+    groups = [
+        [v.amplitudes if isinstance(v, StateVector) else np.asarray(v, dtype=complex).reshape(-1) for v in group]
+        for group in eigenbasis
+    ]
+    columns = [c for group in groups for c in group]
     if not columns:
         raise DimensionMismatch("eigenbasis is empty")
     r = columns[0].size
@@ -172,14 +186,19 @@ def variable_from_spectrum(
         )
     basis = np.column_stack(columns)
     gram_dev = float(np.linalg.norm(basis.conj().T @ basis - np.eye(r), "fro"))
-    if gram_dev > ortho_tol:
+    if not (gram_dev <= tol.ORTHONORMALITY_TOL):
         raise NonOrthonormalBasis(
             f"eigenbasis is not orthonormal: ||V^dag V - I||_F = {gram_dev:.3e}"
         )
+    if any(not group for group in groups):
+        raise DegenerateSpan("cannot project onto the span of an empty list")
 
     order = sorted(range(len(vals)), key=lambda j: vals[j])
-    projectors = [projector_onto_span(list(eigenbasis[j])) for j in order]
-    return DecisionVariable(name, [vals[j] for j in order], projectors)
+    projectors = [
+        Projector._trusted(_span_projection(np.column_stack(groups[j])), len(groups[j]))
+        for j in order
+    ]
+    return DecisionVariable._trusted(name, [vals[j] for j in order], projectors)
 
 
 def is_maximal(v: DecisionVariable) -> bool:
@@ -222,16 +241,11 @@ def conjugate(v: DecisionVariable, w: UnitaryOperator | np.ndarray) -> DecisionV
     return DecisionVariable(v.name, v.values, projectors)
 
 
-def is_one_to_one_related(
-    v1: DecisionVariable,
-    v2: DecisionVariable,
-    *,
-    match_tol: float = tol.PROJECTOR_MATCH_TOL,
-) -> bool:
+def is_one_to_one_related(v1: DecisionVariable, v2: DecisionVariable) -> bool:
     """True iff the two variables share eigenprojectors up to pairing.
 
     A bijection between the projector lists with per-pair Frobenius
-    distance below ``match_tol`` must exist; values may differ (the
+    distance below ``PROJECTOR_MATCH_TOL`` must exist; values may differ (the
     variables are then invertible relabelings of each other).
     """
     if v1.dim != v2.dim:
@@ -241,7 +255,7 @@ def is_one_to_one_related(
     unused = list(v2.eigenprojectors)
     for p in v1.eigenprojectors:
         for k, q in enumerate(unused):
-            if float(np.linalg.norm(p.matrix - q.matrix, "fro")) <= match_tol:
+            if float(np.linalg.norm(p.matrix - q.matrix, "fro")) <= tol.PROJECTOR_MATCH_TOL:
                 del unused[k]
                 break
         else:

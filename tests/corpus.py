@@ -122,7 +122,7 @@ def _mutate(**changes):
 
 
 def malformed_documents() -> list[tuple[str, str]]:
-    """50 named malformed scenario documents."""
+    """55 named malformed scenario documents."""
     inv2 = 1.0 / np.sqrt(2.0)
     cases: list[tuple[str, str]] = [
         # syntax
@@ -191,6 +191,21 @@ def malformed_documents() -> list[tuple[str, str]]:
             ),
         ),
         ("angle_shorthand_three_values", _mutate(variables__0__values=[0.0, 1.0, 2.0])),
+        # non-finite numbers (Python's json reads NaN and Infinity)
+        ("angle_nan", _mutate(variables__0__basis_angle_degrees=float("nan"))),
+        ("angle_infinity", _mutate(variables__0__basis_angle_degrees=float("inf"))),
+        (
+            "eigenvector_nan",
+            _mutate(
+                variables__0__basis_angle_degrees=...,
+                variables__0__eigenvectors=[
+                    [[[float("nan"), 0.0], [0.0, 0.0]]],
+                    [[[0.0, 0.0], [1.0, 0.0]]],
+                ],
+            ),
+        ),
+        ("values_nan", _mutate(variables__0__values=[float("nan"), 1.0])),
+        ("values_infinity", _mutate(variables__0__values=[0.0, float("inf")])),
         # queries
         ("queries_not_array", _mutate(queries={"kind": "distribution"})),
         ("query_missing_kind", _mutate(queries__0__kind=...)),
@@ -221,5 +236,5 @@ def malformed_documents() -> list[tuple[str, str]]:
             ),
         ),
     ]
-    assert len(cases) >= 50, len(cases)
+    assert len(cases) >= 55, len(cases)
     return cases

@@ -95,6 +95,14 @@ def test_malformed_corpus_is_rejected_with_annotations():
             ), (name, message)
 
 
+def test_non_finite_numbers_are_rejected_at_their_variable():
+    docs = dict(malformed_documents())
+    for name in ("angle_nan", "angle_infinity", "eigenvector_nan", "values_nan", "values_infinity"):
+        with pytest.raises(ScenarioValidationError) as err:
+            parse_scenario(docs[name])
+        assert err.value.location == "variables[0]", name
+
+
 # ---------------------------------------------------------------------------
 # execution
 

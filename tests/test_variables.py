@@ -7,6 +7,7 @@ from qdecision import (
     DecisionVariable,
     DimensionMismatch,
     DuplicateValues,
+    EngineError,
     NonOrthonormalBasis,
     NotUnitary,
     Projector,
@@ -79,6 +80,21 @@ def test_variable_rejects_non_orthonormal_basis():
         variable_from_spectrum(
             "bad", [0.0, 1.0], [[np.array([1.0, 0.0])], [np.array([0.8, 0.6])]]
         )
+
+
+@pytest.mark.parametrize(
+    "values, basis",
+    [
+        ([0.0, 1.0], [[[np.nan, 0.0]], [[0.0, 1.0]]]),
+        ([np.nan, 1.0], [[[1.0, 0.0]], [[0.0, 1.0]]]),
+        ([0.0, np.inf], [[[1.0, 0.0]], [[0.0, 1.0]]]),
+        # finite, but (A + A^dag) overflows
+        ([1e308, 1.7e308], [[[1.0, 0.0]], [[0.0, 1.0]]]),
+    ],
+)
+def test_variable_rejects_non_finite_input(values, basis):
+    with pytest.raises(EngineError):
+        variable_from_spectrum("nf", values, basis)
 
 
 def test_variable_rejects_wrong_vector_count():
