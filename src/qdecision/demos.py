@@ -14,7 +14,7 @@ from .engine import GPMSample, gpm_evaluate, ic_effect_basis, reconstruct_densit
 from .linalg import DensityOperator
 from .report import QueryResult, Report
 from .scenario import Scenario, parse_scenario, run_scenario
-from .spin import Direction, comparison_report, sample_phi, spin_component
+from .spin import Direction, _comparison, sample_phi, spin_component
 
 __all__ = [
     "medical_document",
@@ -64,8 +64,8 @@ def run_spin_demo(delta_degrees: float = 60.0, samples: int = 1_000_000, seed: i
     """Classical hidden-direction model against the Born conditional."""
     a = Direction(0.0)
     b = Direction.from_degrees(delta_degrees)
-    comp = comparison_report(a, b, samples, seed)
     phi = sample_phi(samples, seed)
+    comp = _comparison(a, b, phi)
     marginals = QueryResult(
         1,
         "spin_marginals",

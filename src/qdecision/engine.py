@@ -71,33 +71,61 @@ def transition_probability(from_state: StateVector, to_state: StateVector) -> fl
     return min(float(p), 1.0)
 
 
+def _born(state: State, m: np.ndarray) -> float:
+    """Born rule for an operator matrix: <psi|M|psi> or trace(rho M)."""
+    _check_dims(state.dim, m.shape[0])
+    if isinstance(state, StateVector):
+        return float(np.vdot(state.amplitudes, m @ state.amplitudes).real)
+    return float(np.trace(state.matrix @ m).real)
+
+
+def _chain(state: State, projectors: Sequence[Projector]) -> tuple[np.ndarray, float]:
+    """Unnormalized state after an ordered chain of events, and its probability.
+
+    ``P_n ... P_1 psi`` with ``||.||^2`` for a vector; for a density the
+    Lüders update ``P_n ... P_1 rho P_1 ... P_n`` with its trace.
+    """
+    if isinstance(state, StateVector):
+        phi = state.amplitudes
+        for p in projectors:
+            _check_dims(phi.size, p.dim)
+            phi = p.matrix @ phi
+        return phi, float(np.linalg.norm(phi) ** 2)
+    rho = state.matrix
+    for p in projectors:
+        _check_dims(rho.shape[0], p.dim)
+        rho = p.matrix @ rho @ p.matrix
+    return rho, float(np.trace(rho).real)
+
+
 def event_probability(state: State, projector: Projector | Effect) -> float:
     """Probability of the event carried by a projector (or effect).
 
     ``<psi|M|psi>`` for a vector state (equal to ``||P psi||^2`` when M is
     a projector), ``trace(rho M)`` for a density.
     """
-    m = projector.matrix
-    if isinstance(state, StateVector):
-        _check_dims(state.dim, m.shape[0])
-        return float(np.vdot(state.amplitudes, m @ state.amplitudes).real)
-    _check_dims(state.dim, m.shape[0])
-    return float(np.trace(state.matrix @ m).real)
+    return _born(state, projector.matrix)
 
 
-def collapse_onto(state: StateVector, projector: Projector) -> StateVector:
-    """Post-measurement state P psi / ||P psi|| after the event occurred."""
-    _check_dims(state.dim, projector.dim)
-    phi = projector.matrix @ state.amplitudes
-    p = float(np.linalg.norm(phi) ** 2)
+def collapse_onto(state: State, projector: Projector) -> State:
+    """Post-measurement state after the event occurred.
+
+    ``P psi / ||P psi||`` for a vector; the Lüders rule
+    ``P rho P / trace(P rho P)`` for a density.
+    """
+    post, p = _chain(state, [projector])
     if p <= tol.ZERO_PROB_TOL:
         raise ZeroProbabilityOutcome(
             f"cannot condition on an outcome of probability {p:.3e}"
         )
-    return StateVector._trusted(phi / np.sqrt(p))
+    if isinstance(state, StateVector):
+        return StateVector._trusted(post / np.sqrt(p))
+    # rounding in P rho P compounds with the input's own slack, so the
+    # normalized result goes through the full density check
+    return DensityOperator((post + post.conj().T) / (2.0 * p))
 
 
-def collapse(state: StateVector, v: DecisionVariable, value: float) -> StateVector:
+def collapse(state: State, v: DecisionVariable, value: float) -> State:
     """State after a perfect measurement of ``v`` returned ``value``."""
     return collapse_onto(state, v.projector_for(value))
 
@@ -134,22 +162,19 @@ def outcome_distribution(state: State, v: DecisionVariable) -> OutcomeDistributi
     return OutcomeDistribution(v.values, tuple(probs))
 
 
-def sequential_event_probability(state: StateVector, projectors: Sequence[Projector]) -> float:
-    """Probability of an ordered chain of events: ||P_n ... P_1 psi||^2.
+def sequential_event_probability(state: State, projectors: Sequence[Projector]) -> float:
+    """Probability of an ordered chain of events.
 
-    Zero is a valid result here (the chain simply never happens); only
-    explicit conditioning on a null event is an error, and that lives in
-    ``collapse``.
+    ``||P_n ... P_1 psi||^2`` for a vector, ``trace(P_n ... P_1 rho P_1 ... P_n)``
+    for a density. Zero is a valid result here (the chain simply never
+    happens); only explicit conditioning on a null event is an error, and
+    that lives in ``collapse``.
     """
-    phi = state.amplitudes
-    for p in projectors:
-        _check_dims(phi.size, p.dim)
-        phi = p.matrix @ phi
-    return float(np.linalg.norm(phi) ** 2)
+    return _chain(state, projectors)[1]
 
 
 def sequential_probability(
-    state: StateVector,
+    state: State,
     steps: Sequence[tuple[DecisionVariable, float]],
 ) -> float:
     """Probability that measuring each variable in order gives each value."""
@@ -159,22 +184,12 @@ def sequential_probability(
 
 def expectation(state: State, v: DecisionVariable) -> float:
     """Expected value <psi|A|psi> or trace(rho A) of a perfect measurement."""
-    a = v.operator.matrix
-    if isinstance(state, StateVector):
-        _check_dims(state.dim, v.dim)
-        return float(np.vdot(state.amplitudes, a @ state.amplitudes).real)
-    _check_dims(state.dim, v.dim)
-    return float(np.trace(state.matrix @ a).real)
+    return _born(state, v.operator.matrix)
 
 
 def expectation_of_function(state: State, v: DecisionVariable, f) -> float:
     """Expected value of f(v): trace(rho f(A)), computed through the spectrum."""
-    fa = spectral_function(v.operator, f).matrix
-    if isinstance(state, StateVector):
-        _check_dims(state.dim, v.dim)
-        return float(np.vdot(state.amplitudes, fa @ state.amplitudes).real)
-    _check_dims(state.dim, v.dim)
-    return float(np.trace(state.matrix @ fa).real)
+    return _born(state, spectral_function(v.operator, f).matrix)
 
 
 class LikelihoodTable:
@@ -238,11 +253,9 @@ def _as_effect(f) -> Effect:
         raise InvalidEffect(str(exc)) from exc
 
 
-def gpm_evaluate(rho: DensityOperator, f) -> float:
-    """Generalized probability measure: trace(rho F) for an effect F."""
-    eff = _as_effect(f)
-    _check_dims(rho.dim, eff.dim)
-    return float(np.trace(rho.matrix @ eff.matrix).real)
+def gpm_evaluate(state: State, f) -> float:
+    """Generalized probability measure: trace(rho F), or <psi|F|psi>, for an effect F."""
+    return _born(state, _as_effect(f).matrix)
 
 
 @dataclass(frozen=True)

@@ -17,6 +17,7 @@ import numpy as np
 
 from . import tolerances as tol
 from .engine import (
+    State,
     collapse_onto,
     event_probability,
     sequential_event_probability,
@@ -94,10 +95,8 @@ class SureThingReport:
     interference: float
 
 
-def conjunction_report(psi: StateVector, proj_a: Projector, proj_b: Projector) -> ConjunctionReport:
+def conjunction_report(psi: State, proj_a: Projector, proj_b: Projector) -> ConjunctionReport:
     """Marginals and both sequential conjunctions of two events."""
-    if proj_a.dim != psi.dim or proj_b.dim != psi.dim:
-        raise DimensionMismatch("projector dimensions do not match the state")
     p_a = event_probability(psi, proj_a)
     p_b = event_probability(psi, proj_b)
     p_ab = sequential_event_probability(psi, [proj_a, proj_b])
@@ -113,7 +112,7 @@ def conjunction_report(psi: StateVector, proj_a: Projector, proj_b: Projector) -
 
 
 def total_probability_report(
-    psi: StateVector,
+    psi: State,
     partition: DecisionVariable,
     proj_a: Projector,
 ) -> TotalProbabilityReport:
@@ -121,8 +120,6 @@ def total_probability_report(
 
     The partition is measured first: ``p_via_partition = sum_j ||P_A P_j psi||^2``.
     """
-    if partition.dim != psi.dim or proj_a.dim != psi.dim:
-        raise DimensionMismatch("partition or projector dimension does not match the state")
     total = sum(p.matrix for p in partition.eigenprojectors)
     if float(np.linalg.norm(total - np.eye(partition.dim), "fro")) > tol.ORTHONORMALITY_TOL:
         raise NotAPartition("partition projectors do not resolve the identity")
@@ -141,7 +138,7 @@ def total_probability_report(
 
 
 def sure_thing_check(
-    psi: StateVector,
+    psi: State,
     condition: DecisionVariable,
     proj_c: Projector,
     threshold: float = 0.5,
@@ -168,8 +165,8 @@ def sure_thing_check(
         conditioned = collapse_onto(psi, proj)
         cond_probs.append(p_cond)
         conditionals.append(event_probability(conditioned, proj_c))
-    p_unconditional = event_probability(psi, proj_c)
     report = total_probability_report(psi, condition, proj_c)
+    p_unconditional = report.p_direct
     return SureThingReport(
         condition_values=(condition.values[0], condition.values[1]),
         condition_probabilities=(cond_probs[0], cond_probs[1]),

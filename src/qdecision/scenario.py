@@ -290,8 +290,10 @@ def _parse_query(node, index: int, scenario_vars: dict[str, DecisionVariable]) -
             _fail(loc + ".condition", f"condition variable {condition!r} must have exactly two values")
         params.append(("condition", condition))
         params.append(("choice", _parse_event(_require(obj, "choice", loc), loc + ".choice", scenario_vars)))
-        threshold = obj.get("threshold", 0.5)
-        params.append(("threshold", _as_number(threshold, loc + ".threshold")))
+        threshold = _as_number(obj.get("threshold", 0.5), loc + ".threshold")
+        if not 0.0 <= threshold <= 1.0:
+            _fail(loc + ".threshold", f"threshold must be in [0, 1], got {threshold!r}")
+        params.append(("threshold", threshold))
     return Query(kind, tuple(params))
 
 
@@ -306,6 +308,9 @@ def parse_scenario(text: str) -> Scenario:
         root = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ScenarioSyntaxError(exc.msg, exc.lineno, exc.colno) from exc
+    except RecursionError:
+        # json gives no line for this; the document is well formed but unusable
+        _fail("document", "arrays or objects are nested too deeply")
     root = _as_object(root, "document")
     known = {"context", "dimension", "state", "variables", "queries"}
     extra = set(root) - known
@@ -335,13 +340,6 @@ def parse_scenario(text: str) -> Scenario:
         _parse_query(node, i, var_map)
         for i, node in enumerate(_as_array(_require(root, "queries", "document"), "queries"))
     ]
-    if isinstance(state, DensityOperator):
-        for i, q in enumerate(queries):
-            if q.kind in ("sequence", "conjunction", "total_probability", "sure_thing"):
-                _fail(
-                    f"queries[{i}]",
-                    f"{q.kind!r} queries need a vector initial state, not a density",
-                )
     return Scenario(context, dimension, state, tuple(variables), tuple(queries))
 
 
@@ -436,8 +434,6 @@ def _run_query(s: Scenario, q: Query, index: int) -> QueryResult:
             (f"step_{i}", f"{v.name}={format_number(value)}")
             for i, (v, value) in enumerate(steps, start=1)
         )
-        if not isinstance(state, StateVector):
-            raise EngineError("sequence queries need a vector initial state")
         return QueryResult(
             index, q.kind, echo, (("probability", sequential_probability(state, steps)),)
         )
@@ -447,8 +443,6 @@ def _run_query(s: Scenario, q: Query, index: int) -> QueryResult:
         second_name, second_value = q.get("second")
         proj_a = s.variable(first_name).projector_for(first_value)
         proj_b = s.variable(second_name).projector_for(second_value)
-        if not isinstance(state, StateVector):
-            raise EngineError("conjunction queries need a vector initial state")
         rep = conjunction_report(state, proj_a, proj_b)
         echo = (
             ("first", f"{first_name}={format_number(first_value)}"),
@@ -467,8 +461,6 @@ def _run_query(s: Scenario, q: Query, index: int) -> QueryResult:
         partition = s.variable(q.get("partition"))
         target_name, target_value = q.get("target")
         proj = s.variable(target_name).projector_for(target_value)
-        if not isinstance(state, StateVector):
-            raise EngineError("total_probability queries need a vector initial state")
         rep = total_probability_report(state, partition, proj)
         echo = (
             ("partition", partition.name),
@@ -488,8 +480,6 @@ def _run_query(s: Scenario, q: Query, index: int) -> QueryResult:
         choice_name, choice_value = q.get("choice")
         proj = s.variable(choice_name).projector_for(choice_value)
         threshold = q.get("threshold")
-        if not isinstance(state, StateVector):
-            raise EngineError("sure_thing queries need a vector initial state")
         rep = sure_thing_check(state, condition, proj, threshold)
         echo = (
             ("condition", condition.name),

@@ -77,33 +77,24 @@ def midline_reflection(phi, a, b):
     return ((_angle(a) + _angle(b)) - np.asarray(phi, dtype=float)) % TWO_PI
 
 
-def sample_phi(n: int, seed: int, chunk_size: int | None = None) -> np.ndarray:
+def sample_phi(n: int, seed: int) -> np.ndarray:
     """Deterministic pseudo-uniform samples of phi on [0, 2*pi).
 
-    The seed is split into one independent child stream per chunk, so
-    chunks can be generated in any order (or in parallel) and the result
-    for a given (seed, n, chunk_size) triple is always the same. The
-    default is a single chunk.
+    Drawn from the first child stream of ``SeedSequence(seed)``, so the
+    result for a given (seed, n) pair is always the same.
     """
     if n < 1:
         raise ValueError(f"need at least one sample, got {n}")
-    if chunk_size is None:
-        chunk_size = n
-    if chunk_size < 1:
-        raise ValueError(f"chunk_size must be positive, got {chunk_size}")
-    n_chunks = -(-n // chunk_size)
-    children = np.random.SeedSequence(seed).spawn(n_chunks)
-    out = np.empty(n, dtype=float)
-    for i, child in enumerate(children):
-        lo = i * chunk_size
-        hi = min(lo + chunk_size, n)
-        out[lo:hi] = np.random.default_rng(child).uniform(0.0, TWO_PI, hi - lo)
-    return out
+    child = np.random.SeedSequence(seed).spawn(1)[0]
+    return np.random.default_rng(child).uniform(0.0, TWO_PI, n)
 
 
 def classical_conditional(a, b, n: int, seed: int) -> float:
     """Monte Carlo estimate of P(spin_b = +1 | spin_a = +1) under uniform phi."""
-    phi = sample_phi(n, seed)
+    return _sampled_conditional(a, b, sample_phi(n, seed))
+
+
+def _sampled_conditional(a, b, phi: np.ndarray) -> float:
     plus_a = np.cos(_angle(a) - phi) >= 0.0
     count_a = int(plus_a.sum())
     if count_a == 0:
@@ -141,7 +132,12 @@ class SpinComparison:
 
 def comparison_report(a, b, n: int, seed: int) -> SpinComparison:
     """Classical (sampled and exact) against quantum conditionals."""
-    estimate = classical_conditional(a, b, n, seed)
+    return _comparison(a, b, sample_phi(n, seed))
+
+
+def _comparison(a, b, phi: np.ndarray) -> SpinComparison:
+    """``comparison_report`` on samples the caller has already drawn."""
+    estimate = _sampled_conditional(a, b, phi)
     analytic = classical_conditional_analytic(a, b)
     quantum = quantum_conditional(a, b)
     return SpinComparison(

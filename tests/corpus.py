@@ -122,7 +122,7 @@ def _mutate(**changes):
 
 
 def malformed_documents() -> list[tuple[str, str]]:
-    """55 named malformed scenario documents."""
+    """57 named malformed scenario documents."""
     inv2 = 1.0 / np.sqrt(2.0)
     cases: list[tuple[str, str]] = [
         # syntax
@@ -229,12 +229,14 @@ def malformed_documents() -> list[tuple[str, str]]:
             _mutate(queries__0=dict(kind="sure_thing", condition="b", choice=["a", 1.0], threshold="half")),
         ),
         (
-            "sequence_on_density_state",
-            _mutate(
-                state={"density": [[[0.5, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.5, 0.0]]]},
-                queries__0=dict(kind="sequence", steps=[["a", 1.0]]),
-            ),
+            "sure_thing_threshold_nan",
+            _mutate(queries__0=dict(kind="sure_thing", condition="b", choice=["a", 1.0], threshold=float("nan"))),
         ),
+        (
+            "sure_thing_threshold_above_one",
+            _mutate(queries__0=dict(kind="sure_thing", condition="b", choice=["a", 1.0], threshold=7)),
+        ),
+        ("nesting_too_deep", "[" * 100_000 + "]" * 100_000),
     ]
-    assert len(cases) >= 55, len(cases)
+    assert len(cases) >= 57, len(cases)
     return cases

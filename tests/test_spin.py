@@ -90,17 +90,10 @@ def test_disjoint_seeds_give_disjoint_streams():
     assert not np.any(a == b)
 
 
-def test_chunked_sampling_is_order_independent():
-    n, seed, chunk = 1000, 9, 128
-    whole = sample_phi(n, seed, chunk_size=chunk)
-    # rebuild the chunks in reverse order from the same spawned streams
-    n_chunks = -(-n // chunk)
-    children = np.random.SeedSequence(seed).spawn(n_chunks)
-    rebuilt = np.empty(n)
-    for i in reversed(range(n_chunks)):
-        lo, hi = i * chunk, min((i + 1) * chunk, n)
-        rebuilt[lo:hi] = np.random.default_rng(children[i]).uniform(0.0, 2.0 * math.pi, hi - lo)
-    assert np.array_equal(whole, rebuilt)
+def test_samples_come_from_the_first_spawned_stream():
+    child = np.random.SeedSequence(9).spawn(1)[0]
+    expected = np.random.default_rng(child).uniform(0.0, 2.0 * math.pi, 1000)
+    assert np.array_equal(sample_phi(1000, 9), expected)
 
 
 def test_sample_count_must_be_positive():
@@ -192,3 +185,17 @@ def test_marginals_are_fair_for_every_direction():
         direction = Direction(k * math.pi / 8.0)
         p_plus = float(np.mean(spin_component(direction, phi) == 1))
         assert abs(p_plus - 0.5) <= bound
+
+
+def test_spin_demo_matches_the_public_functions():
+    from qdecision.demos import run_spin_demo
+
+    n, seed = 20_000, 5
+    marginals, comparison = (dict(r.outputs) for r in run_spin_demo(60.0, n, seed).results)
+    phi = sample_phi(n, seed)
+    b = Direction.from_degrees(60.0)
+    assert marginals["p_plus_a"] == float(np.mean(spin_component(Direction(0.0), phi) == 1))
+    assert marginals["p_plus_b"] == float(np.mean(spin_component(b, phi) == 1))
+    expected = comparison_report(Direction(0.0), b, n, seed)
+    assert comparison["classical_estimate"] == expected.classical_estimate
+    assert comparison["gap"] == expected.gap
