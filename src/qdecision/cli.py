@@ -12,12 +12,13 @@ Exit codes: 0 success, 1 scenario validation/syntax error, 2 engine error.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 from . import tolerances as tol
 from ._version import __version__
 from .demos import run_medical_demo, run_reconstruct_demo, run_spin_demo
-from .errors import EngineError, ScenarioError
+from .errors import EngineError, ScenarioError, ScenarioValidationError
 from .report import REPORT_FORMATS, emit_report, format_number
 from .scenario import parse_scenario, run_scenario
 
@@ -104,6 +105,9 @@ def main(argv: list[str] | None = None) -> int:
                 raise ScenarioError(f"cannot read {args.file!r}: {exc}") from exc
             report = run_scenario(parse_scenario(text), seed=args.seed)
         elif args.demo_name == "medical":
+            for flag, angle in (("--angle-a", args.angle_a), ("--angle-b", args.angle_b)):
+                if not math.isfinite(angle):
+                    raise ScenarioValidationError(flag, f"angle must be a finite number of degrees, got {angle!r}")
             report = run_medical_demo(args.angle_a, args.angle_b)
         elif args.demo_name == "spin":
             report = run_spin_demo(args.delta_degrees, args.samples, args.seed)

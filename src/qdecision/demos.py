@@ -11,10 +11,11 @@ import numpy as np
 
 from ._version import __version__
 from .engine import GPMSample, gpm_evaluate, ic_effect_basis, reconstruct_density
+from .errors import DegenerateConditioning
 from .linalg import DensityOperator
 from .report import QueryResult, Report
 from .scenario import Scenario, parse_scenario, run_scenario
-from .spin import Direction, _comparison, sample_phi, spin_component
+from .spin import Direction, _comparison, _plus, sample_phi
 
 __all__ = [
     "medical_document",
@@ -62,18 +63,18 @@ def run_medical_demo(angle_a: float = 40.0, angle_b: float = 70.0, seed: int = 0
 
 def run_spin_demo(delta_degrees: float = 60.0, samples: int = 1_000_000, seed: int = 42) -> Report:
     """Classical hidden-direction model against the Born conditional."""
+    if samples < 1:
+        raise DegenerateConditioning(f"the spin demo needs at least one sample, got {samples}")
     a = Direction(0.0)
     b = Direction.from_degrees(delta_degrees)
     phi = sample_phi(samples, seed)
-    comp = _comparison(a, b, phi)
+    plus_a, plus_b = _plus(a, phi), _plus(b, phi)
+    comp = _comparison(a, b, plus_a, plus_b)
     marginals = QueryResult(
         1,
         "spin_marginals",
         (("samples", samples),),
-        (
-            ("p_plus_a", float(np.mean(spin_component(a, phi) == 1))),
-            ("p_plus_b", float(np.mean(spin_component(b, phi) == 1))),
-        ),
+        (("p_plus_a", float(np.mean(plus_a))), ("p_plus_b", float(np.mean(plus_b)))),
     )
     comparison = QueryResult(
         2,
@@ -97,11 +98,11 @@ def run_spin_demo(delta_degrees: float = 60.0, samples: int = 1_000_000, seed: i
 
 def run_reconstruct_demo(dim: int = 3, seed: int = 7) -> Report:
     """Round-trip a seeded random density through the effect basis."""
+    effects = ic_effect_basis(dim)  # first: it rejects dim < 2 before any draw
     rng = np.random.default_rng(seed)
     m = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     raw = m @ m.conj().T
     rho = DensityOperator(raw / np.trace(raw).real)
-    effects = ic_effect_basis(dim)
     samples = [GPMSample(f, gpm_evaluate(rho, f)) for f in effects]
     rec = reconstruct_density(samples)
     err = float(np.linalg.norm(rec.rho.matrix - rho.matrix, "fro"))

@@ -29,7 +29,6 @@ from .errors import (
 from .linalg import (
     DensityOperator,
     Effect,
-    HermitianOperator,
     Projector,
     StateVector,
     matrix_of,
@@ -282,35 +281,29 @@ def ic_effect_basis(r: int) -> list[Effect]:
     if r < 2:
         raise DimensionMismatch(f"informational completeness needs dimension >= 2, got {r}")
     eye = np.eye(r, dtype=complex)
-    effects = [Effect._trusted(np.outer(eye[:, j], eye[:, j].conj())) for j in range(r)]
-    for j in range(r):
-        for k in range(j + 1, r):
-            for phase in (1.0, 1.0j):
-                v = (eye[:, j] + phase * eye[:, k]) / np.sqrt(2.0)
-                effects.append(Effect._trusted(np.outer(v, v.conj())))
-    return effects
+    j, k = np.triu_indices(r, 1)
+    pairs = (eye[j][:, None] + np.array([1.0, 1.0j])[:, None] * eye[k][:, None]) / np.sqrt(2.0)
+    vectors = np.concatenate([eye, pairs.reshape(-1, r)])
+    return [Effect._trusted(m) for m in vectors[:, :, None] * vectors.conj()[:, None, :]]
 
 
-def _hermitian_coords(m: np.ndarray, r: int) -> np.ndarray:
-    """Coefficients of trace(rho M) against the real Hermitian parameters."""
-    row = [m[i, i].real for i in range(r)]
-    for i in range(r):
-        for j in range(i + 1, r):
-            row.append(2.0 * m[i, j].real)
-            row.append(2.0 * m[i, j].imag)
-    return np.array(row)
+def _hermitian_coords(mats: np.ndarray) -> np.ndarray:
+    """Design matrix of a stack of n r x r matrices: trace(rho M_i) against the r diagonal
+    parameters, then Re and Im of each upper entry (i < j, row-major), doubled for its mirror."""
+    n, r, _ = mats.shape
+    i, j = np.triu_indices(r, 1)
+    re = 2 * (i * r + j)  # Re of entry (i, j) in a flattened matrix's float view; Im follows
+    cols = np.concatenate([2 * (r + 1) * np.arange(r), np.stack([re, re + 1], axis=1).ravel()])
+    design = np.take(np.ascontiguousarray(mats, dtype=complex).reshape(n, -1).view(np.float64), cols, axis=1)
+    design[:, r:] *= 2.0
+    return design
 
 
 def _hermitian_from_coords(x: np.ndarray, r: int) -> np.ndarray:
-    out = np.zeros((r, r), dtype=complex)
-    for i in range(r):
-        out[i, i] = x[i]
-    idx = r
-    for i in range(r):
-        for j in range(i + 1, r):
-            out[i, j] = x[idx] + 1j * x[idx + 1]
-            out[j, i] = x[idx] - 1j * x[idx + 1]
-            idx += 2
+    out = np.diag(x[:r].astype(complex))
+    i, j = np.triu_indices(r, 1)
+    out[i, j] = x[r::2] + 1j * x[r + 1::2]
+    out[j, i] = x[r::2] - 1j * x[r + 1::2]
     return out
 
 
@@ -332,14 +325,16 @@ class DensityReconstruction:
 def reconstruct_density(samples: Sequence[GPMSample]) -> DensityReconstruction:
     """Least-squares inversion of effect probabilities to a density operator.
 
-    Solves ``min_rho sum_i (trace(rho F_i) - mu_i)^2`` over Hermitian
-    matrices with the trace pinned to 1 by a linear constraint (KKT system).
-    If the minimizer has eigenvalues below ``-PSD_CLIP_TOL`` it is projected to
-    the positive cone by eigenvalue clipping plus trace renormalization and
-    the adjustment is reported on the result.
+    Solves ``min_rho sum_i (trace(rho F_i) - mu_i)^2`` over Hermitian matrices
+    with trace 1. One eigendecomposition of ``G = D^T D``, D the design over the
+    r^2 real parameters, gates (``cond(G) <= GRAM_CONDITION_MAX``) and solves:
+    ``x = x0 + (1 - c.x0) / (c.G^-1 c) G^-1 c`` with ``x0 = G^-1 D^T mu`` and c
+    the trace vector. Eigenvalues of the minimizer below ``-PSD_CLIP_TOL`` are
+    clipped, the trace renormalized, and the adjustment reported on the result.
 
     Raises:
-        InsufficientSpan: the effects do not span the Hermitian space.
+        InsufficientSpan: no samples, or ``cond(G) > GRAM_CONDITION_MAX`` (the
+            effects do not span the Hermitian space, or too weakly to invert).
         InconsistentSamples: the residual exceeds ``NOISE_BOUND``.
     """
     if not samples:
@@ -348,26 +343,25 @@ def reconstruct_density(samples: Sequence[GPMSample]) -> DensityReconstruction:
     for s in samples:
         _check_dims(r, s.effect.dim)
 
-    design = np.array([_hermitian_coords(s.effect.matrix, r) for s in samples])
+    mats = [s.effect.matrix for s in samples]
+    design = _hermitian_coords(np.array(mats))  # the dims check above makes this a stack
     mu = np.array([s.probability for s in samples])
-    n_params = r * r
-    if np.linalg.matrix_rank(design) < n_params:
+    gram, d_mu = design.T @ design, design.T @ mu
+    del design  # at r = 32 the eigh workspace sets peak memory; the design need not add to it
+    lam, u = np.linalg.eigh(gram)
+    cond = lam[-1] / lam[0] if lam[0] > 0.0 else np.inf
+    if not (cond <= tol.GRAM_CONDITION_MAX):
         raise InsufficientSpan(
-            f"effects span only {np.linalg.matrix_rank(design)} of {n_params} Hermitian dimensions"
+            f"effects span the Hermitian space too weakly: cond(D^T D) = {cond:.3e} > {tol.GRAM_CONDITION_MAX:.1e}"
         )
 
-    # trace(rho) = sum of the r diagonal parameters
-    constraint = np.concatenate([np.ones(r), np.zeros(n_params - r)])
-    gram = design.T @ design
-    kkt = np.block([
-        [2.0 * gram, constraint[:, None]],
-        [constraint[None, :], np.zeros((1, 1))],
-    ])
-    rhs = np.concatenate([2.0 * design.T @ mu, [1.0]])
-    solution = np.linalg.solve(kkt, rhs)
-    raw = _hermitian_from_coords(solution[:n_params], r)
+    x0 = u @ ((u.T @ d_mu) / lam)
+    g = u @ (u[:r].sum(axis=0) / lam)  # G^-1 c: c is 1 on the r diagonal parameters, else 0
+    x = x0 + ((1.0 - x0[:r].sum()) / g[:r].sum()) * g
+    raw = _hermitian_from_coords(x, r)
 
-    residual = float(np.linalg.norm(design @ solution[:n_params] - mu))
+    fitted = np.reshape(mats, (len(mats), -1)) @ raw.T.ravel()  # trace(raw F_i)
+    residual = float(np.linalg.norm(fitted.real - mu))
     if not (residual <= tol.NOISE_BOUND):
         raise InconsistentSamples(
             f"least-squares residual {residual:.3e} exceeds noise bound {tol.NOISE_BOUND:.1e}"

@@ -495,10 +495,7 @@ def _run_query(s: Scenario, q: Query, index: int) -> QueryResult:
         return QueryResult(index, q.kind, echo, outputs, (("violation_flag", rep.violation_flag),))
 
     if q.kind == "reconstruct_check":
-        if isinstance(state, StateVector):
-            rho = DensityOperator.from_state(state)
-        else:
-            rho = state
+        rho = DensityOperator.from_state(state) if isinstance(state, StateVector) else state
         effects = ic_effect_basis(s.dimension)
         samples = [GPMSample(f, gpm_evaluate(rho, f)) for f in effects]
         rec = reconstruct_density(samples)

@@ -63,9 +63,13 @@ def spin_component(a, phi):
 
     Accepts a scalar phi or an array of phi samples.
     """
-    c = np.cos(_angle(a) - np.asarray(phi, dtype=float))
-    out = np.where(c >= 0.0, 1, -1)
+    out = np.where(_plus(a, np.asarray(phi, dtype=float)), 1, -1)
     return int(out) if out.ndim == 0 else out
+
+
+def _plus(a, phi: np.ndarray) -> np.ndarray:
+    """Mask of the samples whose spin along ``a`` is +1 (cos = 0 counts as +1)."""
+    return np.cos(_angle(a) - phi) >= 0.0
 
 
 def midline_reflection(phi, a, b):
@@ -91,15 +95,14 @@ def sample_phi(n: int, seed: int) -> np.ndarray:
 
 def classical_conditional(a, b, n: int, seed: int) -> float:
     """Monte Carlo estimate of P(spin_b = +1 | spin_a = +1) under uniform phi."""
-    return _sampled_conditional(a, b, sample_phi(n, seed))
+    phi = sample_phi(n, seed)
+    return _sampled_conditional(_plus(a, phi), _plus(b, phi))
 
 
-def _sampled_conditional(a, b, phi: np.ndarray) -> float:
-    plus_a = np.cos(_angle(a) - phi) >= 0.0
+def _sampled_conditional(plus_a: np.ndarray, plus_b: np.ndarray) -> float:
     count_a = int(plus_a.sum())
     if count_a == 0:
         raise DegenerateConditioning("no sample produced spin +1 along the first direction")
-    plus_b = np.cos(_angle(b) - phi) >= 0.0
     return float(np.count_nonzero(plus_a & plus_b) / count_a)
 
 
@@ -132,12 +135,13 @@ class SpinComparison:
 
 def comparison_report(a, b, n: int, seed: int) -> SpinComparison:
     """Classical (sampled and exact) against quantum conditionals."""
-    return _comparison(a, b, sample_phi(n, seed))
+    phi = sample_phi(n, seed)
+    return _comparison(a, b, _plus(a, phi), _plus(b, phi))
 
 
-def _comparison(a, b, phi: np.ndarray) -> SpinComparison:
-    """``comparison_report`` on samples the caller has already drawn."""
-    estimate = _sampled_conditional(a, b, phi)
+def _comparison(a, b, plus_a: np.ndarray, plus_b: np.ndarray) -> SpinComparison:
+    """``comparison_report`` on the +1 masks of samples the caller has drawn."""
+    estimate = _sampled_conditional(plus_a, plus_b)
     analytic = classical_conditional_analytic(a, b)
     quantum = quantum_conditional(a, b)
     return SpinComparison(

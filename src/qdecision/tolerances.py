@@ -38,7 +38,7 @@ PROB_FLOOR = 1e-12              # probabilities may undershoot 0 by at most this
 RECONSTRUCTION_TOL = 1e-8       # exact-input round-trip error bound
 PSD_CLIP_TOL = 1e-8             # eigenvalues below -tol trigger reported clipping
 NOISE_BOUND = 1e-6              # residual bound before samples count as inconsistent
-GRAM_CONDITION_MAX = 1e6        # informational-completeness conditioning gate
+GRAM_CONDITION_MAX = 1e6        # cond(D^T D) of the effect design, enforced by reconstruct_density
 
 # Reporting.
 FLOAT_SIG_DIGITS = 12           # significant digits for every float in reports

@@ -117,3 +117,28 @@ def test_reports_are_byte_identical_across_processes(medical_file):
         ).stdout
 
     assert run_once() == run_once()
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["demo", "reconstruct", "--dim", "0"], "needs dimension >= 2, got 0"),
+        (["demo", "reconstruct", "--dim", "-1"], "needs dimension >= 2, got -1"),
+        (["demo", "spin", "--samples", "0"], "needs at least one sample, got 0"),
+        (["demo", "spin", "--samples", "-5"], "needs at least one sample, got -5"),
+    ],
+)
+def test_bad_demo_counts_are_engine_errors(argv, message, capsys):
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("engine error: ") and message in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("flag", ["--angle-a", "--angle-b"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_non_finite_demo_angles_are_rejected_by_flag(flag, value, capsys):
+    assert main(["demo", "medical", f"{flag}={value}"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"scenario error: {flag}: ") and value in err
+    assert "line" not in err
