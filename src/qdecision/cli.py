@@ -19,7 +19,7 @@ from . import tolerances as tol
 from ._version import __version__
 from .demos import run_medical_demo, run_reconstruct_demo, run_spin_demo
 from .errors import EngineError, ScenarioError, ScenarioValidationError
-from .report import REPORT_FORMATS, emit_report, format_number
+from .report import REPORT_FORMATS, _render_value, emit_report
 from .scenario import parse_scenario, run_scenario
 
 EXIT_OK = 0
@@ -80,8 +80,7 @@ def _print_tolerances(out) -> None:
     defaults = tol.all_defaults()
     width = max(len(name) for name in defaults)
     for name, value in defaults.items():
-        rendered = str(value) if isinstance(value, int) else format_number(value)
-        out.write(f"{name:<{width}}  {rendered}\n")
+        out.write(f"{name:<{width}}  {_render_value(value)}\n")
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -97,6 +96,10 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_OK
 
     try:
+        for flag in ("--angle-a", "--angle-b", "--delta-degrees"):
+            angle = getattr(args, flag[2:].replace("-", "_"), 0.0)
+            if not math.isfinite(angle):
+                raise ScenarioValidationError(flag, f"angle must be a finite number of degrees, got {angle!r}")
         if args.command == "analyze":
             try:
                 with open(args.file, encoding="utf-8") as fh:
@@ -105,9 +108,6 @@ def main(argv: list[str] | None = None) -> int:
                 raise ScenarioError(f"cannot read {args.file!r}: {exc}") from exc
             report = run_scenario(parse_scenario(text), seed=args.seed)
         elif args.demo_name == "medical":
-            for flag, angle in (("--angle-a", args.angle_a), ("--angle-b", args.angle_b)):
-                if not math.isfinite(angle):
-                    raise ScenarioValidationError(flag, f"angle must be a finite number of degrees, got {angle!r}")
             report = run_medical_demo(args.angle_a, args.angle_b)
         elif args.demo_name == "spin":
             report = run_spin_demo(args.delta_degrees, args.samples, args.seed)

@@ -10,11 +10,11 @@ from __future__ import annotations
 import numpy as np
 
 from ._version import __version__
-from .engine import GPMSample, gpm_evaluate, ic_effect_basis, reconstruct_density
+from .engine import ic_effect_basis
 from .errors import DegenerateConditioning
 from .linalg import DensityOperator
 from .report import QueryResult, Report
-from .scenario import Scenario, parse_scenario, run_scenario
+from .scenario import Scenario, _roundtrip, parse_scenario, run_scenario
 from .spin import Direction, _comparison, _plus, sample_phi
 
 __all__ = [
@@ -102,10 +102,7 @@ def run_reconstruct_demo(dim: int = 3, seed: int = 7) -> Report:
     rng = np.random.default_rng(seed)
     m = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     raw = m @ m.conj().T
-    rho = DensityOperator(raw / np.trace(raw).real)
-    samples = [GPMSample(f, gpm_evaluate(rho, f)) for f in effects]
-    rec = reconstruct_density(samples)
-    err = float(np.linalg.norm(rec.rho.matrix - rho.matrix, "fro"))
+    rec, err = _roundtrip(DensityOperator(raw / np.trace(raw).real), effects)
     block = QueryResult(
         1,
         "reconstruct_check",

@@ -159,17 +159,6 @@ class HermitianOperator:
     def dim(self) -> int:
         return self.matrix.shape[0]
 
-    def __add__(self, other) -> "HermitianOperator":
-        return HermitianOperator(self.matrix + matrix_of(other))
-
-    def __sub__(self, other) -> "HermitianOperator":
-        return HermitianOperator(self.matrix - matrix_of(other))
-
-    def __mul__(self, scalar: float) -> "HermitianOperator":
-        return HermitianOperator(self.matrix * float(scalar))
-
-    __rmul__ = __mul__
-
     def __repr__(self) -> str:
         return f"{type(self).__name__}(dim={self.dim})"
 
@@ -253,11 +242,6 @@ class SpectralDecomposition:
     def is_simple(self) -> bool:
         """True when every eigenvalue is non-degenerate."""
         return all(len(g) == 1 for g in self.groups)
-
-    def group_value(self, g: int) -> float:
-        """Representative eigenvalue (mean) of group ``g``."""
-        idx = list(self.groups[g])
-        return float(self.eigenvalues[idx].mean())
 
     def group_projector(self, g: int) -> Projector:
         """Orthogonal projector onto the eigenspace of group ``g``."""

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import io
+import json
 from dataclasses import dataclass, field
 
 from . import tolerances as tol
@@ -119,22 +120,13 @@ def _emit_csv(report: Report) -> str:
     return buf.getvalue()
 
 
+_encode_string = json.JSONEncoder(ensure_ascii=False).encode
+
+
 def _json_scalar(v: Value) -> str:
-    if isinstance(v, bool):
-        return "true" if v else "false"
-    if isinstance(v, int):
-        return str(v)
-    if isinstance(v, float):
-        return format_number(v)
-    escaped = (
-        str(v)
-        .replace("\\", "\\\\")
-        .replace('"', '\\"')
-        .replace("\n", "\\n")
-        .replace("\r", "\\r")
-        .replace("\t", "\\t")
-    )
-    return f'"{escaped}"'
+    if isinstance(v, (int, float)):  # bool is an int
+        return _render_value(v)
+    return _encode_string(str(v))
 
 
 def emit_json(node, indent: int = 0) -> str:

@@ -30,13 +30,14 @@ query boundaries.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any
 
 import numpy as np
 
 from ._version import __version__
 from .engine import (
+    DensityReconstruction,
     GPMSample,
     expectation,
     gpm_evaluate,
@@ -67,27 +68,26 @@ __all__ = [
     "run_scenario",
 ]
 
-QUERY_KINDS = (
-    "distribution",
-    "sequence",
-    "expectation",
-    "conjunction",
-    "total_probability",
-    "sure_thing",
-    "reconstruct_check",
-)
+# kind -> its parameter keys, in document order
+_QUERY_KEYS = {
+    "distribution": ("variable",),
+    "sequence": ("steps",),
+    "expectation": ("variable",),
+    "conjunction": ("first", "second"),
+    "total_probability": ("partition", "target"),
+    "sure_thing": ("condition", "choice", "threshold"),
+    "reconstruct_check": (),
+}
+QUERY_KINDS = tuple(_QUERY_KEYS)
 
 
 @dataclass(frozen=True)
 class Query:
-    kind: str
-    params: tuple[tuple[str, Any], ...]
+    """One validated query: ``params`` maps the kind's document keys, in
+    document order, to their values; events are ``(name, value)`` pairs."""
 
-    def get(self, key: str) -> Any:
-        for k, v in self.params:
-            if k == key:
-                return v
-        raise KeyError(key)
+    kind: str
+    params: dict[str, Any] = field(hash=False)
 
 
 @dataclass(frozen=True)
@@ -185,6 +185,8 @@ def _parse_variable(node, index: int, dimension: int) -> DecisionVariable:
     name = _require(obj, "name", loc)
     if not isinstance(name, str) or not name:
         _fail(loc + ".name", "variable name must be a non-empty string")
+    if not name.isprintable():
+        _fail(loc + ".name", f"variable name must be printable, got {name!r}")
     values = [_as_number(v, f"{loc}.values[{i}]") for i, v in enumerate(_as_array(_require(obj, "values", loc), loc + ".values"))]
     has_vectors = "eigenvectors" in obj
     has_angle = "basis_angle_degrees" in obj
@@ -239,15 +241,26 @@ def _parse_event(node, location: str, scenario_vars: dict[str, DecisionVariable]
     return name, value
 
 
-_QUERY_KEYS = {
-    "distribution": {"variable"},
-    "sequence": {"steps"},
-    "expectation": {"variable"},
-    "conjunction": {"first", "second"},
-    "total_probability": {"partition", "target"},
-    "sure_thing": {"condition", "choice", "threshold"},
-    "reconstruct_check": set(),
-}
+def _parse_param(obj: dict, key: str, loc: str, scenario_vars: dict[str, DecisionVariable]) -> Any:
+    at = f"{loc}.{key}"
+    if key == "threshold":
+        threshold = _as_number(obj.get(key, 0.5), at)
+        if not 0.0 <= threshold <= 1.0:
+            _fail(at, f"threshold must be in [0, 1], got {threshold!r}")
+        return threshold
+    node = _require(obj, key, loc)
+    if key == "steps":
+        steps = _as_array(node, at)
+        if not steps:
+            _fail(at, "a sequence needs at least one step")
+        return tuple(_parse_event(step, f"{at}[{i}]", scenario_vars) for i, step in enumerate(steps))
+    if key in ("first", "second", "target", "choice"):
+        return _parse_event(node, at, scenario_vars)
+    if not isinstance(node, str) or node not in scenario_vars:
+        _fail(at, f"query references undeclared variable {node!r}")
+    if key == "condition" and len(scenario_vars[node].values) != 2:
+        _fail(at, f"condition variable {node!r} must have exactly two values")
+    return node
 
 
 def _parse_query(node, index: int, scenario_vars: dict[str, DecisionVariable]) -> Query:
@@ -256,45 +269,11 @@ def _parse_query(node, index: int, scenario_vars: dict[str, DecisionVariable]) -
     kind = _require(obj, "kind", loc)
     if kind not in QUERY_KINDS:
         _fail(loc + ".kind", f"unknown query kind {kind!r} (choose from {QUERY_KINDS})")
-    extra = set(obj) - _QUERY_KEYS[kind] - {"kind"}
+    keys = _QUERY_KEYS[kind]
+    extra = set(obj) - {"kind", *keys}
     if extra:
         _fail(loc, f"unexpected keys for kind {kind!r}: {sorted(extra)}")
-
-    def var_name(key: str) -> str:
-        name = _require(obj, key, loc)
-        if not isinstance(name, str) or name not in scenario_vars:
-            _fail(f"{loc}.{key}", f"query references undeclared variable {name!r}")
-        return name
-
-    params: list[tuple[str, Any]] = []
-    if kind in ("distribution", "expectation"):
-        params.append(("variable", var_name("variable")))
-    elif kind == "sequence":
-        steps_node = _as_array(_require(obj, "steps", loc), loc + ".steps")
-        if not steps_node:
-            _fail(loc + ".steps", "a sequence needs at least one step")
-        steps = tuple(
-            _parse_event(step, f"{loc}.steps[{i}]", scenario_vars)
-            for i, step in enumerate(steps_node)
-        )
-        params.append(("steps", steps))
-    elif kind == "conjunction":
-        params.append(("first", _parse_event(_require(obj, "first", loc), loc + ".first", scenario_vars)))
-        params.append(("second", _parse_event(_require(obj, "second", loc), loc + ".second", scenario_vars)))
-    elif kind == "total_probability":
-        params.append(("partition", var_name("partition")))
-        params.append(("target", _parse_event(_require(obj, "target", loc), loc + ".target", scenario_vars)))
-    elif kind == "sure_thing":
-        condition = var_name("condition")
-        if len(scenario_vars[condition].values) != 2:
-            _fail(loc + ".condition", f"condition variable {condition!r} must have exactly two values")
-        params.append(("condition", condition))
-        params.append(("choice", _parse_event(_require(obj, "choice", loc), loc + ".choice", scenario_vars)))
-        threshold = _as_number(obj.get("threshold", 0.5), loc + ".threshold")
-        if not 0.0 <= threshold <= 1.0:
-            _fail(loc + ".threshold", f"threshold must be in [0, 1], got {threshold!r}")
-        params.append(("threshold", threshold))
-    return Query(kind, tuple(params))
+    return Query(kind, {key: _parse_param(obj, key, loc, scenario_vars) for key in keys})
 
 
 def parse_scenario(text: str) -> Scenario:
@@ -320,6 +299,8 @@ def parse_scenario(text: str) -> Scenario:
     context = root.get("context", "default")
     if not isinstance(context, str):
         _fail("context", "context label must be a string")
+    if not context.isprintable():
+        _fail("context", f"context label must be printable, got {context!r}")
     dimension = _require(root, "dimension", "document")
     if isinstance(dimension, bool) or not isinstance(dimension, int) or dimension < 2:
         _fail("dimension", f"dimension must be an integer >= 2, got {dimension!r}")
@@ -382,26 +363,12 @@ def scenario_to_document(s: Scenario) -> str:
             }
         )
 
-    queries_doc = []
-    for q in s.queries:
-        node: dict[str, Any] = {"kind": q.kind}
-        for key, value in q.params:
-            if key == "steps":
-                node[key] = [[name, float(u)] for name, u in value]
-            elif key in ("first", "second", "target", "choice"):
-                node[key] = [value[0], float(value[1])]
-            elif key == "threshold":
-                node[key] = float(value)
-            else:
-                node[key] = value
-        queries_doc.append(node)
-
     tree = {
         "context": s.context,
         "dimension": s.dimension,
         "state": state_doc,
         "variables": variables_doc,
-        "queries": queries_doc,
+        "queries": [{"kind": q.kind, **q.params} for q in s.queries],
     }
     return json.dumps(tree, indent=2) + "\n"
 
@@ -410,62 +377,60 @@ def scenario_to_document(s: Scenario) -> str:
 # execution
 
 
+def _echo(params: dict[str, Any]) -> tuple[tuple[str, Any], ...]:
+    """Report rows restating a query's parameters; an event reads ``name=value``."""
+
+    def event(pair: tuple[str, float]) -> str:
+        return f"{pair[0]}={format_number(pair[1])}"
+
+    rows = []
+    for key, value in params.items():
+        if key == "steps":
+            rows.extend((f"step_{i}", event(step)) for i, step in enumerate(value, start=1))
+        else:
+            rows.append((key, event(value) if isinstance(value, tuple) else value))
+    return tuple(rows)
+
+
+def _roundtrip(rho: DensityOperator, effects) -> tuple[DensityReconstruction, float]:
+    """Reconstruct ``rho`` from its exact probabilities on ``effects``; also
+    return the Frobenius distance between the reconstruction and ``rho``."""
+    rec = reconstruct_density([GPMSample(f, gpm_evaluate(rho, f)) for f in effects])
+    return rec, float(np.linalg.norm(rec.rho.matrix - rho.matrix, "fro"))
+
+
 def _run_query(s: Scenario, q: Query, index: int) -> QueryResult:
     state = s.initial_state
+    p = q.params
 
+    def projector(key: str):
+        name, value = p[key]
+        return s.variable(name).projector_for(value)
+
+    flags: tuple[tuple[str, bool], ...] = ()
     if q.kind == "distribution":
-        v = s.variable(q.get("variable"))
-        dist = outcome_distribution(state, v)
+        dist = outcome_distribution(state, s.variable(p["variable"]))
         outputs = []
-        for j, (u, p) in enumerate(zip(dist.values, dist.probabilities), start=1):
+        for j, (u, prob) in enumerate(zip(dist.values, dist.probabilities), start=1):
             outputs.append((f"value_{j}", u))
-            outputs.append((f"p_{j}", p))
-        return QueryResult(index, q.kind, (("variable", v.name),), tuple(outputs))
-
-    if q.kind == "expectation":
-        v = s.variable(q.get("variable"))
-        return QueryResult(
-            index, q.kind, (("variable", v.name),), (("expectation", expectation(state, v)),)
-        )
-
-    if q.kind == "sequence":
-        steps = [(s.variable(name), value) for name, value in q.get("steps")]
-        echo = tuple(
-            (f"step_{i}", f"{v.name}={format_number(value)}")
-            for i, (v, value) in enumerate(steps, start=1)
-        )
-        return QueryResult(
-            index, q.kind, echo, (("probability", sequential_probability(state, steps)),)
-        )
-
-    if q.kind == "conjunction":
-        first_name, first_value = q.get("first")
-        second_name, second_value = q.get("second")
-        proj_a = s.variable(first_name).projector_for(first_value)
-        proj_b = s.variable(second_name).projector_for(second_value)
-        rep = conjunction_report(state, proj_a, proj_b)
-        echo = (
-            ("first", f"{first_name}={format_number(first_value)}"),
-            ("second", f"{second_name}={format_number(second_value)}"),
-        )
-        outputs = (
+            outputs.append((f"p_{j}", prob))
+    elif q.kind == "expectation":
+        outputs = [("expectation", expectation(state, s.variable(p["variable"])))]
+    elif q.kind == "sequence":
+        steps = [(s.variable(name), value) for name, value in p["steps"]]
+        outputs = [("probability", sequential_probability(state, steps))]
+    elif q.kind == "conjunction":
+        rep = conjunction_report(state, projector("first"), projector("second"))
+        outputs = [
             ("p_first", rep.p_a),
             ("p_second", rep.p_b),
             ("p_first_then_second", rep.p_a_then_b),
             ("p_second_then_first", rep.p_b_then_a),
             ("order_asymmetry", rep.order_asymmetry),
-        )
-        return QueryResult(index, q.kind, echo, outputs, (("conjunction_flag", rep.conjunction_flag),))
-
-    if q.kind == "total_probability":
-        partition = s.variable(q.get("partition"))
-        target_name, target_value = q.get("target")
-        proj = s.variable(target_name).projector_for(target_value)
-        rep = total_probability_report(state, partition, proj)
-        echo = (
-            ("partition", partition.name),
-            ("target", f"{target_name}={format_number(target_value)}"),
-        )
+        ]
+        flags = (("conjunction_flag", rep.conjunction_flag),)
+    elif q.kind == "total_probability":
+        rep = total_probability_report(state, s.variable(p["partition"]), projector("target"))
         outputs = [
             ("p_direct", rep.p_direct),
             ("p_via_partition", rep.p_via_partition),
@@ -473,41 +438,24 @@ def _run_query(s: Scenario, q: Query, index: int) -> QueryResult:
         ]
         for u, term in zip(rep.partition_values, rep.partition_terms):
             outputs.append((f"term[{format_number(u)}]", term))
-        return QueryResult(index, q.kind, echo, tuple(outputs))
-
-    if q.kind == "sure_thing":
-        condition = s.variable(q.get("condition"))
-        choice_name, choice_value = q.get("choice")
-        proj = s.variable(choice_name).projector_for(choice_value)
-        threshold = q.get("threshold")
-        rep = sure_thing_check(state, condition, proj, threshold)
-        echo = (
-            ("condition", condition.name),
-            ("choice", f"{choice_name}={format_number(choice_value)}"),
-            ("threshold", threshold),
-        )
-        outputs = (
+    elif q.kind == "sure_thing":
+        rep = sure_thing_check(state, s.variable(p["condition"]), projector("choice"), p["threshold"])
+        outputs = [
             (f"p_choice_given[{format_number(rep.condition_values[0])}]", rep.conditionals[0]),
             (f"p_choice_given[{format_number(rep.condition_values[1])}]", rep.conditionals[1]),
             ("p_choice_unconditional", rep.p_unconditional),
             ("interference", rep.interference),
-        )
-        return QueryResult(index, q.kind, echo, outputs, (("violation_flag", rep.violation_flag),))
-
-    if q.kind == "reconstruct_check":
+        ]
+        flags = (("violation_flag", rep.violation_flag),)
+    elif q.kind == "reconstruct_check":
         rho = DensityOperator.from_state(state) if isinstance(state, StateVector) else state
         effects = ic_effect_basis(s.dimension)
-        samples = [GPMSample(f, gpm_evaluate(rho, f)) for f in effects]
-        rec = reconstruct_density(samples)
-        err = float(np.linalg.norm(rec.rho.matrix - rho.matrix, "fro"))
-        outputs = (
-            ("roundtrip_error", err),
-            ("residual", rec.residual),
-            ("effect_count", len(effects)),
-        )
-        return QueryResult(index, q.kind, (), outputs, (("psd_clipped", rec.clipped),))
-
-    raise EngineError(f"unhandled query kind {q.kind!r}")
+        rec, err = _roundtrip(rho, effects)
+        outputs = [("roundtrip_error", err), ("residual", rec.residual), ("effect_count", len(effects))]
+        flags = (("psd_clipped", rec.clipped),)
+    else:
+        raise EngineError(f"unhandled query kind {q.kind!r}")
+    return QueryResult(index, q.kind, _echo(p), tuple(outputs), flags)
 
 
 def run_scenario(s: Scenario, *, seed: int = 0) -> Report:

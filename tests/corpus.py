@@ -122,7 +122,7 @@ def _mutate(**changes):
 
 
 def malformed_documents() -> list[tuple[str, str]]:
-    """57 named malformed scenario documents."""
+    """64 named malformed scenario documents."""
     inv2 = 1.0 / np.sqrt(2.0)
     cases: list[tuple[str, str]] = [
         # syntax
@@ -141,6 +141,10 @@ def malformed_documents() -> list[tuple[str, str]]:
         ("root_is_number", "42"),
         ("unknown_top_key", _mutate(extra_key="boom")),
         ("context_not_string", _mutate(context=7)),
+        # labels must be printable: control characters, newlines and lone
+        # surrogates would break the reports
+        ("context_control_char", _mutate(context="a\u0001b")),
+        ("context_lone_surrogate", _mutate(context="\ud800")),
         ("missing_dimension", _mutate(dimension=...)),
         ("dimension_too_small", _mutate(dimension=1)),
         ("dimension_string", _mutate(dimension="two")),
@@ -151,6 +155,7 @@ def malformed_documents() -> list[tuple[str, str]]:
         ("state_empty_object", _mutate(state={})),
         ("state_both_kinds", _mutate(state={"vector": [[1, 0], [0, 0]], "density": []})),
         ("state_wrong_length", _mutate(state={"vector": [[1, 0]]})),
+        ("density_wrong_shape", _mutate(state={"density": [[[1, 0]]]})),
         ("state_bad_norm", _mutate(state={"vector": [[0.9, 0.0], [0.0, 0.0]]})),
         ("state_complex_not_pair", _mutate(state={"vector": [[1, 0, 0], [0, 0]]})),
         ("state_amplitude_string", _mutate(state={"vector": [["1", 0], [0, 0]]})),
@@ -162,6 +167,7 @@ def malformed_documents() -> list[tuple[str, str]]:
         ("variables_not_array", _mutate(variables={"a": 1})),
         ("variable_missing_name", _mutate(variables__0__name=...)),
         ("variable_name_empty", _mutate(variables__0__name="")),
+        ("variable_name_newline", _mutate(variables__0__name="a\nb")),
         ("duplicate_variable_names", _mutate(variables__1__name="a")),
         ("variable_missing_values", _mutate(variables__0__values=...)),
         ("variable_duplicate_values", _mutate(variables__0__values=[1.0, 1.0])),
@@ -213,6 +219,10 @@ def malformed_documents() -> list[tuple[str, str]]:
         ("query_extra_key", _mutate(queries__0__surprise=1)),
         ("query_undeclared_variable", _mutate(queries__0__variable="missing")),
         (
+            "event_undeclared_variable",
+            _mutate(queries__0=dict(kind="conjunction", first=["missing", 1.0], second=["a", 1.0])),
+        ),
+        (
             "sequence_empty_steps",
             _mutate(queries__0=dict(kind="sequence", steps=[])),
         ),
@@ -236,7 +246,24 @@ def malformed_documents() -> list[tuple[str, str]]:
             "sure_thing_threshold_above_one",
             _mutate(queries__0=dict(kind="sure_thing", condition="b", choice=["a", 1.0], threshold=7)),
         ),
+        (
+            "sure_thing_condition_three_values",
+            json.dumps(
+                {
+                    "dimension": 3,
+                    "state": {"vector": [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]]},
+                    "variables": [
+                        {
+                            "name": "c",
+                            "values": [0.0, 1.0, 2.0],
+                            "eigenvectors": [[_pairs(e)] for e in np.eye(3)],
+                        }
+                    ],
+                    "queries": [{"kind": "sure_thing", "condition": "c", "choice": ["c", 1.0]}],
+                }
+            ),
+        ),
         ("nesting_too_deep", "[" * 100_000 + "]" * 100_000),
     ]
-    assert len(cases) >= 57, len(cases)
+    assert len(cases) >= 64, len(cases)
     return cases

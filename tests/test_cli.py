@@ -135,10 +135,11 @@ def test_bad_demo_counts_are_engine_errors(argv, message, capsys):
     assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("flag", ["--angle-a", "--angle-b"])
+@pytest.mark.parametrize("flag", ["--angle-a", "--angle-b", "--delta-degrees"])
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
 def test_non_finite_demo_angles_are_rejected_by_flag(flag, value, capsys):
-    assert main(["demo", "medical", f"{flag}={value}"]) == 1
+    demo = "spin" if flag == "--delta-degrees" else "medical"
+    assert main(["demo", demo, f"{flag}={value}"]) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"scenario error: {flag}: ") and value in err
     assert "line" not in err

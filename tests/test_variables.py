@@ -108,6 +108,33 @@ def test_direct_construction_requires_increasing_values():
         DecisionVariable("bad", [2.0, 1.0], list(v.eigenprojectors))
 
 
+def _slack_projectors():
+    """Two rank-one projectors, each idempotent and summing to I within
+    tolerance, whose product still exceeds the orthogonality tolerance."""
+    delta, c, e = 0.95e-10, np.sqrt(1 / 8), np.sqrt(3 / 8)
+    p = np.diag([1.0, 0.0]) + delta * np.array([[-e, c], [c, e]])
+    q = np.diag([0.0, 1.0]) + delta * np.array([[e, c], [c, -e]])
+    return [Projector(p), Projector(q)]
+
+
+@pytest.mark.parametrize(
+    "values, projectors, error, message",
+    [
+        ([0.0, 1.0], lambda e0, e1: [e0], DimensionMismatch, "2 values but 1 projectors"),
+        ([1.0, 1.0], lambda e0, e1: [e0, e1], DuplicateValues, "repeated values"),
+        ([0.0, 1.0], lambda e0, e1: [e0, Projector(np.eye(3))], DimensionMismatch, "dimensions disagree"),
+        ([0.0], lambda e0, e1: [e0], DimensionMismatch, "ranks sum to 1, expected 2"),
+        ([0.0, 1.0], lambda e0, e1: [e0, e0], NonOrthonormalBasis, "do not resolve the identity"),
+        ([0.0, 1.0], lambda e0, e1: _slack_projectors(), NonOrthonormalBasis, "are not orthogonal"),
+    ],
+    ids=["count", "repeated", "dimensions", "rank_sum", "identity", "orthogonality"],
+)
+def test_direct_construction_rejects_inconsistent_spectral_data(values, projectors, error, message):
+    e0, e1 = Projector(np.diag([1.0, 0.0])), Projector(np.diag([0.0, 1.0]))
+    with pytest.raises(error, match=message):
+        DecisionVariable("bad", values, projectors(e0, e1))
+
+
 def test_unitary_operator_type():
     from qdecision import UnitaryOperator
 

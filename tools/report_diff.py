@@ -1,0 +1,176 @@
+"""Record the CLI's output on a fixed set of cases, and diff two recordings.
+
+    python tools/report_diff.py record TREE OUT.json
+    python tools/report_diff.py diff OLD.json NEW.json
+
+``record`` imports qdecision from ``TREE/src`` (any checkout of this
+repository) and runs every case in-process through ``qdecision.cli.main``,
+storing the exit code, stdout and stderr of each. The case inputs always
+come from the checkout this script lives in, so two recordings of
+different trees see the same documents:
+
+- the ``analyze_mix`` documents of bench seeds 1-4 (``bench/workloads.build``),
+  each in the three report formats;
+- ``generate_valid_document(0..59)`` of ``tests/corpus.py`` in the three
+  formats, and every document of the malformed corpus;
+- ``demo medical``, ``demo spin`` (also with non-finite ``--delta-degrees``),
+  ``demo reconstruct --dim 0..8`` for seeds 1, 7 and 123 in the three
+  formats, and ``--tolerances``.
+
+``diff`` compares two recordings case by case. Warning lines that name a
+file of the recorded tree (numpy's RuntimeWarning, with the source line
+printed under it) are dropped first: they carry the tree's path and line
+numbers. It prints every differing case and exits 1 if there is one.
+"""
+
+from __future__ import annotations
+
+import argparse
+import difflib
+import io
+import json
+import os
+import sys
+import tempfile
+import traceback
+import warnings
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+FORMATS = ("text", "csv", "structured")
+BENCH_SEEDS = (1, 2, 3, 4)
+VALID_SEEDS = range(60)
+RECONSTRUCT_SEEDS = (1, 7, 123)
+
+
+def _import_tree(tree: Path):
+    sys.path[:0] = [str(tree / "src")]
+    sys.path += [str(ROOT / "bench"), str(ROOT / "tests")]
+    import qdecision.cli
+
+    src = (tree / "src").resolve()
+    if src not in Path(qdecision.cli.__file__).resolve().parents:
+        sys.exit(f"qdecision was imported from {qdecision.cli.__file__}, not from {src}")
+    return qdecision.cli
+
+
+def _cases(workdir: str):
+    """Yield (name, argv) for every case, writing documents into ``workdir``."""
+    from corpus import generate_valid_document, malformed_documents
+    from workloads import build
+
+    def analyze(name: str, text: str, formats=FORMATS):
+        path = os.path.join(workdir, "doc.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        for fmt in formats:
+            yield f"{name}/{fmt}", ["analyze", path, "--format", fmt]
+
+    for seed in BENCH_SEEDS:
+        with tempfile.TemporaryDirectory() as bench_dir:
+            documents = build("analyze_mix", seed, bench_dir).inputs["documents"]
+        for n, text in enumerate(documents):
+            yield from analyze(f"analyze_mix/seed{seed}/doc{n:03d}", text)
+    for seed in VALID_SEEDS:
+        yield from analyze(f"valid/{seed}", generate_valid_document(seed))
+    for name, text in malformed_documents():
+        yield from analyze(f"malformed/{name}", text, formats=("text",))
+    yield "demo/medical", ["demo", "medical"]
+    yield "demo/spin", ["demo", "spin"]
+    for value in ("nan", "inf", "-inf"):
+        yield f"demo/spin/delta={value}", ["demo", "spin", f"--delta-degrees={value}"]
+    for dim in range(9):
+        for seed in RECONSTRUCT_SEEDS:
+            for fmt in FORMATS:
+                argv = ["demo", "reconstruct", "--dim", str(dim), "--seed", str(seed), "--format", fmt]
+                yield f"demo/reconstruct/dim{dim}/seed{seed}/{fmt}", argv
+    yield "tolerances", ["--tolerances"]
+
+
+def _run(cli, argv: list[str]) -> tuple[int | None, str, str]:
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        except Exception:
+            traceback.print_exc()
+            code = None
+    return code, out.getvalue(), err.getvalue()
+
+
+def record(tree: Path, out_path: Path) -> int:
+    cli = _import_tree(tree.resolve())
+    # show every warning every time, so a case's stderr does not depend on
+    # the cases run before it
+    warnings.simplefilter("always")
+    cases = {}
+    with tempfile.TemporaryDirectory() as workdir:
+        for name, argv in _cases(workdir):
+            cases[name] = _run(cli, argv)
+    tree_src = str((tree / "src").resolve())
+    out_path.write_text(json.dumps({"tree": tree_src, "cases": cases}, indent=1), encoding="utf-8")
+    print(f"recorded {len(cases)} cases from {tree_src} in {out_path}")
+    return 0
+
+
+def _strip_tree_warnings(stderr: str, tree: str) -> str:
+    kept, skip_source_line = [], False
+    for line in stderr.splitlines(keepends=True):
+        if line.startswith(tree):
+            skip_source_line = True
+            continue
+        if skip_source_line and line.startswith("  "):
+            skip_source_line = False
+            continue
+        skip_source_line = False
+        kept.append(line)
+    return "".join(kept)
+
+
+def diff(old_path: Path, new_path: Path) -> int:
+    # recorded output may hold lone surrogates, which strict UTF-8 cannot print
+    sys.stdout.reconfigure(errors="backslashreplace")
+    old, new = (json.loads(p.read_text(encoding="utf-8")) for p in (old_path, new_path))
+    differing = 0
+    for name in sorted(set(old["cases"]) | set(new["cases"])):
+        if name not in old["cases"] or name not in new["cases"]:
+            print(f"{name}: only in {new_path if name in new['cases'] else old_path}")
+            differing += 1
+            continue
+        (a_code, a_out, a_err), (b_code, b_out, b_err) = old["cases"][name], new["cases"][name]
+        a_err, b_err = _strip_tree_warnings(a_err, old["tree"]), _strip_tree_warnings(b_err, new["tree"])
+        if (a_code, a_out, a_err) == (b_code, b_out, b_err):
+            continue
+        differing += 1
+        print(f"{name}: exit {a_code} -> {b_code}")
+        for stream, a, b in (("stdout", a_out, b_out), ("stderr", a_err, b_err)):
+            if a != b:
+                lines = difflib.unified_diff(
+                    a.splitlines(), b.splitlines(), f"old {stream}", f"new {stream}", lineterm="", n=1
+                )
+                print("\n".join(f"    {line}" for line in lines))
+    total = len(set(old["cases"]) | set(new["cases"]))
+    print(f"{total - differing} of {total} cases identical, {differing} differ")
+    return 1 if differing else 0
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    sub = parser.add_subparsers(dest="command", required=True)
+    rec = sub.add_parser("record", help="run every case against TREE/src and write OUT")
+    rec.add_argument("tree", type=Path)
+    rec.add_argument("out", type=Path)
+    cmp = sub.add_parser("diff", help="compare two recordings")
+    cmp.add_argument("old", type=Path)
+    cmp.add_argument("new", type=Path)
+    args = parser.parse_args()
+    if args.command == "record":
+        return record(args.tree, args.out)
+    return diff(args.old, args.new)
+
+
+if __name__ == "__main__":
+    sys.exit(main())
