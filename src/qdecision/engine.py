@@ -312,25 +312,25 @@ class DensityReconstruction:
     """Result of a density reconstruction.
 
     ``clipped`` reports whether the least-squares minimizer had to be
-    projected back to the positive cone; ``min_eigenvalue`` is the smallest
-    eigenvalue of the raw minimizer before any clipping.
+    projected back to the positive cone; ``min_eigenvalue`` is the smallest eigenvalue
+    of the raw minimizer before any clipping; ``condition_number`` is cond(D^T D).
     """
 
     rho: DensityOperator
     residual: float
     clipped: bool
     min_eigenvalue: float
+    condition_number: float
 
 
 def reconstruct_density(samples: Sequence[GPMSample]) -> DensityReconstruction:
     """Least-squares inversion of effect probabilities to a density operator.
 
     Solves ``min_rho sum_i (trace(rho F_i) - mu_i)^2`` over Hermitian matrices
-    with trace 1. One eigendecomposition of ``G = D^T D``, D the design over the
-    r^2 real parameters, gates (``cond(G) <= GRAM_CONDITION_MAX``) and solves:
-    ``x = x0 + (1 - c.x0) / (c.G^-1 c) G^-1 c`` with ``x0 = G^-1 D^T mu`` and c
-    the trace vector. Eigenvalues of the minimizer below ``-PSD_CLIP_TOL`` are
-    clipped, the trace renormalized, and the adjustment reported on the result.
+    with trace 1. The eigenvalues of ``G = D^T D``, D the design over the r^2 real
+    parameters, gate (``cond(G) <= GRAM_CONDITION_MAX``); one solve ``G [x0, g] = [D^T mu, c]``,
+    c the trace vector, gives ``x = x0 + (1 - c.x0) / (c.g) g``. Eigenvalues of the minimizer
+    below ``-PSD_CLIP_TOL`` are clipped, the trace renormalized, and the adjustment reported.
 
     Raises:
         InsufficientSpan: no samples, or ``cond(G) > GRAM_CONDITION_MAX`` (the
@@ -347,16 +347,16 @@ def reconstruct_density(samples: Sequence[GPMSample]) -> DensityReconstruction:
     design = _hermitian_coords(np.array(mats))  # the dims check above makes this a stack
     mu = np.array([s.probability for s in samples])
     gram, d_mu = design.T @ design, design.T @ mu
-    del design  # at r = 32 the eigh workspace sets peak memory; the design need not add to it
-    lam, u = np.linalg.eigh(gram)
+    del design  # at r = 32 the design is 8 MB; peak memory need not hold it through the solve
+    lam = np.linalg.eigvalsh(gram)
     cond = lam[-1] / lam[0] if lam[0] > 0.0 else np.inf
     if not (cond <= tol.GRAM_CONDITION_MAX):
         raise InsufficientSpan(
             f"effects span the Hermitian space too weakly: cond(D^T D) = {cond:.3e} > {tol.GRAM_CONDITION_MAX:.1e}"
         )
 
-    x0 = u @ ((u.T @ d_mu) / lam)
-    g = u @ (u[:r].sum(axis=0) / lam)  # G^-1 c: c is 1 on the r diagonal parameters, else 0
+    c = np.arange(d_mu.size) < r  # the trace vector: 1 on the r diagonal parameters, else 0
+    x0, g = np.linalg.solve(gram, np.stack([d_mu, c], axis=1)).T
     x = x0 + ((1.0 - x0[:r].sum()) / g[:r].sum()) * g
     raw = _hermitian_from_coords(x, r)
 
@@ -377,5 +377,4 @@ def reconstruct_density(samples: Sequence[GPMSample]) -> DensityReconstruction:
         w = w / w.sum()
         raw = (v * w) @ v.conj().T
         raw = (raw + raw.conj().T) / 2.0
-    rho = DensityOperator(raw)
-    return DensityReconstruction(rho=rho, residual=residual, clipped=clipped, min_eigenvalue=min_eig)
+    return DensityReconstruction(DensityOperator(raw), residual, clipped, min_eig, float(cond))

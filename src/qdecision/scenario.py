@@ -35,9 +35,9 @@ from typing import Any
 
 import numpy as np
 
+from . import tolerances as tol
 from ._version import __version__
 from .engine import (
-    DensityReconstruction,
     GPMSample,
     expectation,
     gpm_evaluate,
@@ -304,6 +304,8 @@ def parse_scenario(text: str) -> Scenario:
     dimension = _require(root, "dimension", "document")
     if isinstance(dimension, bool) or not isinstance(dimension, int) or dimension < 2:
         _fail("dimension", f"dimension must be an integer >= 2, got {dimension!r}")
+    if dimension > tol.MAX_DIMENSION:
+        _fail("dimension", f"dimension must be at most {tol.MAX_DIMENSION}, got {dimension}")
 
     state = _parse_state(_require(root, "state", "document"), dimension)
 
@@ -392,11 +394,14 @@ def _echo(params: dict[str, Any]) -> tuple[tuple[str, Any], ...]:
     return tuple(rows)
 
 
-def _roundtrip(rho: DensityOperator, effects) -> tuple[DensityReconstruction, float]:
-    """Reconstruct ``rho`` from its exact probabilities on ``effects``; also
-    return the Frobenius distance between the reconstruction and ``rho``."""
+def _roundtrip(rho: DensityOperator, effects) -> tuple[list, tuple]:
+    """Reconstruct ``rho`` from its exact probabilities on ``effects``; return the report's output
+    rows (the Frobenius distance to ``rho``, the residual, the gate's diagnostics) and its flags."""
     rec = reconstruct_density([GPMSample(f, gpm_evaluate(rho, f)) for f in effects])
-    return rec, float(np.linalg.norm(rec.rho.matrix - rho.matrix, "fro"))
+    err = float(np.linalg.norm(rec.rho.matrix - rho.matrix, "fro"))
+    outputs = [("roundtrip_error", err), ("residual", rec.residual), ("gram_condition", rec.condition_number),
+               ("min_eigenvalue", rec.min_eigenvalue)]
+    return outputs, (("psd_clipped", rec.clipped),)
 
 
 def _run_query(s: Scenario, q: Query, index: int) -> QueryResult:
@@ -450,9 +455,8 @@ def _run_query(s: Scenario, q: Query, index: int) -> QueryResult:
     elif q.kind == "reconstruct_check":
         rho = DensityOperator.from_state(state) if isinstance(state, StateVector) else state
         effects = ic_effect_basis(s.dimension)
-        rec, err = _roundtrip(rho, effects)
-        outputs = [("roundtrip_error", err), ("residual", rec.residual), ("effect_count", len(effects))]
-        flags = (("psd_clipped", rec.clipped),)
+        outputs, flags = _roundtrip(rho, effects)
+        outputs.append(("effect_count", len(effects)))
     else:
         raise EngineError(f"unhandled query kind {q.kind!r}")
     return QueryResult(index, q.kind, _echo(p), tuple(outputs), flags)

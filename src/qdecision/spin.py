@@ -68,8 +68,14 @@ def spin_component(a, phi):
 
 
 def _plus(a, phi: np.ndarray) -> np.ndarray:
-    """Mask of the samples whose spin along ``a`` is +1 (cos = 0 counts as +1)."""
-    return np.cos(_angle(a) - phi) >= 0.0
+    """Mask of the samples whose spin along ``a`` is +1 (cos = 0 counts as +1): ``np.cos(a - phi) >= 0``.
+
+    For 0 <= x = |a - phi| < 2*pi, cos(x) >= 0 exactly when x <= pi/2 (``math.pi / 2`` is the largest double
+    below pi/2) or x >= 3*pi/2 (the double after ``3 * math.pi / 2``, which rounds below). Larger x use ``np.cos``.
+    """
+    x = np.abs(_angle(a) - phi)
+    plus, big = (x <= math.pi / 2) | (x >= math.nextafter(3 * math.pi / 2, math.inf)), x >= TWO_PI
+    return np.where(big, np.cos(x) >= 0.0, plus) if big.any() else plus
 
 
 def midline_reflection(phi, a, b):

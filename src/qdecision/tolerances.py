@@ -40,6 +40,9 @@ PSD_CLIP_TOL = 1e-8             # eigenvalues below -tol trigger reported clippi
 NOISE_BOUND = 1e-6              # residual bound before samples count as inconsistent
 GRAM_CONDITION_MAX = 1e6        # cond(D^T D) of the effect design, enforced by reconstruct_density
 
+# Scope: the largest dimension a document or ``demo reconstruct --dim`` may ask for.
+MAX_DIMENSION = 32
+
 # Reporting.
 FLOAT_SIG_DIGITS = 12           # significant digits for every float in reports
 

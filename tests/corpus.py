@@ -122,7 +122,7 @@ def _mutate(**changes):
 
 
 def malformed_documents() -> list[tuple[str, str]]:
-    """64 named malformed scenario documents."""
+    """65 named malformed scenario documents."""
     inv2 = 1.0 / np.sqrt(2.0)
     cases: list[tuple[str, str]] = [
         # syntax
@@ -147,6 +147,7 @@ def malformed_documents() -> list[tuple[str, str]]:
         ("context_lone_surrogate", _mutate(context="\ud800")),
         ("missing_dimension", _mutate(dimension=...)),
         ("dimension_too_small", _mutate(dimension=1)),
+        ("dimension_too_large", _mutate(dimension=33)),
         ("dimension_string", _mutate(dimension="two")),
         ("dimension_bool", _mutate(dimension=True)),
         # state
@@ -265,5 +266,5 @@ def malformed_documents() -> list[tuple[str, str]]:
         ),
         ("nesting_too_deep", "[" * 100_000 + "]" * 100_000),
     ]
-    assert len(cases) >= 64, len(cases)
+    assert len(cases) >= 65, len(cases)
     return cases

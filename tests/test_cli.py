@@ -1,12 +1,16 @@
 """Command line: exit codes, formats, determinism across processes."""
 
+import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
+from qdecision import ic_effect_basis
 from qdecision.cli import main
 from qdecision.demos import medical_document
+from qdecision.engine import _hermitian_coords
 
 from corpus import malformed_documents
 
@@ -143,3 +147,28 @@ def test_non_finite_demo_angles_are_rejected_by_flag(flag, value, capsys):
     err = capsys.readouterr().err
     assert err.startswith(f"scenario error: {flag}: ") and value in err
     assert "line" not in err
+
+
+@pytest.mark.parametrize("demo", ["spin", "reconstruct"])
+def test_negative_demo_seed_is_rejected_by_flag(demo):
+    proc = subprocess.run(
+        [sys.executable, "-m", "qdecision.cli", "demo", demo, "--seed", "-1"], capture_output=True, text=True
+    )
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr == "scenario error: --seed: seed must be a non-negative integer, got -1\n"
+
+
+@pytest.mark.parametrize("dim", ["33", "100000000"])
+def test_oversized_demo_dimension_is_rejected_by_flag(dim, capsys):
+    assert main(["demo", "reconstruct", "--dim", dim]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"scenario error: --dim: dimension must be at most 32, got {dim}\n"
+
+
+def test_demo_reconstruct_reports_its_diagnostics(capsys):
+    assert main(["demo", "reconstruct", "--dim", "4", "--seed", "2", "--format", "structured"]) == 0
+    outputs = json.loads(capsys.readouterr().out)["results"][0]["outputs"]
+    design = _hermitian_coords(np.stack([f.matrix for f in ic_effect_basis(4)]))
+    assert outputs["gram_condition"] == pytest.approx(np.linalg.cond(design.T @ design), rel=1e-9)
+    assert 0.0 < outputs["min_eigenvalue"] < 0.25  # a full-rank density at r = 4, before any clipping

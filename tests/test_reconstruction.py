@@ -187,3 +187,50 @@ def test_rank_deficient_families_are_rejected(r, name):
     assert np.linalg.matrix_rank(loop_design(mats)) < r * r
     with pytest.raises(InsufficientSpan):
         reconstruct_density(samples_for(np.eye(r) / r, mats))
+
+
+# ---------------------------------------------------------------------------
+# the gate's condition number and the solve, against an eigendecomposition
+
+
+def eigen_solve_reference(samples):
+    """The trace-constrained minimizer through a full eigendecomposition of D^T D."""
+    r = samples[0].effect.dim
+    design = loop_design([s.effect.matrix for s in samples])
+    mu = np.array([s.probability for s in samples])
+    lam, u = np.linalg.eigh(design.T @ design)
+    x0 = u @ ((u.T @ (design.T @ mu)) / lam)
+    g = u @ (u[:r].sum(axis=0) / lam)  # G^-1 c, c the trace vector
+    return loop_from_coords(x0 + ((1.0 - x0[:r].sum()) / g[:r].sum()) * g, r)
+
+
+def effect_families(r):
+    rng = rng_for(970 + r)
+    ic = [f.matrix for f in ic_effect_basis(r)]
+    extra = []
+    for _ in range(r):
+        _, v = np.linalg.eigh(random_hermitian(r, rng))
+        extra.append((v * rng.uniform(0.0, 1.0, r)) @ v.conj().T)  # a random effect
+    return {"ic": ic, "ic_plus_random": ic + extra, "near_duplicate": near_duplicate_family(r, 0.05)}
+
+
+@pytest.mark.parametrize("r", range(2, 9))
+@pytest.mark.parametrize("family", ["ic", "ic_plus_random", "near_duplicate"])
+def test_condition_number_is_that_of_the_gram_matrix(r, family):
+    mats = effect_families(r)[family]
+    rec = reconstruct_density(samples_for(random_density(r, rng_for(980 + r)), mats))
+    design = loop_design(mats)
+    assert rec.condition_number == pytest.approx(np.linalg.cond(design.T @ design), rel=1e-9)
+
+
+@pytest.mark.parametrize("r", range(2, 9))
+@pytest.mark.parametrize("family", ["ic", "ic_plus_random", "near_duplicate"])
+def test_solve_agrees_with_the_eigen_solve(r, family):
+    mats = effect_families(r)[family]
+    rng = rng_for(985 + r)
+    samples = samples_for(random_density(r, rng), mats)
+    noise = rng.normal(0.0, 1e-8, size=len(samples))
+    for given in (samples, [GPMSample(s.effect, s.probability + n) for s, n in zip(samples, noise)]):
+        rec = reconstruct_density(given)
+        assert not rec.clipped
+        assert np.abs(rec.rho.matrix - eigen_solve_reference(given)).max() <= 1e-12

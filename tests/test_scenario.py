@@ -1,5 +1,7 @@
 """Scenario documents: parsing, validation, execution, emission."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -101,6 +103,16 @@ def test_non_finite_numbers_are_rejected_at_their_variable():
         with pytest.raises(ScenarioValidationError) as err:
             parse_scenario(docs[name])
         assert err.value.location == "variables[0]", name
+
+
+def test_dimension_outside_its_range_is_rejected_at_dimension():
+    docs = dict(malformed_documents())
+    for name in ("dimension_too_small", "dimension_too_large"):
+        with pytest.raises(ScenarioValidationError) as err:
+            parse_scenario(docs[name])
+        assert err.value.location == "dimension", name
+    largest = {"dimension": 32, "state": {"vector": [[1.0, 0.0]] + [[0.0, 0.0]] * 31}, "variables": [], "queries": []}
+    assert parse_scenario(json.dumps(largest)).dimension == 32
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,11 @@ from qdecision import (
     quantum_conditional,
     sample_phi,
     spin_component,
+    __version__,
 )
+from qdecision.spin import _plus
+
+from conftest import rng_for
 
 DEG = math.pi / 180.0
 
@@ -199,3 +203,100 @@ def test_spin_demo_matches_the_public_functions():
     expected = comparison_report(Direction(0.0), b, n, seed)
     assert comparison["classical_estimate"] == expected.classical_estimate
     assert comparison["gap"] == expected.gap
+
+
+# ---------------------------------------------------------------------------
+# the +1 mask: a half-circle test, pinned to the sign of the cosine
+
+
+def cosine_mask(a, phi):
+    """The definition the mask implements: cos(a - phi) >= 0."""
+    return np.cos(a - phi) >= 0.0
+
+
+def doubles_around(x, count=30):
+    below, above, out = x, x, [x]
+    for _ in range(count):
+        below, above = math.nextafter(below, -math.inf), math.nextafter(above, math.inf)
+        out += [below, above]
+    return out
+
+
+@pytest.mark.parametrize("a", [0.0, 1.0, 7.0])
+def test_plus_mask_is_the_cosine_sign_at_every_quarter_turn(a):
+    # phi such that a - phi lands on the doubles around k * pi/2, where cos changes sign or peaks
+    phi = np.array([a - x for k in range(-6, 7) for x in doubles_around(k * math.pi / 2)])
+    assert np.array_equal(_plus(a, phi), cosine_mask(a, phi))
+
+
+@pytest.mark.parametrize("a", [7.0, -3.0, 100.0])
+def test_plus_mask_is_the_cosine_sign_on_raw_angles(a):
+    phi = rng_for(1000 + int(a)).uniform(-50.0, 50.0, 100_000)
+    phi[:3] = [math.inf, -math.inf, math.nan]
+    with np.errstate(invalid="ignore"):  # cos of inf
+        assert np.array_equal(_plus(a, phi), cosine_mask(a, phi))
+    assert np.array_equal(_plus(a, phi[3:]), cosine_mask(a, phi[3:]))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 42, 2026])
+def test_plus_mask_is_the_cosine_sign_on_sampled_directions(seed):
+    phi = sample_phi(200_000, seed)
+    for degrees in (0.0, 10.0, 60.0, 90.0, 135.0, 180.0, 270.0, 359.9):
+        a = Direction.from_degrees(degrees).angle
+        assert np.array_equal(_plus(a, phi), cosine_mask(a, phi)), degrees
+
+
+SPIN_REPORTS = {
+    ("60", "42"): """\
+query 1: spin_marginals
+  samples   1000000
+  p_plus_a  0.500587000000
+  p_plus_b  0.499069000000
+
+query 2: spin_comparison
+  delta_degrees       60.0000000000
+  samples             1000000
+  classical_estimate  0.665304932010
+  classical_analytic  0.666666666667
+  quantum             0.750000000000
+  gap                 0.0833333333333
+""",
+    ("17.5", "7"): """\
+query 1: spin_marginals
+  samples   1000000
+  p_plus_a  0.499878000000
+  p_plus_b  0.499258000000
+
+query 2: spin_comparison
+  delta_degrees       17.5000000000
+  samples             1000000
+  classical_estimate  0.901940073378
+  classical_analytic  0.902777777778
+  quantum             0.976858475374
+  gap                 0.0740806975963
+""",
+    ("135", "2026"): """\
+query 1: spin_marginals
+  samples   1000000
+  p_plus_a  0.499135000000
+  p_plus_b  0.500571000000
+
+query 2: spin_comparison
+  delta_degrees       135.000000000
+  samples             1000000
+  classical_estimate  0.250948140283
+  classical_analytic  0.250000000000
+  quantum             0.146446609407
+  gap                 -0.103553390593
+""",
+}
+
+
+@pytest.mark.parametrize("delta, seed", list(SPIN_REPORTS))
+def test_spin_demo_report_text_is_pinned(delta, seed, capsys):
+    from qdecision.cli import main
+
+    assert main(["demo", "spin", "--delta-degrees", delta, "--seed", seed]) == 0
+    out = capsys.readouterr().out
+    head = f"engine_version: {__version__}\ncontext: spin-demo\ndimension: 2\nseed: {seed}\n\n"
+    assert out.startswith(head + SPIN_REPORTS[(delta, seed)] + "\ntolerances:\n")

@@ -30,6 +30,7 @@ RECONSTRUCTION_TOL    0.0000000100000000000
 PSD_CLIP_TOL          0.0000000100000000000
 NOISE_BOUND           0.00000100000000000
 GRAM_CONDITION_MAX    1000000.00000
+MAX_DIMENSION         32
 FLOAT_SIG_DIGITS      12
 """
 

@@ -13,9 +13,10 @@ different trees see the same documents:
   each in the three report formats;
 - ``generate_valid_document(0..59)`` of ``tests/corpus.py`` in the three
   formats, and every document of the malformed corpus;
-- ``demo medical``, ``demo spin`` (also with non-finite ``--delta-degrees``),
-  ``demo reconstruct --dim 0..8`` for seeds 1, 7 and 123 in the three
-  formats, and ``--tolerances``.
+- ``demo medical``, ``demo spin`` (also with non-finite ``--delta-degrees``,
+  and at 7 angles x 3 seeds), ``demo reconstruct --dim 0..8`` for seeds 1, 7
+  and 123 in the three formats, a negative ``--seed`` on both seeded demos,
+  ``demo reconstruct --dim 33``, and ``--tolerances``.
 
 ``diff`` compares two recordings case by case. Warning lines that name a
 file of the recorded tree (numpy's RuntimeWarning, with the source line
@@ -42,6 +43,8 @@ FORMATS = ("text", "csv", "structured")
 BENCH_SEEDS = (1, 2, 3, 4)
 VALID_SEEDS = range(60)
 RECONSTRUCT_SEEDS = (1, 7, 123)
+SPIN_DELTAS = ("0", "10", "45", "90", "135", "180", "359.9")
+SPIN_SEEDS = (1, 42, 2026)
 
 
 def _import_tree(tree: Path):
@@ -80,6 +83,12 @@ def _cases(workdir: str):
     yield "demo/spin", ["demo", "spin"]
     for value in ("nan", "inf", "-inf"):
         yield f"demo/spin/delta={value}", ["demo", "spin", f"--delta-degrees={value}"]
+    for delta in SPIN_DELTAS:
+        for seed in SPIN_SEEDS:
+            yield f"demo/spin/delta={delta}/seed{seed}", ["demo", "spin", f"--delta-degrees={delta}", "--seed", str(seed)]
+    for demo in ("spin", "reconstruct"):
+        yield f"demo/{demo}/seed-1", ["demo", demo, "--seed", "-1"]
+    yield "demo/reconstruct/dim33", ["demo", "reconstruct", "--dim", "33"]
     for dim in range(9):
         for seed in RECONSTRUCT_SEEDS:
             for fmt in FORMATS:
