@@ -102,6 +102,8 @@ def main(argv: list[str] | None = None) -> int:
                 raise ScenarioValidationError(flag, f"angle must be a finite number of degrees, got {angle!r}")
         if args.command == "demo" and getattr(args, "seed", 0) < 0:
             raise ScenarioValidationError("--seed", f"seed must be a non-negative integer, got {args.seed}")
+        if getattr(args, "dim", 2) < 2:
+            raise ScenarioValidationError("--dim", f"dimension must be an integer >= 2, got {args.dim}")
         if getattr(args, "dim", 0) > tol.MAX_DIMENSION:
             raise ScenarioValidationError("--dim", f"dimension must be at most {tol.MAX_DIMENSION}, got {args.dim}")
         if args.command == "analyze":

@@ -323,6 +323,24 @@ class DensityReconstruction:
     condition_number: float
 
 
+_GRAM_CONDITION: dict[int, tuple[bytes, float]] = {}  # r -> (sha256 of the last G seen at r, its cond)
+
+
+def _gram_condition(gram: np.ndarray, r: int) -> float:
+    """cond(G) from its eigenvalues, reused when G (r^2 x r^2 float64, so fixed by its bytes) repeats at r.
+    A slot is replaced whole, so concurrent callers never pair one G's digest with another's cond."""
+    from hashlib import sha256  # here, so that `import qdecision` does not pay for loading hashlib
+
+    key = sha256(gram).digest()
+    slot = _GRAM_CONDITION.get(r)
+    if slot is not None and slot[0] == key:
+        return slot[1]
+    lam = np.linalg.eigvalsh(gram)
+    cond = float(lam[-1] / lam[0]) if lam[0] > 0.0 else np.inf
+    _GRAM_CONDITION[r] = (key, cond)
+    return cond
+
+
 def reconstruct_density(samples: Sequence[GPMSample]) -> DensityReconstruction:
     """Least-squares inversion of effect probabilities to a density operator.
 
@@ -348,8 +366,7 @@ def reconstruct_density(samples: Sequence[GPMSample]) -> DensityReconstruction:
     mu = np.array([s.probability for s in samples])
     gram, d_mu = design.T @ design, design.T @ mu
     del design  # at r = 32 the design is 8 MB; peak memory need not hold it through the solve
-    lam = np.linalg.eigvalsh(gram)
-    cond = lam[-1] / lam[0] if lam[0] > 0.0 else np.inf
+    cond = _gram_condition(gram, r)
     if not (cond <= tol.GRAM_CONDITION_MAX):
         raise InsufficientSpan(
             f"effects span the Hermitian space too weakly: cond(D^T D) = {cond:.3e} > {tol.GRAM_CONDITION_MAX:.1e}"
@@ -360,6 +377,7 @@ def reconstruct_density(samples: Sequence[GPMSample]) -> DensityReconstruction:
     x = x0 + ((1.0 - x0[:r].sum()) / g[:r].sum()) * g
     raw = _hermitian_from_coords(x, r)
 
+    # a second copy of the effects: holding the first stack or using the design instead raised peak RSS
     fitted = np.reshape(mats, (len(mats), -1)) @ raw.T.ravel()  # trace(raw F_i)
     residual = float(np.linalg.norm(fitted.real - mu))
     if not (residual <= tol.NOISE_BOUND):
@@ -377,4 +395,4 @@ def reconstruct_density(samples: Sequence[GPMSample]) -> DensityReconstruction:
         w = w / w.sum()
         raw = (v * w) @ v.conj().T
         raw = (raw + raw.conj().T) / 2.0
-    return DensityReconstruction(DensityOperator(raw), residual, clipped, min_eig, float(cond))
+    return DensityReconstruction(DensityOperator(raw), residual, clipped, min_eig, cond)

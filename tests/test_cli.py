@@ -126,8 +126,6 @@ def test_reports_are_byte_identical_across_processes(medical_file):
 @pytest.mark.parametrize(
     "argv, message",
     [
-        (["demo", "reconstruct", "--dim", "0"], "needs dimension >= 2, got 0"),
-        (["demo", "reconstruct", "--dim", "-1"], "needs dimension >= 2, got -1"),
         (["demo", "spin", "--samples", "0"], "needs at least one sample, got 0"),
         (["demo", "spin", "--samples", "-5"], "needs at least one sample, got -5"),
     ],
@@ -156,6 +154,15 @@ def test_negative_demo_seed_is_rejected_by_flag(demo):
     )
     assert proc.returncode == 1 and proc.stdout == ""
     assert proc.stderr == "scenario error: --seed: seed must be a non-negative integer, got -1\n"
+
+
+@pytest.mark.parametrize("dim", ["1", "0", "-1"])
+def test_undersized_demo_dimension_is_rejected_by_flag(dim, capsys):
+    assert main(["demo", "reconstruct", "--dim", dim]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"scenario error: --dim: dimension must be an integer >= 2, got {dim}\n"
+    assert "Traceback" not in captured.err
 
 
 @pytest.mark.parametrize("dim", ["33", "100000000"])

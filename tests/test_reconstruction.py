@@ -1,4 +1,4 @@
-"""Density reconstruction: design matrix, one-factorization solve, conditioning gate."""
+"""Density reconstruction: design matrix, one-factorization solve, conditioning gate and its memo."""
 
 import numpy as np
 import pytest
@@ -13,9 +13,9 @@ from qdecision import (
     reconstruct_density,
 )
 from qdecision import tolerances as tol
-from qdecision.engine import _hermitian_coords, _hermitian_from_coords
+from qdecision.engine import _GRAM_CONDITION, _hermitian_coords, _hermitian_from_coords
 
-from conftest import random_density, random_hermitian, rng_for
+from conftest import random_density, random_hermitian, random_unitary, rng_for
 
 
 # reference implementations: the per-entry loops the vectorized code replaced
@@ -234,3 +234,82 @@ def test_solve_agrees_with_the_eigen_solve(r, family):
         rec = reconstruct_density(given)
         assert not rec.clipped
         assert np.abs(rec.rho.matrix - eigen_solve_reference(given)).max() <= 1e-12
+
+
+# ---------------------------------------------------------------------------
+# the gate's condition number, kept per dimension for the last Gram matrix seen
+
+
+def ic_samples(r, seed, noisy):
+    rng = rng_for(seed)
+    rho = DensityOperator(random_density(r, rng))
+    samples = [GPMSample(f, gpm_evaluate(rho, f)) for f in ic_effect_basis(r)]
+    if not noisy:
+        return samples
+    noise = rng.normal(0.0, 1e-7, size=len(samples))
+    return [GPMSample(s.effect, float(np.clip(s.probability + n, 0.0, 1.0))) for s, n in zip(samples, noise)]
+
+
+@pytest.mark.parametrize("r", [*range(2, 9), 32])
+@pytest.mark.parametrize("noisy", [False, True])
+def test_warm_gate_gives_the_cold_result(r, noisy):
+    samples = ic_samples(r, 1000 + r, noisy)
+    _GRAM_CONDITION.pop(r, None)
+    cold = reconstruct_density(samples)
+    assert r in _GRAM_CONDITION
+    warm = reconstruct_density(samples)
+    assert np.array_equal(warm.rho.matrix, cold.rho.matrix)
+    assert (warm.residual, warm.min_eigenvalue, warm.condition_number, warm.clipped) == (
+        cold.residual,
+        cold.min_eigenvalue,
+        cold.condition_number,
+        cold.clipped,
+    )
+
+
+def rejection_message(samples):
+    with pytest.raises(InsufficientSpan) as info:
+        reconstruct_density(samples)
+    return str(info.value)
+
+
+def test_epsilon_pair_gives_the_same_verdict_on_a_second_call():
+    rho = random_density(3, rng_for(991))
+    rejected = samples_for(rho, near_duplicate_family(3, 3e-3))
+    accepted = samples_for(rho, near_duplicate_family(3, 5e-3))
+    _GRAM_CONDITION.pop(3, None)
+    first = rejection_message(rejected)
+    assert rejection_message(rejected) == first
+    for _ in range(2):
+        assert np.linalg.norm(reconstruct_density(accepted).rho.matrix - rho, "fro") <= tol.RECONSTRUCTION_TOL
+    assert rejection_message(rejected) == first
+
+
+@pytest.mark.parametrize("r", [2, 3, 5])
+@pytest.mark.parametrize("name", ["one_missing", "three_missing", "duplicate", "diagonal_only", "single_effect"])
+def test_rank_deficient_families_are_rejected_on_a_second_call(r, name):
+    samples = samples_for(np.eye(r) / r, rank_deficient_families(r)[name])
+    _GRAM_CONDITION.pop(r, None)
+    first = rejection_message(samples)
+    assert rejection_message(samples) == first
+
+
+@pytest.mark.parametrize("r", [2, 4, 7])
+def test_alternating_families_each_get_their_own_condition_number(r):
+    ic = [f.matrix for f in ic_effect_basis(r)]
+    u = random_unitary(r, rng_for(1040 + r))
+    rotated = [u @ m @ u.conj().T for m in ic]
+    rho = random_density(r, rng_for(1050 + r))
+    for mats in (ic, rotated, ic, rotated, ic):
+        design = loop_design(mats)
+        rec = reconstruct_density(samples_for(rho, mats))
+        assert rec.condition_number == pytest.approx(np.linalg.cond(design.T @ design), rel=1e-9)
+
+
+def test_memo_holds_only_digests_and_floats():
+    for r in (2, 3):
+        reconstruct_density(ic_samples(r, 1060 + r, noisy=False))
+    assert _GRAM_CONDITION
+    for r, slot in _GRAM_CONDITION.items():
+        assert isinstance(r, int)
+        assert [type(value) for value in slot] == [bytes, float]

@@ -15,8 +15,11 @@ different trees see the same documents:
   formats, and every document of the malformed corpus;
 - ``demo medical``, ``demo spin`` (also with non-finite ``--delta-degrees``,
   and at 7 angles x 3 seeds), ``demo reconstruct --dim 0..8`` for seeds 1, 7
-  and 123 in the three formats, a negative ``--seed`` on both seeded demos,
-  ``demo reconstruct --dim 33``, and ``--tolerances``.
+  and 123 in the three formats, ``--dim 16`` and ``--dim 32`` (the dimensions
+  ``bulk_numeric`` reconstructs at) for the same seeds in text, a negative
+  ``--seed`` on both seeded demos, ``demo reconstruct --dim 33``, and
+  ``--tolerances``. Cases at one dimension run back to back, so every seed
+  after the first meets the reconstruction gate's memo warm.
 
 ``diff`` compares two recordings case by case. Warning lines that name a
 file of the recorded tree (numpy's RuntimeWarning, with the source line
@@ -94,6 +97,10 @@ def _cases(workdir: str):
             for fmt in FORMATS:
                 argv = ["demo", "reconstruct", "--dim", str(dim), "--seed", str(seed), "--format", fmt]
                 yield f"demo/reconstruct/dim{dim}/seed{seed}/{fmt}", argv
+    for dim in (16, 32):
+        for seed in RECONSTRUCT_SEEDS:
+            argv = ["demo", "reconstruct", "--dim", str(dim), "--seed", str(seed), "--format", "text"]
+            yield f"demo/reconstruct/dim{dim}/seed{seed}/text", argv
     yield "tolerances", ["--tolerances"]
 
 
