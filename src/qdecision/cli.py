@@ -12,6 +12,7 @@ Exit codes: 0 success, 1 scenario validation/syntax error, 2 engine error.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 
@@ -36,7 +37,12 @@ def _add_format(parser: argparse.ArgumentParser) -> None:
     )
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and shared by every later one.
+
+    ``main`` reuses it for each call in a process; callers must not mutate it.
+    """
     parser = argparse.ArgumentParser(
         prog="qdecision",
         description="Quantum probability engine for decision variables.",

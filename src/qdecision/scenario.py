@@ -30,6 +30,7 @@ query boundaries.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -134,7 +135,10 @@ def _as_array(node, location: str) -> list:
 def _as_number(node, location: str) -> float:
     if isinstance(node, bool) or not isinstance(node, (int, float)):
         _fail(location, f"expected a number, got {type(node).__name__}")
-    return float(node)
+    try:
+        return float(node)
+    except OverflowError:
+        _fail(location, "integer literal is beyond the range of a float")
 
 
 def _as_complex(node, location: str) -> complex:
@@ -290,6 +294,9 @@ def parse_scenario(text: str) -> Scenario:
     except RecursionError:
         # json gives no line for this; the document is well formed but unusable
         _fail("document", "arrays or objects are nested too deeply")
+    except ValueError:
+        # Python's limit on integer digits; json gives no line for this either
+        _fail("document", f"an integer literal has more than {sys.get_int_max_str_digits()} digits")
     root = _as_object(root, "document")
     known = {"context", "dimension", "state", "variables", "queries"}
     extra = set(root) - known

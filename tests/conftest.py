@@ -7,6 +7,14 @@ import pytest
 
 from qdecision import DecisionVariable, StateVector, variable_from_spectrum
 
+try:
+    from hypothesis import settings
+except ImportError:  # the property tests skip themselves without hypothesis
+    pass
+else:
+    # ``--hypothesis-profile=fuzz`` runs the document fuzzer at full length
+    settings.register_profile("fuzz", max_examples=10_000)
+
 
 def rng_for(seed: int) -> np.random.Generator:
     return np.random.default_rng(seed)

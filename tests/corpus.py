@@ -122,7 +122,7 @@ def _mutate(**changes):
 
 
 def malformed_documents() -> list[tuple[str, str]]:
-    """65 named malformed scenario documents."""
+    """70 named malformed scenario documents."""
     inv2 = 1.0 / np.sqrt(2.0)
     cases: list[tuple[str, str]] = [
         # syntax
@@ -265,6 +265,15 @@ def malformed_documents() -> list[tuple[str, str]]:
             ),
         ),
         ("nesting_too_deep", "[" * 100_000 + "]" * 100_000),
+        # integers past the float range, and past Python's limit on integer digits
+        ("vector_integer_overflow", _mutate(state={"vector": [[10**400, 0], [0, 0]]})),
+        ("values_integer_overflow", _mutate(variables__0__values=[0, 10**400])),
+        ("angle_integer_overflow", _mutate(variables__0__basis_angle_degrees=10**400)),
+        (
+            "threshold_integer_overflow",
+            _mutate(queries__0=dict(kind="sure_thing", condition="b", choice=["a", 1.0], threshold=10**400)),
+        ),
+        ("dimension_too_many_digits", _mutate().replace('"dimension": 2', '"dimension": 1' + "0" * 5000)),
     ]
-    assert len(cases) >= 65, len(cases)
+    assert len(cases) >= 70, len(cases)
     return cases

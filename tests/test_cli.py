@@ -1,14 +1,17 @@
 """Command line: exit codes, formats, determinism across processes."""
 
+import io
 import json
+import os
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
 import pytest
 
 from qdecision import ic_effect_basis
-from qdecision.cli import main
+from qdecision.cli import build_parser, main
 from qdecision.demos import medical_document
 from qdecision.engine import _hermitian_coords
 
@@ -179,3 +182,48 @@ def test_demo_reconstruct_reports_its_diagnostics(capsys):
     design = _hermitian_coords(np.stack([f.matrix for f in ic_effect_basis(4)]))
     assert outputs["gram_condition"] == pytest.approx(np.linalg.cond(design.T @ design), rel=1e-9)
     assert 0.0 < outputs["min_eigenvalue"] < 0.25  # a full-rank density at r = 4, before any clipping
+
+
+def _run_in_process(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def test_one_parser_serves_every_call_like_a_fresh_process(medical_file, tmp_path, monkeypatch):
+    assert build_parser() is build_parser()
+    broken = tmp_path / "broken.json"
+    broken.write_text('{"dimension": 2', encoding="utf-8")
+    # argparse's own exits (help, usage errors) come between reports, so each
+    # later call meets a parser that has just raised SystemExit
+    argvs = [
+        ["--help"],
+        ["analyze", medical_file],
+        ["demo", "--help"],
+        ["analyze", str(broken)],
+        [],
+        ["demo", "medical"],
+        ["demo"],
+        ["demo", "spin"],
+        ["analyze", medical_file, "--format", "bogus"],
+        ["demo", "reconstruct"],
+        ["demo", "reconstruct", "--dim", "x"],
+        ["analyze", medical_file, "--format", "csv"],
+        ["--tolerances"],
+    ]
+    monkeypatch.setenv("COLUMNS", "80")  # help and usage text wrap at the terminal width
+    first = [_run_in_process(argv) for argv in argvs]
+    assert [_run_in_process(argv) for argv in argvs] == first
+    assert {code for code, _, _ in first} == {0, 1, 2}
+    for argv, expected in zip(argvs, first):
+        proc = subprocess.run(
+            [sys.executable, "-m", "qdecision.cli", *argv],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "COLUMNS": "80"},
+        )
+        assert (proc.returncode, proc.stdout, proc.stderr) == expected, argv

@@ -105,6 +105,22 @@ def test_non_finite_numbers_are_rejected_at_their_variable():
         assert err.value.location == "variables[0]", name
 
 
+@pytest.mark.parametrize(
+    "name, location",
+    [
+        ("vector_integer_overflow", "state.vector[0][0]"),
+        ("values_integer_overflow", "variables[0].values[1]"),
+        ("angle_integer_overflow", "variables[0].basis_angle_degrees"),
+        ("threshold_integer_overflow", "queries[0].threshold"),
+        ("dimension_too_many_digits", "document"),
+    ],
+)
+def test_oversized_integer_literals_are_rejected_at_their_location(name, location):
+    with pytest.raises(ScenarioValidationError) as err:
+        parse_scenario(dict(malformed_documents())[name])
+    assert err.value.location == location
+
+
 def test_dimension_outside_its_range_is_rejected_at_dimension():
     docs = dict(malformed_documents())
     for name in ("dimension_too_small", "dimension_too_large"):

@@ -10,7 +10,11 @@ come from the checkout this script lives in, so two recordings of
 different trees see the same documents:
 
 - the ``analyze_mix`` documents of bench seeds 1-4 (``bench/workloads.build``),
-  each in the three report formats;
+  each in the three report formats; after each seed's documents come the
+  argparse paths (help at each level, no arguments, ``demo`` without a
+  name, an unknown command, a bad ``--format`` choice, a non-integer
+  ``--dim``, ``analyze`` without a file), so the analyze cases that follow
+  run on a parser that has just raised ``SystemExit``;
 - ``generate_valid_document(0..59)`` of ``tests/corpus.py`` in the three
   formats, and every document of the malformed corpus;
 - ``demo medical``, ``demo spin`` (also with non-finite ``--delta-degrees``,
@@ -20,6 +24,9 @@ different trees see the same documents:
   ``--seed`` on both seeded demos, ``demo reconstruct --dim 33``, and
   ``--tolerances``. Cases at one dimension run back to back, so every seed
   after the first meets the reconstruction gate's memo warm.
+
+Help and usage text is wrapped at ``COLUMNS=80``, so recordings made in
+different terminals compare.
 
 ``diff`` compares two recordings case by case. Warning lines that name a
 file of the recorded tree (numpy's RuntimeWarning, with the source line
@@ -48,6 +55,18 @@ VALID_SEEDS = range(60)
 RECONSTRUCT_SEEDS = (1, 7, 123)
 SPIN_DELTAS = ("0", "10", "45", "90", "135", "180", "359.9")
 SPIN_SEEDS = (1, 42, 2026)
+ARGPARSE_PATHS = {
+    "help": ["--help"],
+    "analyze-help": ["analyze", "--help"],
+    "demo-help": ["demo", "--help"],
+    "demo-spin-help": ["demo", "spin", "--help"],
+    "no-arguments": [],
+    "demo-no-name": ["demo"],
+    "unknown-command": ["bogus"],
+    "format-bogus": ["analyze", "doc.json", "--format", "bogus"],
+    "dim-not-integer": ["demo", "reconstruct", "--dim", "x"],
+    "analyze-no-file": ["analyze"],
+}
 
 
 def _import_tree(tree: Path):
@@ -78,6 +97,8 @@ def _cases(workdir: str):
             documents = build("analyze_mix", seed, bench_dir).inputs["documents"]
         for n, text in enumerate(documents):
             yield from analyze(f"analyze_mix/seed{seed}/doc{n:03d}", text)
+        for name, argv in ARGPARSE_PATHS.items():
+            yield f"argparse/seed{seed}/{name}", argv
     for seed in VALID_SEEDS:
         yield from analyze(f"valid/{seed}", generate_valid_document(seed))
     for name, text in malformed_documents():
@@ -119,6 +140,7 @@ def _run(cli, argv: list[str]) -> tuple[int | None, str, str]:
 
 def record(tree: Path, out_path: Path) -> int:
     cli = _import_tree(tree.resolve())
+    os.environ["COLUMNS"] = "80"
     # show every warning every time, so a case's stderr does not depend on
     # the cases run before it
     warnings.simplefilter("always")
