@@ -31,10 +31,10 @@ from .linalg import (
     Effect,
     Projector,
     StateVector,
+    _apply_value_map,
     matrix_of,
-    spectral_function,
 )
-from .variables import DecisionVariable, round_value
+from .variables import DecisionVariable, _spectral_sum, round_value
 
 __all__ = [
     "OutcomeDistribution",
@@ -131,20 +131,10 @@ def collapse(state: State, v: DecisionVariable, value: float) -> State:
 
 @dataclass(frozen=True)
 class OutcomeDistribution:
-    """Values with their Born probabilities; sums to one."""
+    """Values with their Born probabilities, which sum to one; engine-built, so not checked again."""
 
     values: tuple[float, ...]
     probabilities: tuple[float, ...]
-
-    def __post_init__(self):
-        probs = np.asarray(self.probabilities)
-        if len(self.values) != probs.size:
-            raise DimensionMismatch("values and probabilities differ in length")
-        if probs.size and float(probs.min()) < -tol.PROB_FLOOR:
-            raise InvariantViolation(f"negative probability {float(probs.min()):.3e}")
-        total = float(probs.sum())
-        if abs(total - 1.0) > tol.PROB_SUM_TOL:
-            raise InvariantViolation(f"probabilities sum to {total!r}, expected 1")
 
     def probability_of(self, value: float) -> float:
         key = round_value(value)
@@ -187,8 +177,18 @@ def expectation(state: State, v: DecisionVariable) -> float:
 
 
 def expectation_of_function(state: State, v: DecisionVariable, f) -> float:
-    """Expected value of f(v): trace(rho f(A)), computed through the spectrum."""
-    return _born(state, spectral_function(v.operator, f).matrix)
+    """Expected value of f(v): the Born rule on ``sum_j f(u_j) P_j``, which is ``sum_j f(u_j) p_j``.
+
+    ``f`` is evaluated once on each declared value ``u_j`` of ``v`` and weights
+    ``v``'s own eigenprojectors, so nothing is diagonalized. ``f`` may be a
+    callable or a value table keyed by the declared values (matched at
+    ``VALUE_SIG_DIGITS``). A non-finite f(u_j), or one that overflows the
+    operator, raises ``InvariantViolation``.
+    """
+    op = _spectral_sum(_apply_value_map(f, v.values), v.eigenprojectors)
+    if op is None:
+        raise InvariantViolation(f"f({v.name}) must be finite and give a finite operator")
+    return _born(state, op)
 
 
 class LikelihoodTable:

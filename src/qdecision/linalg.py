@@ -328,15 +328,15 @@ def hermitian_eig(a) -> SpectralDecomposition:
     return SpectralDecomposition(w, v, tuple(tuple(g) for g in groups))
 
 
-def _apply_value_map(f, values: np.ndarray) -> np.ndarray:
-    """Evaluate a callable or a value table on each eigenvalue."""
+def _apply_value_map(f, values: Sequence[float]) -> np.ndarray:
+    """Evaluate a callable or a value table on each eigenvalue (or declared value)."""
     if isinstance(f, Mapping):
         table = {float(f"{float(k):.{tol.VALUE_SIG_DIGITS}g}"): float(val) for k, val in f.items()}
 
         def lookup(x: float) -> float:
             key = float(f"{x:.{tol.VALUE_SIG_DIGITS}g}")
             if key not in table:
-                raise InvariantViolation(f"value table has no entry for eigenvalue {x!r}")
+                raise InvariantViolation(f"value table has no entry for {x!r}")
             return table[key]
 
         return np.array([lookup(float(x)) for x in values])

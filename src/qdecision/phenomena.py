@@ -120,9 +120,6 @@ def total_probability_report(
 
     The partition is measured first: ``p_via_partition = sum_j ||P_A P_j psi||^2``.
     """
-    total = sum(p.matrix for p in partition.eigenprojectors)
-    if float(np.linalg.norm(total - np.eye(partition.dim), "fro")) > tol.ORTHONORMALITY_TOL:
-        raise NotAPartition("partition projectors do not resolve the identity")
     p_direct = event_probability(psi, proj_a)
     terms = tuple(
         sequential_event_probability(psi, [p, proj_a]) for p in partition.eigenprojectors

@@ -204,6 +204,8 @@ def _parse_variable(node, index: int, dimension: int) -> DecisionVariable:
                 "the angle shorthand needs dimension 2 and exactly two values",
             )
         alpha = np.deg2rad(_as_number(obj["basis_angle_degrees"], loc + ".basis_angle_degrees"))
+        if not np.isfinite(alpha):  # no cos or sin of an infinite angle: NaN axes fail the basis check
+            alpha = np.nan
         hi = np.array([np.cos(alpha), np.sin(alpha)])
         lo = np.array([-np.sin(alpha), np.cos(alpha)])
         ordered = sorted(range(2), key=lambda j: values[j])

@@ -66,6 +66,17 @@ class UnitaryOperator:
         return self.matrix.shape[0]
 
 
+def _spectral_sum(values: Sequence[float], projectors: Sequence[Projector]) -> np.ndarray | None:
+    """``sum_j u_j P_j`` made exactly self-adjoint, or None when it is not finite: a NaN or
+    infinite ``u_j`` is caught before any arithmetic, finite ones whose sum overflows after it."""
+    if not np.isfinite(values).all():
+        return None
+    with np.errstate(over="ignore", invalid="ignore"):
+        op = sum(u * p.matrix for u, p in zip(values, projectors))
+        op = (op + op.conj().T) / 2.0
+    return op if np.isfinite(op).all() else None
+
+
 class DecisionVariable:
     """Named variable with strictly increasing values and eigenprojectors.
 
@@ -119,11 +130,8 @@ class DecisionVariable:
         return self
 
     def _assign(self, name: str, vals: list[float], projectors: Sequence[Projector]) -> None:
-        op = sum(u * p.matrix for u, p in zip(vals, projectors))
-        op = (op + op.conj().T) / 2.0
-        # NaN or infinite values, and finite ones so large that the sum
-        # above overflows, all leave non-finite entries
-        if not np.all(np.isfinite(op)):
+        op = _spectral_sum(vals, projectors)
+        if op is None:
             raise InvariantViolation(
                 f"variable {name!r} values must be finite and give a finite operator: {vals}"
             )
@@ -185,7 +193,8 @@ def variable_from_spectrum(
             f"total eigenvector count {len(columns)} must equal the dimension {r}"
         )
     basis = np.column_stack(columns)
-    gram_dev = float(np.linalg.norm(basis.conj().T @ basis - np.eye(r), "fro"))
+    # a NaN or infinite entry leaves the Gram deviation undefined, so it is not computed
+    gram_dev = float(np.linalg.norm(basis.conj().T @ basis - np.eye(r), "fro")) if np.isfinite(basis).all() else np.nan
     if not (gram_dev <= tol.ORTHONORMALITY_TOL):
         raise NonOrthonormalBasis(
             f"eigenbasis is not orthonormal: ||V^dag V - I||_F = {gram_dev:.3e}"

@@ -14,6 +14,7 @@ Tier-1 runs hypothesis's default example count. For the long run:
     PYTHONPATH=src python -m pytest -q tests/test_cli_fuzz.py --hypothesis-profile=fuzz
 """
 
+import copy
 import functools
 import io
 import json
@@ -84,7 +85,8 @@ def mutated_documents(draw):
         if mutation == "drop":
             value = _DROP
         elif mutation == "retype":
-            value = draw(st.sampled_from(RETYPED))
+            # a copy: a later mutation of this example may write inside it
+            value = copy.deepcopy(draw(st.sampled_from(RETYPED)))
         elif mutation == "label":
             value = draw(st.sampled_from(LABELS) | st.text(max_size=8))
         else:

@@ -302,6 +302,34 @@ def test_indicator_function_recovers_born_probability():
         )
 
 
+def test_expectation_of_function_takes_a_table_keyed_by_the_declared_values():
+    v = planar_variable("v", [0.1, 0.7], [20.0, 110.0])
+    psi = StateVector(planar_vector(50.0))
+    dist = outcome_distribution(psi, v)
+    table = {0.1: 3.0, 0.7: -1.5}
+    want = 3.0 * dist.probability_of(0.1) - 1.5 * dist.probability_of(0.7)
+    assert expectation_of_function(psi, v, table) == pytest.approx(want, abs=1e-12)
+    with pytest.raises(InvariantViolation):
+        expectation_of_function(psi, v, {0.1: 3.0})
+
+
+@pytest.mark.parametrize(
+    "f",
+    [
+        lambda u: float("nan"),
+        lambda u: float("inf") if u > 0.5 else 0.0,
+        # finite, but f(A) + f(A)^dag overflows, as it did in the operator the parent built
+        lambda u: 1e308,
+    ],
+    ids=["nan", "inf", "overflow"],
+)
+def test_expectation_of_function_rejects_a_non_finite_operator(f):
+    v = planar_variable("v", [0.0, 1.0], [20.0, 110.0])
+    psi = StateVector(planar_vector(50.0))
+    with pytest.raises(InvariantViolation):
+        expectation_of_function(psi, v, f)
+
+
 # ---------------------------------------------------------------------------
 # likelihood effects
 

@@ -4,6 +4,11 @@
   state and any two binary questions (Wang & Busemeyer, Topics in Cognitive
   Science 5(4), 2013).
 - Sum_j tr(P_j rho P_j) = 1 for every partition {P_j} of the identity.
+- The outcome distribution of every validated variable is a probability
+  distribution, and its eigenprojectors resolve the identity.
+- E[f(v)] = sum_j f(u_j) p_j: the spectral sum over v's declared values
+  equals the Born rule on f(A) computed by diagonalizing A, and equals the
+  expectation of the variable f(v) (Helland's "function of a variable").
 
 Projectors have any rank, so degenerate eigenspaces are covered.
 """
@@ -11,7 +16,20 @@ Projectors have any rank, so degenerate eigenspaces are covered.
 import numpy as np
 import pytest
 
-from qdecision import DensityOperator, sequential_event_probability, sequential_probability, variable_from_spectrum
+from qdecision import (
+    DensityOperator,
+    StateVector,
+    apply_function,
+    expectation,
+    expectation_of_function,
+    outcome_distribution,
+    sequential_event_probability,
+    sequential_probability,
+    spectral_function,
+    tolerances,
+    variable_from_spectrum,
+)
+from qdecision.variables import round_value
 
 from conftest import random_state, random_unitary
 
@@ -29,12 +47,20 @@ def _state(kind: str, d: int, rank: int, rng: np.random.Generator):
     return DensityOperator(rho / np.trace(rho).real)
 
 
-def _variable(name: str, sizes: list[int], rng: np.random.Generator):
-    """A variable whose eigenspaces have the given dimensions, in a random basis."""
+def _variable(name: str, sizes: list[int], rng: np.random.Generator, values=None):
+    """A variable whose eigenspaces have the given dimensions, in a random basis;
+    its values are 0, 1, ... unless given."""
     u = random_unitary(sum(sizes), rng)
     edges = np.cumsum([0, *sizes])
     groups = [[u[:, j] for j in range(lo, hi)] for lo, hi in zip(edges[:-1], edges[1:])]
-    return variable_from_spectrum(name, [float(j) for j in range(len(sizes))], groups)
+    return variable_from_spectrum(name, values or [float(j) for j in range(len(sizes))], groups)
+
+
+def _sizes(data, d: int) -> list[int]:
+    """Eigenspace dimensions summing to d, any of them above 1."""
+    cuts = data.draw(st.sets(st.integers(1, d - 1)), label="eigenspace cuts")
+    edges = [0, *sorted(cuts), d]
+    return [hi - lo for lo, hi in zip(edges[:-1], edges[1:])]
 
 
 def _state_and_dimension(data):
@@ -67,8 +93,59 @@ def test_qq_equality(data):
 @hypothesis.given(data=st.data())
 def test_luders_partition_preserves_total_probability(data):
     d, state, rng = _state_and_dimension(data)
-    cuts = data.draw(st.sets(st.integers(1, d - 1)), label="partition cuts")
-    edges = [0, *sorted(cuts), d]
-    v = _variable("P", [hi - lo for lo, hi in zip(edges[:-1], edges[1:])], rng)
+    v = _variable("P", _sizes(data, d), rng)
     total = sum(sequential_event_probability(state, [p]) for p in v.eigenprojectors)
     assert abs(total - 1.0) <= IDENTITY_TOL
+
+
+def _values(n: int, rng: np.random.Generator) -> list[float]:
+    """n strictly increasing values in about [-3, 3], at least 0.05 apart."""
+    return [float(x) for x in -3.0 + np.cumsum(rng.uniform(0.05, 6.0 / n, size=n))]
+
+
+@hypothesis.settings(max_examples=150, deadline=None)
+@hypothesis.given(data=st.data())
+def test_outcome_distribution_is_a_probability_distribution(data):
+    d, state, rng = _state_and_dimension(data)
+    sizes = _sizes(data, d)
+    v = _variable("v", sizes, rng, _values(len(sizes), rng))
+    dist = outcome_distribution(state, v)
+    assert dist.values == v.values
+    assert len(dist.probabilities) == len(v.values)
+    assert min(dist.probabilities) >= -tolerances.PROB_FLOOR
+    assert abs(sum(dist.probabilities) - 1.0) <= tolerances.PROB_SUM_TOL
+    resolution = sum(p.matrix for p in v.eigenprojectors) - np.eye(d)
+    assert np.linalg.norm(resolution, "fro") <= tolerances.ORTHONORMALITY_TOL
+
+
+FUNCTIONS = {
+    "square": lambda u: u * u,
+    "cos": np.cos,
+    "exp": np.exp,
+    "constant": lambda u: 2.5,
+    "sign": lambda u: 1.0 if u > 0 else -1.0,
+}
+
+
+def _born(state, m: np.ndarray) -> float:
+    if isinstance(state, StateVector):
+        return float(np.vdot(state.amplitudes, m @ state.amplitudes).real)
+    return float(np.trace(state.matrix @ m).real)
+
+
+@hypothesis.settings(max_examples=150, deadline=None)
+@hypothesis.given(data=st.data())
+def test_expectation_of_function_is_the_spectral_sum(data):
+    d, state, rng = _state_and_dimension(data)
+    sizes = _sizes(data, d)
+    v = _variable("v", sizes, rng, _values(len(sizes), rng))
+    f = FUNCTIONS[data.draw(st.sampled_from(sorted(FUNCTIONS)), label="f")]
+    got = expectation_of_function(state, v, f)
+
+    dist = outcome_distribution(state, v)
+    assert abs(got - sum(f(u) * p for u, p in zip(dist.values, dist.probabilities))) <= IDENTITY_TOL
+    # the route through a fresh eigendecomposition of A, used before the spectral sum
+    assert abs(got - _born(state, spectral_function(v.operator, f).matrix)) <= IDENTITY_TOL
+    # the variable f(v) carries its values rounded to VALUE_SIG_DIGITS
+    rounded = expectation_of_function(state, v, lambda u: round_value(f(u)))
+    assert abs(rounded - expectation(state, apply_function(v, f))) <= IDENTITY_TOL

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from qdecision import (
-    DecisionVariable,
     NotAPartition,
     Projector,
     StateVector,
@@ -169,19 +168,6 @@ def test_interference_matches_cross_amplitudes():
                 cross += 2.0 * np.vdot(branches[j], branches[k]).real
         assert rep.interference == pytest.approx(cross, abs=1e-10)
         assert rep.p_direct - rep.p_via_partition - rep.interference == 0.0
-
-
-def test_total_probability_rejects_broken_partition():
-    psi = StateVector([1.0, 0.0])
-    partition = two_angle_variable("b", 160.0, 70.0)
-    # bypass the constructor checks to simulate a corrupted partition
-    broken = DecisionVariable.__new__(DecisionVariable)
-    broken.name = "broken"
-    broken.values = (0.0,)
-    broken.eigenprojectors = (partition.eigenprojectors[0],)
-    broken.operator = partition.operator
-    with pytest.raises(NotAPartition):
-        total_probability_report(psi, broken, planar_projector(40.0))
 
 
 # ---------------------------------------------------------------------------
