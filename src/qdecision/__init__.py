@@ -56,24 +56,17 @@ from .linalg import (
     Projector,
     SpectralDecomposition,
     StateVector,
-    adjoint,
-    frobenius_norm,
     hermitian_eig,
-    matmul,
     projector_onto_span,
     spectral_function,
-    tensor_product,
-    trace,
 )
 from .phenomena import (
     ConjunctionReport,
     SureThingReport,
     TotalProbabilityReport,
-    commutation_defect,
     conjunction_report,
     planar_projector,
     planar_state,
-    scan_sure_thing_angles,
     sure_thing_check,
     total_probability_report,
 )
@@ -85,7 +78,6 @@ from .spin import (
     classical_conditional,
     classical_conditional_analytic,
     comparison_report,
-    midline_reflection,
     quantum_conditional,
     sample_phi,
     spin_component,

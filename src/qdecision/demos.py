@@ -14,12 +14,11 @@ from .engine import ic_effect_basis
 from .errors import DegenerateConditioning
 from .linalg import DensityOperator
 from .report import QueryResult, Report
-from .scenario import Scenario, _roundtrip, parse_scenario, run_scenario
+from .scenario import _roundtrip, parse_scenario, run_scenario
 from .spin import Direction, _comparison, _plus, sample_phi
 
 __all__ = [
     "medical_document",
-    "medical_scenario",
     "run_medical_demo",
     "run_spin_demo",
     "run_reconstruct_demo",
@@ -53,12 +52,8 @@ def medical_document(angle_a: float = 40.0, angle_b: float = 70.0) -> str:
 """
 
 
-def medical_scenario(angle_a: float = 40.0, angle_b: float = 70.0) -> Scenario:
-    return parse_scenario(medical_document(angle_a, angle_b))
-
-
 def run_medical_demo(angle_a: float = 40.0, angle_b: float = 70.0, seed: int = 0) -> Report:
-    return run_scenario(medical_scenario(angle_a, angle_b), seed=seed)
+    return run_scenario(parse_scenario(medical_document(angle_a, angle_b)), seed=seed)
 
 
 def run_spin_demo(delta_degrees: float = 60.0, samples: int = 1_000_000, seed: int = 42) -> Report:

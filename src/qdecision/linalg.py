@@ -34,11 +34,6 @@ __all__ = [
     "SpectralDecomposition",
     "as_complex_matrix",
     "matrix_of",
-    "adjoint",
-    "matmul",
-    "trace",
-    "frobenius_norm",
-    "tensor_product",
     "hermitian_eig",
     "spectral_function",
     "projector_onto_span",
@@ -61,34 +56,6 @@ def matrix_of(m) -> np.ndarray:
     if isinstance(inner, np.ndarray):
         return inner
     return as_complex_matrix(m)
-
-
-def adjoint(m) -> np.ndarray:
-    """Conjugate transpose."""
-    return matrix_of(m).conj().T.copy()
-
-
-def matmul(a, b) -> np.ndarray:
-    ma, mb = matrix_of(a), matrix_of(b)
-    if ma.shape[1] != mb.shape[0]:
-        raise DimensionMismatch(f"cannot multiply {ma.shape} by {mb.shape}")
-    return ma @ mb
-
-
-def trace(m) -> complex:
-    arr = matrix_of(m)
-    if arr.shape[0] != arr.shape[1]:
-        raise DimensionMismatch(f"trace requires a square matrix, got {arr.shape}")
-    return complex(np.trace(arr))
-
-
-def frobenius_norm(m) -> float:
-    return float(np.linalg.norm(matrix_of(m), "fro"))
-
-
-def tensor_product(a, b) -> np.ndarray:
-    """Kronecker product; dimensions multiply."""
-    return np.kron(matrix_of(a), matrix_of(b))
 
 
 class StateVector:
@@ -253,12 +220,12 @@ class SpectralDecomposition:
         return [self.group_projector(g) for g in range(len(self.groups))]
 
 
-def _fix_column_phases(v: np.ndarray, zero_tol: float = 1e-12) -> np.ndarray:
+def _fix_column_phases(v: np.ndarray) -> np.ndarray:
     """Rotate each column so its first non-negligible entry is real positive."""
     v = v.copy()
     for k in range(v.shape[1]):
         col = v[:, k]
-        nz = np.flatnonzero(np.abs(col) > zero_tol)
+        nz = np.flatnonzero(np.abs(col) > 1e-12)
         if nz.size:
             lead = col[nz[0]]
             v[:, k] = col * (lead.conj() / abs(lead))

@@ -1,8 +1,8 @@
 """Non-classical probability phenomena on states and projectors.
 
 Quantifies conjunction effects, order effects, failures of the law of
-total probability, and sure-thing violations, together with the commuting
-(classical) baseline where all of them vanish.
+total probability, and sure-thing violations; all of them vanish when the
+events commute (the classical baseline).
 
 Sequential semantics throughout: "first and then second" always means the
 first projector is applied first, ``||P_2 P_1 psi||^2``. Quantum
@@ -22,7 +22,7 @@ from .engine import (
     event_probability,
     sequential_event_probability,
 )
-from .errors import DimensionMismatch, NotAPartition, ZeroProbabilityOutcome
+from .errors import NotAPartition, ZeroProbabilityOutcome
 from .linalg import Projector, StateVector
 from .variables import DecisionVariable
 
@@ -33,8 +33,6 @@ __all__ = [
     "conjunction_report",
     "total_probability_report",
     "sure_thing_check",
-    "commutation_defect",
-    "scan_sure_thing_angles",
     "planar_state",
     "planar_projector",
 ]
@@ -173,58 +171,3 @@ def sure_thing_check(
         violation_flag=min(conditionals) > threshold and p_unconditional <= threshold,
         interference=report.interference,
     )
-
-
-def commutation_defect(proj_a: Projector, proj_b: Projector) -> float:
-    """Frobenius norm of the commutator; zero iff order never matters."""
-    if proj_a.dim != proj_b.dim:
-        raise DimensionMismatch(f"dimensions differ: {proj_a.dim} vs {proj_b.dim}")
-    a, b = proj_a.matrix, proj_b.matrix
-    return float(np.linalg.norm(a @ b - b @ a, "fro"))
-
-
-def scan_sure_thing_angles(
-    threshold: float = 0.45,
-    step_degrees: float = 1.0,
-) -> tuple[float, float, float] | None:
-    """Grid scan for a planar sure-thing violation at the given threshold.
-
-    Scans (state angle, condition angle, choice angle) on a regular grid
-    over [0, 180) degrees and returns the first configuration whose
-    ``sure_thing_check`` flag is set, or None. The grid is filtered with
-    closed-form overlaps first, then every candidate is confirmed through
-    the engine before being returned, so a non-None result is a verified
-    witness.
-
-    With a rank-one binary condition the two conditionals always sum to 1,
-    so no strict threshold >= 0.5 is attainable in dimension two; use
-    thresholds below 0.5 to find witnesses.
-    """
-    angles = np.arange(0.0, 180.0, step_degrees)
-    rad = np.deg2rad(angles)
-    # conditionals depend only on (choice - condition); unconditional on (choice - state)
-    for s_idx, s in enumerate(rad):
-        p_uncond = np.cos(rad - s) ** 2  # over choice angles
-        for x_idx, x in enumerate(rad):
-            cond_overlap = np.cos(rad - x) ** 2  # over choice angles
-            ok = (np.minimum(cond_overlap, 1.0 - cond_overlap) > threshold) & (
-                p_uncond <= threshold
-            )
-            hits = np.flatnonzero(ok)
-            for c_idx in hits:
-                config = (float(angles[s_idx]), float(angles[x_idx]), float(angles[c_idx]))
-                if _confirm_sure_thing(config, threshold):
-                    return config
-    return None
-
-
-def _confirm_sure_thing(config: tuple[float, float, float], threshold: float) -> bool:
-    state_angle, condition_angle, choice_angle = config
-    psi = planar_state(state_angle)
-    condition = DecisionVariable(
-        "condition",
-        (0.0, 1.0),
-        [planar_projector(condition_angle + 90.0), planar_projector(condition_angle)],
-    )
-    report = sure_thing_check(psi, condition, planar_projector(choice_angle), threshold)
-    return report.violation_flag

@@ -21,19 +21,19 @@ REPORT_FORMATS = ("text", "csv", "structured")
 Value = float | int | bool | str
 
 
-def format_number(x: float, sig_digits: int = tol.FLOAT_SIG_DIGITS) -> str:
-    """Positional decimal representation with a fixed significant-digit count."""
+def format_number(x: float) -> str:
+    """Positional decimal representation with ``FLOAT_SIG_DIGITS`` significant digits."""
     x = float(x)
     if x == 0.0:
-        return "0." + "0" * sig_digits
-    mantissa, exponent = f"{x:.{sig_digits - 1}e}".split("e")
+        return "0." + "0" * tol.FLOAT_SIG_DIGITS
+    mantissa, exponent = f"{x:.{tol.FLOAT_SIG_DIGITS - 1}e}".split("e")
     negative = mantissa.startswith("-")
     digits = mantissa.lstrip("-").replace(".", "")
     e = int(exponent)
     if e < 0:
         body = "0." + "0" * (-e - 1) + digits
-    elif e >= sig_digits:
-        body = digits + "0" * (e - sig_digits + 1)
+    elif e >= tol.FLOAT_SIG_DIGITS:
+        body = digits + "0" * (e - tol.FLOAT_SIG_DIGITS + 1)
     else:
         body = digits[: e + 1] + "." + digits[e + 1 :]
     return ("-" if negative else "") + body

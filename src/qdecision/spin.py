@@ -22,7 +22,6 @@ __all__ = [
     "Direction",
     "SpinComparison",
     "spin_component",
-    "midline_reflection",
     "sample_phi",
     "classical_conditional",
     "classical_conditional_analytic",
@@ -76,15 +75,6 @@ def _plus(a, phi: np.ndarray) -> np.ndarray:
     x = np.abs(_angle(a) - phi)
     plus, big = (x <= math.pi / 2) | (x >= math.nextafter(3 * math.pi / 2, math.inf)), x >= TWO_PI
     return np.where(big, np.cos(x) >= 0.0, plus) if big.any() else plus
-
-
-def midline_reflection(phi, a, b):
-    """Reflect phi about the midline of a and b: (a + b) - phi mod 2*pi.
-
-    An involution that swaps the half-circles defining the two spin
-    answers, so the b-answer at phi equals the a-answer at the reflection.
-    """
-    return ((_angle(a) + _angle(b)) - np.asarray(phi, dtype=float)) % TWO_PI
 
 
 def sample_phi(n: int, seed: int) -> np.ndarray:

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from qdecision import DecisionVariable, StateVector, variable_from_spectrum
+from qdecision import DecisionVariable, Projector, StateVector, variable_from_spectrum
 
 try:
     from hypothesis import settings
@@ -56,6 +56,19 @@ def random_maximal_variable(
     u = random_unitary(r, rng)
     groups = [[u[:, j]] for j in range(r)]
     return variable_from_spectrum(name, distinct_values(r, rng), groups)
+
+
+def commuting_setup(r, rng):
+    """Two projectors plus a binary partition, all sharing one eigenbasis."""
+    u = random_unitary(r, rng)
+    split = int(rng.integers(1, r))
+    idx_a = rng.choice(r, size=int(rng.integers(1, r)), replace=False)
+    proj_a = Projector(sum(np.outer(u[:, j], u[:, j].conj()) for j in idx_a))
+    idx_b = rng.choice(r, size=int(rng.integers(1, r)), replace=False)
+    proj_b = Projector(sum(np.outer(u[:, j], u[:, j].conj()) for j in idx_b))
+    groups = [[u[:, j] for j in range(split)], [u[:, j] for j in range(split, r)]]
+    condition = variable_from_spectrum("cond", [0.0, 1.0], groups)
+    return proj_a, proj_b, condition
 
 
 @pytest.fixture

@@ -9,6 +9,9 @@
 - E[f(v)] = sum_j f(u_j) p_j: the spectral sum over v's declared values
   equals the Born rule on f(A) computed by diagonalizing A, and equals the
   expectation of the variable f(v) (Helland's "function of a variable").
+- Reciprocity: p(B|A) = p(A|B) for rank-one events A and B.
+- Events that commute with each other and with a binary partition show no
+  order effect, no interference and no sure-thing violation.
 
 Projectors have any rank, so degenerate eigenspaces are covered.
 """
@@ -18,20 +21,26 @@ import pytest
 
 from qdecision import (
     DensityOperator,
+    Projector,
     StateVector,
     apply_function,
+    collapse_onto,
+    conjunction_report,
+    event_probability,
     expectation,
     expectation_of_function,
     outcome_distribution,
     sequential_event_probability,
     sequential_probability,
     spectral_function,
+    sure_thing_check,
     tolerances,
+    total_probability_report,
     variable_from_spectrum,
 )
 from qdecision.variables import round_value
 
-from conftest import random_state, random_unitary
+from conftest import commuting_setup, random_state, random_unitary
 
 hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")
@@ -63,8 +72,8 @@ def _sizes(data, d: int) -> list[int]:
     return [hi - lo for lo, hi in zip(edges[:-1], edges[1:])]
 
 
-def _state_and_dimension(data):
-    d = data.draw(st.integers(2, 7), label="d")
+def _state_and_dimension(data, top: int = 7):
+    d = data.draw(st.integers(2, top), label="d")
     kind = data.draw(st.sampled_from(["vector", "density"]), label="kind")
     rank = data.draw(st.integers(1, d), label="density rank")
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
@@ -149,3 +158,29 @@ def test_expectation_of_function_is_the_spectral_sum(data):
     # the variable f(v) carries its values rounded to VALUE_SIG_DIGITS
     rounded = expectation_of_function(state, v, lambda u: round_value(f(u)))
     assert abs(rounded - expectation(state, apply_function(v, f))) <= IDENTITY_TOL
+
+
+def _rank_one(d: int, rng: np.random.Generator) -> Projector:
+    a = random_state(d, rng).amplitudes
+    return Projector(np.outer(a, a.conj()))
+
+
+@hypothesis.settings(max_examples=150, deadline=None)
+@hypothesis.given(data=st.data())
+def test_rank_one_conditioning_is_reciprocal(data):
+    d, state, rng = _state_and_dimension(data, top=8)
+    a, b = _rank_one(d, rng), _rank_one(d, rng)
+    b_given_a = event_probability(collapse_onto(state, a), b)
+    a_given_b = event_probability(collapse_onto(state, b), a)
+    assert abs(b_given_a - a_given_b) <= IDENTITY_TOL
+
+
+@hypothesis.settings(max_examples=150, deadline=None)
+@hypothesis.given(data=st.data())
+def test_commuting_events_behave_classically(data):
+    d, state, rng = _state_and_dimension(data, top=8)
+    proj_a, proj_b, condition = commuting_setup(d, rng)
+    threshold = data.draw(st.floats(0.0, 1.0), label="threshold")
+    assert conjunction_report(state, proj_a, proj_b).order_asymmetry <= IDENTITY_TOL
+    assert abs(total_probability_report(state, condition, proj_a).interference) <= IDENTITY_TOL
+    assert not sure_thing_check(state, condition, proj_a, threshold).violation_flag

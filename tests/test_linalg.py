@@ -6,7 +6,6 @@ import pytest
 from qdecision import (
     DegenerateSpan,
     DensityOperator,
-    DimensionMismatch,
     Effect,
     HermitianOperator,
     InvalidEffect,
@@ -14,98 +13,22 @@ from qdecision import (
     NotHermitian,
     Projector,
     StateVector,
-    adjoint,
-    frobenius_norm,
     hermitian_eig,
-    matmul,
     projector_onto_span,
     spectral_function,
-    tensor_product,
-    trace,
 )
 
 from conftest import random_hermitian, random_state, rng_for
 
 
 # ---------------------------------------------------------------------------
-# adjoint / trace / matmul / tensor products
-
-
-def test_adjoint_identity():
-    assert np.array_equal(adjoint(np.eye(3)), np.eye(3))
-
-
-def test_adjoint_by_hand():
-    m = np.array([[0.0, 1j], [0.0, 0.0]])
-    expected = np.array([[0.0, 0.0], [-1j, 0.0]])
-    assert np.array_equal(adjoint(m), expected)
-
-
-def test_adjoint_is_involution():
-    rng = rng_for(11)
-    m = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-    assert np.array_equal(adjoint(adjoint(m)), m)
-
-
-def test_trace_identity():
-    for r in (2, 3, 7):
-        assert trace(np.eye(r)) == pytest.approx(r)
+# trace
 
 
 def test_trace_maximally_mixed_against_rank_one():
     rho = np.eye(2) / 2.0
     proj = np.array([[1.0, 0.0], [0.0, 0.0]])
     assert np.trace(rho @ proj).real == pytest.approx(0.5, abs=1e-15)
-
-
-def test_trace_cyclicity():
-    rng = rng_for(12)
-    for _ in range(20):
-        a = rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5))
-        b = rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5))
-        assert abs(trace(matmul(a, b)) - trace(matmul(b, a))) <= 1e-12 * max(
-            1.0, abs(trace(matmul(a, b)))
-        )
-
-
-def test_matmul_dimension_mismatch():
-    with pytest.raises(DimensionMismatch):
-        matmul(np.eye(2), np.eye(3))
-    with pytest.raises(DimensionMismatch):
-        trace(np.ones((2, 3)))
-
-
-def test_tensor_product_identities():
-    assert np.array_equal(tensor_product(np.eye(2), np.eye(2)), np.eye(4))
-    assert np.array_equal(
-        tensor_product(np.diag([1.0, 0.0]), np.diag([1.0, 0.0])),
-        np.diag([1.0, 0.0, 0.0, 0.0]),
-    )
-
-
-def test_tensor_product_mixed_product_rule():
-    rng = rng_for(13)
-    a, b = rng.normal(size=(2, 2)), rng.normal(size=(3, 3))
-    c, d = rng.normal(size=(2, 2)), rng.normal(size=(3, 3))
-    lhs = tensor_product(a, b) @ tensor_product(c, d)
-    rhs = tensor_product(a @ c, b @ d)
-    assert np.abs(lhs - rhs).max() <= 1e-12
-
-
-def test_tensor_product_state_factorization():
-    # oracle: compute the joint and the two marginals independently
-    rng = rng_for(14)
-    psi_a, psi_b = random_state(2, rng), random_state(3, rng)
-    event_a, event_b = random_state(2, rng), random_state(3, rng)
-    joint = np.kron(psi_a.amplitudes, psi_b.amplitudes)
-    proj_a = np.outer(event_a.amplitudes, event_a.amplitudes.conj())
-    proj_b = np.outer(event_b.amplitudes, event_b.amplitudes.conj())
-    ext_a = tensor_product(proj_a, np.eye(3))
-    ext_b = tensor_product(np.eye(2), proj_b)
-    p_joint = np.linalg.norm(ext_b @ ext_a @ joint) ** 2
-    p_a = np.linalg.norm(proj_a @ psi_a.amplitudes) ** 2
-    p_b = np.linalg.norm(proj_b @ psi_b.amplitudes) ** 2
-    assert p_joint == pytest.approx(p_a * p_b, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -351,8 +274,3 @@ def test_constructed_projectors_are_idempotent_and_hermitian():
         assert np.linalg.norm(p.matrix @ p.matrix - p.matrix, "fro") <= 1e-10
         assert np.abs(p.matrix - p.matrix.conj().T).max() <= 1e-12
 
-
-def test_frobenius_norm_matches_numpy():
-    rng = rng_for(23)
-    m = rng.normal(size=(3, 4)) + 1j * rng.normal(size=(3, 4))
-    assert frobenius_norm(m) == pytest.approx(np.linalg.norm(m, "fro"))

@@ -8,18 +8,15 @@ from qdecision import (
     Projector,
     StateVector,
     ZeroProbabilityOutcome,
-    commutation_defect,
     conjunction_report,
     planar_projector,
     planar_state,
-    scan_sure_thing_angles,
     sure_thing_check,
-    tensor_product,
     total_probability_report,
     variable_from_spectrum,
 )
 
-from conftest import random_state, random_unitary, rng_for
+from conftest import commuting_setup, random_state, random_unitary, rng_for
 
 # frozen from the explicit 2x2 oracle: cos/sin arithmetic on angles 40/70
 P_A = 0.5868240888334649
@@ -28,7 +25,6 @@ P_A_THEN_B = 0.4401180666250989
 P_B_THEN_A = 0.08773333383038327
 ORDER_ASYMMETRY = 0.3523847327947156
 INTERFERENCE = 0.27833519961320957
-COMMUTATION_DEFECT_40_70 = 0.6123724356957944  # sin(60 deg) / sqrt(2)
 
 
 def two_angle_variable(name, low_angle, high_angle):
@@ -38,19 +34,6 @@ def two_angle_variable(name, low_angle, high_angle):
         [0.0, 1.0],
         [[planar_state(low_angle).amplitudes], [planar_state(high_angle).amplitudes]],
     )
-
-
-def commuting_setup(r, rng):
-    """Two projectors plus a binary partition, all sharing one eigenbasis."""
-    u = random_unitary(r, rng)
-    split = int(rng.integers(1, r))
-    idx_a = rng.choice(r, size=int(rng.integers(1, r)), replace=False)
-    proj_a = Projector(sum(np.outer(u[:, j], u[:, j].conj()) for j in idx_a))
-    idx_b = rng.choice(r, size=int(rng.integers(1, r)), replace=False)
-    proj_b = Projector(sum(np.outer(u[:, j], u[:, j].conj()) for j in idx_b))
-    groups = [[u[:, j] for j in range(split)], [u[:, j] for j in range(split, r)]]
-    condition = variable_from_spectrum("cond", [0.0, 1.0], groups)
-    return proj_a, proj_b, condition
 
 
 # ---------------------------------------------------------------------------
@@ -218,9 +201,8 @@ def test_sure_thing_zero_probability_condition():
 
 
 def test_scan_finds_verified_witness_below_half():
-    config = scan_sure_thing_angles(threshold=0.45)
-    assert config is not None
-    state_angle, condition_angle, choice_angle = config
+    # the first hit of a 1-degree grid scan over (state, condition, choice) angles
+    state_angle, condition_angle, choice_angle = 0.0, 1.0, 48.0
     # independent confirmation with explicit trig
     d = np.deg2rad(choice_angle - condition_angle)
     conditionals = (np.cos(d) ** 2, np.sin(d) ** 2)
@@ -234,40 +216,13 @@ def test_scan_finds_verified_witness_below_half():
     assert rep.violation_flag
 
 
-def test_scan_at_half_is_empty_in_two_dimensions():
-    # with a rank-1 binary condition the conditionals sum to exactly 1, so a
-    # strict threshold of 0.5 is unattainable in dimension two
-    assert scan_sure_thing_angles(threshold=0.5, step_degrees=3.0) is None
-
-
 # ---------------------------------------------------------------------------
-# commutation defect
-
-
-def test_commutation_defect_shared_basis_is_zero():
-    rng = rng_for(75)
-    u = random_unitary(4, rng)
-    pa = Projector(np.outer(u[:, 0], u[:, 0].conj()) + np.outer(u[:, 1], u[:, 1].conj()))
-    pb = Projector(np.outer(u[:, 1], u[:, 1].conj()))
-    assert commutation_defect(pa, pb) <= 1e-12
-
-
-def test_commutation_defect_at_40_70():
-    # oracle: explicit 2x2 commutator of the two rank-1 projectors
-    pa, pb = planar_projector(40.0), planar_projector(70.0)
-    oracle = np.linalg.norm(pa.matrix @ pb.matrix - pb.matrix @ pa.matrix, "fro")
-    assert oracle == pytest.approx(COMMUTATION_DEFECT_40_70, abs=1e-12)
-    assert commutation_defect(pa, pb) == pytest.approx(oracle, abs=1e-14)
-
-
-def test_commutation_defect_with_identity_is_zero():
-    assert commutation_defect(Projector(np.eye(2)), planar_projector(40.0)) <= 1e-15
+# order effects
 
 
 def test_zero_defect_means_no_order_effect_anywhere():
     rng = rng_for(76)
     pa, pb, _ = commuting_setup(4, rng)
-    assert commutation_defect(pa, pb) <= 1e-12
     for _ in range(50):
         psi = random_state(4, rng)
         rep = conjunction_report(psi, pa, pb)
@@ -276,7 +231,6 @@ def test_zero_defect_means_no_order_effect_anywhere():
 
 def test_nonzero_defect_shows_an_order_effect_somewhere():
     pa, pb = planar_projector(40.0), planar_projector(70.0)
-    assert commutation_defect(pa, pb) > 0.1
     rng = rng_for(77)
     asymmetries = [
         conjunction_report(random_state(2, rng), pa, pb).order_asymmetry
@@ -295,10 +249,10 @@ def test_product_state_has_no_cross_effects():
     joint = StateVector(np.kron(psi_a.amplitudes, psi_b.amplitudes))
     event_a, event_b = random_state(2, rng), random_state(2, rng)
     proj_a = Projector(
-        tensor_product(np.outer(event_a.amplitudes, event_a.amplitudes.conj()), np.eye(2))
+        np.kron(np.outer(event_a.amplitudes, event_a.amplitudes.conj()), np.eye(2))
     )
     proj_b = Projector(
-        tensor_product(np.eye(2), np.outer(event_b.amplitudes, event_b.amplitudes.conj()))
+        np.kron(np.eye(2), np.outer(event_b.amplitudes, event_b.amplitudes.conj()))
     )
     rep = conjunction_report(joint, proj_a, proj_b)
     assert rep.order_asymmetry <= 1e-12

@@ -1,4 +1,4 @@
-"""Hidden-direction spin model: sampling, reflection, conditionals."""
+"""Hidden-direction spin model: sampling and conditionals."""
 
 import math
 
@@ -11,7 +11,6 @@ from qdecision import (
     classical_conditional,
     classical_conditional_analytic,
     comparison_report,
-    midline_reflection,
     quantum_conditional,
     sample_phi,
     spin_component,
@@ -25,7 +24,7 @@ DEG = math.pi / 180.0
 
 
 # ---------------------------------------------------------------------------
-# spin component and reflection
+# spin component
 
 
 def test_spin_along_own_direction_is_plus():
@@ -38,40 +37,6 @@ def test_spin_opposite_direction_is_minus():
 
 def test_spin_tie_rule_is_plus():
     assert spin_component(Direction(0.0), math.pi / 2.0) == 1
-
-
-def test_reflection_fixes_the_midline():
-    a, b = Direction(0.2), Direction(1.0)
-    midline = 0.6
-    assert midline_reflection(midline, a, b) == pytest.approx(midline, abs=1e-15)
-
-
-def test_reflection_is_an_involution():
-    rng = np.random.default_rng(80)
-    phi = rng.uniform(0.0, 2.0 * math.pi, 1000)
-    a, b = Direction(0.7), Direction(2.4)
-    twice = midline_reflection(midline_reflection(phi, a, b), a, b)
-    assert np.allclose(twice, phi, atol=1e-12)
-
-
-def test_reflection_transports_the_spin_answer():
-    # oracle: evaluate both sides directly for 10^4 samples
-    phi = sample_phi(10_000, 81)
-    a, b = Direction(0.7), Direction(2.1)
-    lhs = spin_component(b, phi)
-    rhs = spin_component(a, midline_reflection(phi, a, b))
-    assert np.array_equal(lhs, rhs)
-
-
-def test_reflection_preserves_uniformity():
-    # 20-bin histogram of reflected samples stays within 4 sigma per bin
-    n = 1_000_000
-    phi = sample_phi(n, 42)
-    reflected = midline_reflection(phi, Direction(0.3), Direction(1.9))
-    counts, _ = np.histogram(reflected, bins=20, range=(0.0, 2.0 * math.pi))
-    expected = n / 20.0
-    sigma = math.sqrt(n * (1.0 / 20.0) * (19.0 / 20.0))
-    assert np.abs(counts - expected).max() < 4.0 * sigma
 
 
 # ---------------------------------------------------------------------------
