@@ -6,7 +6,8 @@
     qdecision demo reconstruct [--dim 3 --seed 7]
     qdecision --tolerances
 
-Exit codes: 0 success, 1 scenario validation/syntax error, 2 engine error.
+Exit codes: 0 success, 1 scenario validation/syntax error, 2 engine error
+(argparse also exits 2 on a usage error, such as ``--dim x``).
 """
 
 from __future__ import annotations
@@ -17,10 +18,9 @@ import math
 import sys
 
 from . import tolerances as tol
-from ._version import __version__
 from .demos import run_medical_demo, run_reconstruct_demo, run_spin_demo
 from .errors import EngineError, ScenarioError, ScenarioValidationError
-from .report import REPORT_FORMATS, _render_value, emit_report
+from .report import REPORT_FORMATS, emit_report, emit_tolerances
 from .scenario import parse_scenario, run_scenario
 
 EXIT_OK = 0
@@ -81,21 +81,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _print_tolerances(out) -> None:
-    out.write(f"engine_version: {__version__}\n")
-    defaults = tol.all_defaults()
-    width = max(len(name) for name in defaults)
-    for name, value in defaults.items():
-        out.write(f"{name:<{width}}  {_render_value(value)}\n")
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     out, err = sys.stdout, sys.stderr
 
     if args.tolerances:
-        _print_tolerances(out)
+        out.write(emit_tolerances())
         return EXIT_OK
     if args.command is None:
         parser.print_help(out)
@@ -112,6 +104,9 @@ def main(argv: list[str] | None = None) -> int:
             raise ScenarioValidationError("--dim", f"dimension must be an integer >= 2, got {args.dim}")
         if getattr(args, "dim", 0) > tol.MAX_DIMENSION:
             raise ScenarioValidationError("--dim", f"dimension must be at most {tol.MAX_DIMENSION}, got {args.dim}")
+        if not 1 <= getattr(args, "samples", 1) <= tol.MAX_SPIN_SAMPLES:
+            bound = f"sample count must be an integer from 1 to {tol.MAX_SPIN_SAMPLES}"
+            raise ScenarioValidationError("--samples", f"{bound}, got {args.samples}")
         if args.command == "analyze":
             try:
                 with open(args.file, encoding="utf-8") as fh:

@@ -1,8 +1,9 @@
 """Built-in demonstrations for the command line.
 
-The medical demo is a full scenario document run through the normal
-parse/run path; the spin and reconstruction demos assemble reports
-directly from their modules.
+Each demo runs through the code that owns its numbers: the medical demo
+parses and runs a scenario document, the reconstruction demo runs a
+seeded random density as the one ``reconstruct_check`` query of an
+in-memory scenario, and the spin demo lays out one ``comparison_report``.
 """
 
 from __future__ import annotations
@@ -10,12 +11,11 @@ from __future__ import annotations
 import numpy as np
 
 from ._version import __version__
-from .engine import ic_effect_basis
-from .errors import DegenerateConditioning
+from .errors import DimensionMismatch
 from .linalg import DensityOperator
 from .report import QueryResult, Report
-from .scenario import _roundtrip, parse_scenario, run_scenario
-from .spin import Direction, _comparison, _plus, sample_phi
+from .scenario import Query, Scenario, parse_scenario, run_scenario
+from .spin import Direction, comparison_report
 
 __all__ = [
     "medical_document",
@@ -52,27 +52,18 @@ def medical_document(angle_a: float = 40.0, angle_b: float = 70.0) -> str:
 """
 
 
-def run_medical_demo(angle_a: float = 40.0, angle_b: float = 70.0, seed: int = 0) -> Report:
-    return run_scenario(parse_scenario(medical_document(angle_a, angle_b)), seed=seed)
+def run_medical_demo(angle_a: float = 40.0, angle_b: float = 70.0) -> Report:
+    return run_scenario(parse_scenario(medical_document(angle_a, angle_b)))
 
 
 def run_spin_demo(delta_degrees: float = 60.0, samples: int = 1_000_000, seed: int = 42) -> Report:
     """Classical hidden-direction model against the Born conditional."""
-    if samples < 1:
-        raise DegenerateConditioning(f"the spin demo needs at least one sample, got {samples}")
-    a = Direction(0.0)
-    b = Direction.from_degrees(delta_degrees)
-    phi = sample_phi(samples, seed)
-    plus_a, plus_b = _plus(a, phi), _plus(b, phi)
-    comp = _comparison(a, b, plus_a, plus_b)
+    comp = comparison_report(Direction(0.0), Direction.from_degrees(delta_degrees), samples, seed)
     marginals = QueryResult(
         1,
         "spin_marginals",
         (("samples", samples),),
-        (
-            ("p_plus_a", float(np.count_nonzero(plus_a) / samples)),
-            ("p_plus_b", float(np.count_nonzero(plus_b) / samples)),
-        ),
+        (("p_plus_a", comp.p_plus_a), ("p_plus_b", comp.p_plus_b)),
     )
     comparison = QueryResult(
         2,
@@ -96,16 +87,10 @@ def run_spin_demo(delta_degrees: float = 60.0, samples: int = 1_000_000, seed: i
 
 def run_reconstruct_demo(dim: int = 3, seed: int = 7) -> Report:
     """Round-trip a seeded random density through the effect basis."""
-    effects = ic_effect_basis(dim)  # first: it rejects dim < 2 before any draw
+    if dim < 2:  # before the draw: an empty density would fail its own check first
+        raise DimensionMismatch(f"informational completeness needs dimension >= 2, got {dim}")
     rng = np.random.default_rng(seed)
     m = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     raw = m @ m.conj().T
-    outputs, flags = _roundtrip(DensityOperator(raw / np.trace(raw).real), effects)
-    block = QueryResult(1, "reconstruct_check", (("effect_count", len(effects)),), tuple(outputs), flags)
-    return Report(
-        engine_version=__version__,
-        context="reconstruct-demo",
-        dimension=dim,
-        seed=seed,
-        results=(block,),
-    )
+    rho = DensityOperator(raw / np.trace(raw).real)
+    return run_scenario(Scenario("reconstruct-demo", dim, rho, (), (Query("reconstruct_check", {}),)), seed=seed)

@@ -10,11 +10,12 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import tolerances as tol
+from ._version import __version__
 
-__all__ = ["QueryResult", "Report", "format_number", "emit_report", "REPORT_FORMATS"]
+__all__ = ["QueryResult", "Report", "format_number", "emit_report", "emit_tolerances", "REPORT_FORMATS"]
 
 REPORT_FORMATS = ("text", "csv", "structured")
 
@@ -72,9 +73,6 @@ class Report:
     dimension: int
     seed: int
     results: tuple[QueryResult, ...]
-    tolerances: tuple[tuple[str, float], ...] = field(
-        default_factory=lambda: tuple(tol.all_defaults().items())
-    )
 
     def meta_rows(self) -> list[tuple[str, Value]]:
         return [
@@ -83,6 +81,18 @@ class Report:
             ("dimension", self.dimension),
             ("seed", self.seed),
         ]
+
+
+def _aligned(rows, indent: str = "  ") -> list[str]:
+    """One ``name  value`` line per row, the names padded to the longest."""
+    width = max((len(name) for name, _ in rows), default=0)
+    return [f"{indent}{name:<{width}}  {_render_value(value)}" for name, value in rows]
+
+
+def emit_tolerances() -> str:
+    """The engine version, then every tolerance of ``qdecision.tolerances`` as an aligned row."""
+    rows = _aligned(tol.all_defaults().items(), indent="")
+    return f"engine_version: {__version__}\n" + "".join(row + "\n" for row in rows)
 
 
 def _emit_text(report: Report) -> str:
@@ -94,15 +104,10 @@ def _emit_text(report: Report) -> str:
     for result in report.results:
         lines.append("")
         lines.append(f"query {result.index}: {result.kind}")
-        rows = [*result.echo, *result.outputs, *result.flags]
-        width = max((len(name) for name, _ in rows), default=0)
-        for name, value in rows:
-            lines.append(f"  {name:<{width}}  {_render_value(value)}")
+        lines.extend(_aligned([*result.echo, *result.outputs, *result.flags]))
     lines.append("")
     lines.append("tolerances:")
-    width = max(len(name) for name, _ in report.tolerances)
-    for name, value in report.tolerances:
-        lines.append(f"  {name:<{width}}  {_render_value(value)}")
+    lines.extend(_aligned(tol.all_defaults().items()))
     return "\n".join(lines) + "\n"
 
 
@@ -112,7 +117,7 @@ def _emit_csv(report: Report) -> str:
     writer.writerow(["query_index", "name", "value"])
     for name, value in report.meta_rows():
         writer.writerow([0, name, _render_value(value)])
-    for name, value in report.tolerances:
+    for name, value in tol.all_defaults().items():
         writer.writerow([0, f"tolerance.{name}", _render_value(value)])
     for result in report.results:
         for name, value in result.rows():
@@ -151,7 +156,7 @@ def emit_json(node, indent: int = 0) -> str:
 def _emit_structured(report: Report) -> str:
     tree = {
         **{name: value for name, value in report.meta_rows()},
-        "tolerances": {name: value for name, value in report.tolerances},
+        "tolerances": tol.all_defaults(),
         "results": [
             {
                 "index": r.index,

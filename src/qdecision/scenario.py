@@ -403,16 +403,6 @@ def _echo(params: dict[str, Any]) -> tuple[tuple[str, Any], ...]:
     return tuple(rows)
 
 
-def _roundtrip(rho: DensityOperator, effects) -> tuple[list, tuple]:
-    """Reconstruct ``rho`` from its exact probabilities on ``effects``; return the report's output
-    rows (the Frobenius distance to ``rho``, the residual, the gate's diagnostics) and its flags."""
-    rec = reconstruct_density([GPMSample(f, gpm_evaluate(rho, f)) for f in effects])
-    err = float(np.linalg.norm(rec.rho.matrix - rho.matrix, "fro"))
-    outputs = [("roundtrip_error", err), ("residual", rec.residual), ("gram_condition", rec.condition_number),
-               ("min_eigenvalue", rec.min_eigenvalue)]
-    return outputs, (("psd_clipped", rec.clipped),)
-
-
 def _run_query(s: Scenario, q: Query, index: int) -> QueryResult:
     state = s.initial_state
     p = q.params
@@ -464,8 +454,15 @@ def _run_query(s: Scenario, q: Query, index: int) -> QueryResult:
     elif q.kind == "reconstruct_check":
         rho = DensityOperator.from_state(state) if isinstance(state, StateVector) else state
         effects = ic_effect_basis(s.dimension)
-        outputs, flags = _roundtrip(rho, effects)
-        outputs.append(("effect_count", len(effects)))
+        rec = reconstruct_density([GPMSample(f, gpm_evaluate(rho, f)) for f in effects])
+        outputs = [
+            ("roundtrip_error", float(np.linalg.norm(rec.rho.matrix - rho.matrix, "fro"))),
+            ("residual", rec.residual),
+            ("gram_condition", rec.condition_number),
+            ("min_eigenvalue", rec.min_eigenvalue),
+            ("effect_count", len(effects)),
+        ]
+        flags = (("psd_clipped", rec.clipped),)
     else:
         raise EngineError(f"unhandled query kind {q.kind!r}")
     return QueryResult(index, q.kind, _echo(p), tuple(outputs), flags)

@@ -91,15 +91,7 @@ def sample_phi(n: int, seed: int) -> np.ndarray:
 
 def classical_conditional(a, b, n: int, seed: int) -> float:
     """Monte Carlo estimate of P(spin_b = +1 | spin_a = +1) under uniform phi."""
-    phi = sample_phi(n, seed)
-    return _sampled_conditional(_plus(a, phi), _plus(b, phi))
-
-
-def _sampled_conditional(plus_a: np.ndarray, plus_b: np.ndarray) -> float:
-    count_a = int(plus_a.sum())
-    if count_a == 0:
-        raise DegenerateConditioning("no sample produced spin +1 along the first direction")
-    return float(np.count_nonzero(plus_a & plus_b) / count_a)
+    return comparison_report(a, b, n, seed).classical_estimate
 
 
 def classical_conditional_analytic(a, b) -> float:
@@ -127,22 +119,25 @@ class SpinComparison:
     classical_analytic: float
     quantum: float
     gap: float
+    p_plus_a: float
+    p_plus_b: float
 
 
 def comparison_report(a, b, n: int, seed: int) -> SpinComparison:
-    """Classical (sampled and exact) against quantum conditionals."""
+    """Classical (sampled and exact) against quantum conditionals, with the
+    sampled +1 marginals of both directions, all from one draw of ``n`` phi."""
     phi = sample_phi(n, seed)
-    return _comparison(a, b, _plus(a, phi), _plus(b, phi))
-
-
-def _comparison(a, b, plus_a: np.ndarray, plus_b: np.ndarray) -> SpinComparison:
-    """``comparison_report`` on the +1 masks of samples the caller has drawn."""
-    estimate = _sampled_conditional(plus_a, plus_b)
+    plus_a, plus_b = _plus(a, phi), _plus(b, phi)
+    count_a = np.count_nonzero(plus_a)
+    if count_a == 0:
+        raise DegenerateConditioning("no sample produced spin +1 along the first direction")
     analytic = classical_conditional_analytic(a, b)
     quantum = quantum_conditional(a, b)
     return SpinComparison(
-        classical_estimate=estimate,
+        classical_estimate=float(np.count_nonzero(plus_a & plus_b) / count_a),
         classical_analytic=analytic,
         quantum=quantum,
         gap=quantum - analytic,
+        p_plus_a=float(count_a / n),
+        p_plus_b=float(np.count_nonzero(plus_b) / n),
     )

@@ -31,17 +31,17 @@ VALUE_SIG_DIGITS = 12           # significant digits when deduplicating f(u)
 # Probability calculus.
 ZERO_PROB_TOL = 1e-12           # conditioning on anything less likely is an error
 LIKELIHOOD_ROW_TOL = 1e-10      # sum_z p(z|u) = 1
-PROB_SUM_TOL = 1e-10            # outcome distributions sum to 1
 PROB_FLOOR = 1e-12              # probabilities may undershoot 0 by at most this
 
 # Density reconstruction.
-RECONSTRUCTION_TOL = 1e-8       # exact-input round-trip error bound
 PSD_CLIP_TOL = 1e-8             # eigenvalues below -tol trigger reported clipping
 NOISE_BOUND = 1e-6              # residual bound before samples count as inconsistent
 GRAM_CONDITION_MAX = 1e6        # cond(D^T D) of the effect design, enforced by reconstruct_density
 
-# Scope: the largest dimension a document or ``demo reconstruct --dim`` may ask for.
+# Scope: the largest dimension a document or ``demo reconstruct --dim`` may ask for,
+# and the most directions ``demo spin --samples`` may draw (10^7 of them peak at about 284 MB RSS).
 MAX_DIMENSION = 32
+MAX_SPIN_SAMPLES = 10_000_000
 
 # Reporting.
 FLOAT_SIG_DIGITS = 12           # significant digits for every float in reports

@@ -10,9 +10,9 @@ from contextlib import redirect_stderr, redirect_stdout
 import numpy as np
 import pytest
 
-from qdecision import ic_effect_basis
+from qdecision import DimensionMismatch, ic_effect_basis
 from qdecision.cli import build_parser, main
-from qdecision.demos import medical_document
+from qdecision.demos import medical_document, run_reconstruct_demo
 from qdecision.engine import _hermitian_coords
 
 from corpus import malformed_documents
@@ -115,6 +115,39 @@ def test_demo_reconstruct(capsys):
     assert "psd_clipped      false" in out
 
 
+@pytest.mark.parametrize("dim", range(2, 7))
+def test_demo_reconstruct_is_the_reconstruct_check_query(dim, tmp_path, capsys):
+    seed = 100 + dim
+    rng = np.random.default_rng(seed)
+    m = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    rho = m @ m.conj().T
+    rho /= np.trace(rho).real
+    document = {
+        "context": "reconstruct-demo",
+        "dimension": dim,
+        "state": {"density": [[[z.real, z.imag] for z in row] for row in rho.tolist()]},
+        "variables": [],
+        "queries": [{"kind": "reconstruct_check"}],
+    }
+    path = tmp_path / "density.json"
+    path.write_text(json.dumps(document), encoding="utf-8")
+    for fmt in ("text", "csv", "structured"):
+        assert main(["demo", "reconstruct", "--dim", str(dim), "--seed", str(seed), "--format", fmt]) == 0
+        demo = capsys.readouterr().out
+        assert main(["analyze", str(path), "--seed", str(seed), "--format", fmt]) == 0
+        assert capsys.readouterr().out == demo
+
+
+@pytest.mark.parametrize("dim", [0, 1])
+def test_demo_reconstruct_rejects_a_small_dimension_before_drawing(dim, monkeypatch):
+    def no_draw(*args, **kwargs):
+        raise AssertionError("the demo drew a density")
+
+    monkeypatch.setattr(np.random, "default_rng", no_draw)
+    with pytest.raises(DimensionMismatch, match=f"dimension >= 2, got {dim}"):
+        run_reconstruct_demo(dim)
+
+
 def test_reports_are_byte_identical_across_processes(medical_file):
     def run_once():
         return subprocess.run(
@@ -126,18 +159,12 @@ def test_reports_are_byte_identical_across_processes(medical_file):
     assert run_once() == run_once()
 
 
-@pytest.mark.parametrize(
-    "argv, message",
-    [
-        (["demo", "spin", "--samples", "0"], "needs at least one sample, got 0"),
-        (["demo", "spin", "--samples", "-5"], "needs at least one sample, got -5"),
-    ],
-)
-def test_bad_demo_counts_are_engine_errors(argv, message, capsys):
-    assert main(argv) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("engine error: ") and message in err
-    assert "Traceback" not in err
+@pytest.mark.parametrize("samples", ["0", "-5", "10000001", "1" + "0" * 30])
+def test_out_of_range_sample_counts_are_rejected_by_flag(samples, capsys):
+    assert main(["demo", "spin", "--samples", samples]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"scenario error: --samples: sample count must be an integer from 1 to 10000000, got {samples}\n"
 
 
 @pytest.mark.parametrize("flag", ["--angle-a", "--angle-b", "--delta-degrees"])

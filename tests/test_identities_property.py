@@ -46,6 +46,7 @@ hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")
 
 IDENTITY_TOL = 1e-12
+PROB_SUM_TOL = 1e-10  # |sum_j p_j - 1| for an outcome distribution
 
 
 def _state(kind: str, d: int, rank: int, rng: np.random.Generator):
@@ -122,7 +123,7 @@ def test_outcome_distribution_is_a_probability_distribution(data):
     assert dist.values == v.values
     assert len(dist.probabilities) == len(v.values)
     assert min(dist.probabilities) >= -tolerances.PROB_FLOOR
-    assert abs(sum(dist.probabilities) - 1.0) <= tolerances.PROB_SUM_TOL
+    assert abs(sum(dist.probabilities) - 1.0) <= PROB_SUM_TOL
     resolution = sum(p.matrix for p in v.eigenprojectors) - np.eye(d)
     assert np.linalg.norm(resolution, "fro") <= tolerances.ORTHONORMALITY_TOL
 

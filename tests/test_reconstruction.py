@@ -17,6 +17,9 @@ from qdecision.engine import _GRAM_CONDITION, _hermitian_coords, _hermitian_from
 
 from conftest import random_density, random_hermitian, random_unitary, rng_for
 
+# the exact-input round-trip bound these tests hold reconstruction to
+RECONSTRUCTION_TOL = 1e-8
+
 
 # reference implementations: the per-entry loops the vectorized code replaced
 
@@ -135,7 +138,7 @@ def test_reconstruction_agrees_with_lstsq(r, noisy):
 def test_round_trip_at_dimension_32():
     rho = DensityOperator(random_density(32, rng_for(990)))
     rec = reconstruct_density([GPMSample(f, gpm_evaluate(rho, f)) for f in ic_effect_basis(32)])
-    assert np.linalg.norm(rec.rho.matrix - rho.matrix, "fro") <= tol.RECONSTRUCTION_TOL
+    assert np.linalg.norm(rec.rho.matrix - rho.matrix, "fro") <= RECONSTRUCTION_TOL
 
 
 # ---------------------------------------------------------------------------
@@ -164,7 +167,7 @@ def test_family_inside_the_gate_is_accepted():
     assert gram_condition(mats) < tol.GRAM_CONDITION_MAX
     rho = random_density(3, rng_for(991))
     rec = reconstruct_density(samples_for(rho, mats))
-    assert np.linalg.norm(rec.rho.matrix - rho, "fro") <= tol.RECONSTRUCTION_TOL
+    assert np.linalg.norm(rec.rho.matrix - rho, "fro") <= RECONSTRUCTION_TOL
 
 
 def rank_deficient_families(r):
@@ -281,7 +284,7 @@ def test_epsilon_pair_gives_the_same_verdict_on_a_second_call():
     first = rejection_message(rejected)
     assert rejection_message(rejected) == first
     for _ in range(2):
-        assert np.linalg.norm(reconstruct_density(accepted).rho.matrix - rho, "fro") <= tol.RECONSTRUCTION_TOL
+        assert np.linalg.norm(reconstruct_density(accepted).rho.matrix - rho, "fro") <= RECONSTRUCTION_TOL
     assert rejection_message(rejected) == first
 
 

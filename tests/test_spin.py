@@ -170,6 +170,18 @@ def test_spin_demo_matches_the_public_functions():
     assert comparison["gap"] == expected.gap
 
 
+def test_comparison_marginals_and_estimate_come_from_one_draw():
+    n, seed = 20_000, 8
+    a, b = Direction(0.3), Direction.from_degrees(100.0)
+    rep = comparison_report(a, b, n, seed)
+    phi = sample_phi(n, seed)
+    plus_a, plus_b = spin_component(a, phi) == 1, spin_component(b, phi) == 1
+    assert rep.p_plus_a == float(np.mean(plus_a))
+    assert rep.p_plus_b == float(np.mean(plus_b))
+    assert rep.classical_estimate == float(np.sum(plus_a & plus_b) / np.sum(plus_a))
+    assert classical_conditional(a, b, n, seed) == rep.classical_estimate
+
+
 # ---------------------------------------------------------------------------
 # the +1 mask: a half-circle test, pinned to the sign of the cosine
 

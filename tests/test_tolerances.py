@@ -24,13 +24,12 @@ PROJECTOR_MATCH_TOL   0.0000000100000000000
 VALUE_SIG_DIGITS      12
 ZERO_PROB_TOL         0.00000000000100000000000
 LIKELIHOOD_ROW_TOL    0.000000000100000000000
-PROB_SUM_TOL          0.000000000100000000000
 PROB_FLOOR            0.00000000000100000000000
-RECONSTRUCTION_TOL    0.0000000100000000000
 PSD_CLIP_TOL          0.0000000100000000000
 NOISE_BOUND           0.00000100000000000
 GRAM_CONDITION_MAX    1000000.00000
 MAX_DIMENSION         32
+MAX_SPIN_SAMPLES      10000000
 FLOAT_SIG_DIGITS      12
 """
 

@@ -18,7 +18,8 @@ different trees see the same documents:
 - ``generate_valid_document(0..59)`` of ``tests/corpus.py`` in the three
   formats, and every document of the malformed corpus;
 - ``demo medical``, ``demo spin`` (also with non-finite ``--delta-degrees``,
-  and at 7 angles x 3 seeds), ``demo reconstruct --dim 0..8`` for seeds 1, 7
+  at 7 angles x 3 seeds, and with ``--samples`` 0, -5, 10^7 + 1 and 10^30,
+  outside its range), ``demo reconstruct --dim 0..8`` for seeds 1, 7
   and 123 in the three formats, ``--dim 16`` and ``--dim 32`` (the dimensions
   ``bulk_numeric`` reconstructs at) for the same seeds in text, a negative
   ``--seed`` on both seeded demos, ``demo reconstruct --dim 33``, and
@@ -55,6 +56,7 @@ VALID_SEEDS = range(60)
 RECONSTRUCT_SEEDS = (1, 7, 123)
 SPIN_DELTAS = ("0", "10", "45", "90", "135", "180", "359.9")
 SPIN_SEEDS = (1, 42, 2026)
+SPIN_SAMPLES_OUT_OF_RANGE = ("0", "-5", "10000001", "1" + "0" * 30)
 ARGPARSE_PATHS = {
     "help": ["--help"],
     "analyze-help": ["analyze", "--help"],
@@ -110,6 +112,8 @@ def _cases(workdir: str):
     for delta in SPIN_DELTAS:
         for seed in SPIN_SEEDS:
             yield f"demo/spin/delta={delta}/seed{seed}", ["demo", "spin", f"--delta-degrees={delta}", "--seed", str(seed)]
+    for samples in SPIN_SAMPLES_OUT_OF_RANGE:
+        yield f"demo/spin/samples={samples}", ["demo", "spin", "--samples", samples]
     for demo in ("spin", "reconstruct"):
         yield f"demo/{demo}/seed-1", ["demo", demo, "--seed", "-1"]
     yield "demo/reconstruct/dim33", ["demo", "reconstruct", "--dim", "33"]
