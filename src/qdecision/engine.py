@@ -10,6 +10,7 @@ transition probability is 1, never by componentwise comparison.
 
 from __future__ import annotations
 
+import functools
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 
@@ -75,7 +76,7 @@ def _born(state: State, m: np.ndarray) -> float:
     _check_dims(state.dim, m.shape[0])
     if isinstance(state, StateVector):
         return float(np.vdot(state.amplitudes, m @ state.amplitudes).real)
-    return float(np.trace(state.matrix @ m).real)
+    return float(np.vdot(state.matrix, m).real)  # trace(rho M), both Hermitian
 
 
 def _chain(state: State, projectors: Sequence[Projector]) -> tuple[np.ndarray, float]:
@@ -271,20 +272,28 @@ class GPMSample:
             )
 
 
-def ic_effect_basis(r: int) -> list[Effect]:
-    """Informationally complete family of r^2 rank-one projector effects.
-
-    Projectors onto e_j, onto (e_j + e_k)/sqrt(2) and onto (e_j + i e_k)/sqrt(2)
-    for j < k. Linearly independent as Hermitian matrices, so exact
-    probabilities on this family determine the density operator.
-    """
-    if r < 2:
-        raise DimensionMismatch(f"informational completeness needs dimension >= 2, got {r}")
+@functools.lru_cache(maxsize=4)
+def _ic_basis(r: int) -> tuple[Effect, ...]:
+    """The effects of ``ic_effect_basis(r)``, built once per dimension as views of one read-only stack."""
     eye = np.eye(r, dtype=complex)
     j, k = np.triu_indices(r, 1)
     pairs = (eye[j][:, None] + np.array([1.0, 1.0j])[:, None] * eye[k][:, None]) / np.sqrt(2.0)
     vectors = np.concatenate([eye, pairs.reshape(-1, r)])
-    return [Effect._trusted(m) for m in vectors[:, :, None] * vectors.conj()[:, None, :]]
+    mats = vectors[:, :, None] * vectors.conj()[:, None, :]
+    mats.setflags(write=False)  # so that no view of it can be made writeable again
+    return tuple(Effect._trusted(m) for m in mats)
+
+
+def ic_effect_basis(r: int) -> list[Effect]:
+    """Informationally complete family of r^2 rank-one projector effects.
+
+    Projectors onto e_j, onto (e_j + e_k)/sqrt(2) and onto (e_j + i e_k)/sqrt(2) for j < k, linearly
+    independent as Hermitian matrices, so exact probabilities on them determine the density operator.
+    Every call returns a new list of the same shared, read-only effects, cached for a few dimensions.
+    """
+    if r < 2:
+        raise DimensionMismatch(f"informational completeness needs dimension >= 2, got {r}")
+    return list(_ic_basis(r))
 
 
 def _hermitian_coords(mats: np.ndarray) -> np.ndarray:
@@ -323,32 +332,29 @@ class DensityReconstruction:
     condition_number: float
 
 
-_GRAM_CONDITION: dict[int, tuple[bytes, float]] = {}  # r -> (sha256 of the last G seen at r, its cond)
+def _ic_fit(mu: np.ndarray, r: int) -> tuple[np.ndarray, float]:
+    """The minimizer and its residual on ``_ic_basis(r)``, whose design D is square and block-triangular.
 
-
-def _gram_condition(gram: np.ndarray, r: int) -> float:
-    """cond(G) from its eigenvalues, reused when G (r^2 x r^2 float64, so fixed by its bytes) repeats at r.
-    A slot is replaced whole, so concurrent callers never pair one G's digest with another's cond."""
-    from hashlib import sha256  # here, so that `import qdecision` does not pay for loading hashlib
-
-    key = sha256(gram).digest()
-    slot = _GRAM_CONDITION.get(r)
-    if slot is not None and slot[0] == key:
-        return slot[1]
-    lam = np.linalg.eigvalsh(gram)
-    cond = float(lam[-1] / lam[0]) if lam[0] > 0.0 else np.inf
-    _GRAM_CONDITION[r] = (key, cond)
-    return cond
+    G^-1 c is +1 on the diagonal parameters, -1 on Re and +1 on Im, so lam = (1 - sum p_j) / r pins the trace;
+    with p' = p + lam and d' = (p'_j + p'_k) / 2, rho_jj = p'_j, Re rho_jk = p+_jk - d', Im rho_jk = d' - pi_jk.
+    """
+    diag = mu[:r] + (1.0 - mu[:r].sum()) / r
+    j, k = np.triu_indices(r, 1)
+    mid, sign = (diag[j] + diag[k])[:, None] / 2.0, np.array([1.0, -1.0])
+    x = np.concatenate([diag, ((mu[r:].reshape(-1, 2) - mid) * sign).ravel()])
+    fitted = np.concatenate([diag, (mid + x[r:].reshape(-1, 2) * sign).ravel()])  # D x, by the family's forward map
+    return _hermitian_from_coords(x, r), float(np.linalg.norm(fitted - mu))
 
 
 def reconstruct_density(samples: Sequence[GPMSample]) -> DensityReconstruction:
     """Least-squares inversion of effect probabilities to a density operator.
 
-    Solves ``min_rho sum_i (trace(rho F_i) - mu_i)^2`` over Hermitian matrices
-    with trace 1. The eigenvalues of ``G = D^T D``, D the design over the r^2 real
-    parameters, gate (``cond(G) <= GRAM_CONDITION_MAX``); one solve ``G [x0, g] = [D^T mu, c]``,
-    c the trace vector, gives ``x = x0 + (1 - c.x0) / (c.g) g``. Eigenvalues of the minimizer
-    below ``-PSD_CLIP_TOL`` are clipped, the trace renormalized, and the adjustment reported.
+    Solves ``min_rho sum_i (trace(rho F_i) - mu_i)^2`` over Hermitian matrices with trace 1, D the
+    design over the r^2 real parameters and ``G = D^T D``; ``cond(G) <= GRAM_CONDITION_MAX`` gates.
+    The shared effects of ``ic_effect_basis(r)``, in its order, are inverted in closed form. Any other
+    family goes through the eigenvalues of G and one solve ``G [x0, g] = [D^T mu, c]``, c the trace
+    vector, giving ``x = x0 + (1 - c.x0) / (c.g) g``. Eigenvalues of the minimizer below
+    ``-PSD_CLIP_TOL`` are clipped, the trace renormalized, and the adjustment reported.
 
     Raises:
         InsufficientSpan: no samples, or ``cond(G) > GRAM_CONDITION_MAX`` (the
@@ -361,25 +367,31 @@ def reconstruct_density(samples: Sequence[GPMSample]) -> DensityReconstruction:
     for s in samples:
         _check_dims(r, s.effect.dim)
 
-    mats = [s.effect.matrix for s in samples]
-    design = _hermitian_coords(np.array(mats))  # the dims check above makes this a stack
     mu = np.array([s.probability for s in samples])
-    gram, d_mu = design.T @ design, design.T @ mu
-    del design  # at r = 32 the design is 8 MB; peak memory need not hold it through the solve
-    cond = _gram_condition(gram, r)
+    ic = len(samples) == r * r and all(s.effect is f for s, f in zip(samples, _ic_basis(r)))
+    if ic:  # the eigenvalues of G span [1 / l, l], l = (r + 1 + sqrt((r + 1)^2 - 4)) / 2
+        cond = float((r + 1 + np.sqrt((r + 1) ** 2 - 4.0)) / 2.0) ** 2
+    else:
+        mats = [s.effect.matrix for s in samples]
+        design = _hermitian_coords(np.array(mats))  # the dims check above makes this a stack
+        gram, d_mu = design.T @ design, design.T @ mu
+        del design  # at r = 32 the design is 8 MB; peak memory need not hold it through the solve
+        lam = np.linalg.eigvalsh(gram)
+        cond = float(lam[-1] / lam[0]) if lam[0] > 0.0 else np.inf
     if not (cond <= tol.GRAM_CONDITION_MAX):
         raise InsufficientSpan(
             f"effects span the Hermitian space too weakly: cond(D^T D) = {cond:.3e} > {tol.GRAM_CONDITION_MAX:.1e}"
         )
 
-    c = np.arange(d_mu.size) < r  # the trace vector: 1 on the r diagonal parameters, else 0
-    x0, g = np.linalg.solve(gram, np.stack([d_mu, c], axis=1)).T
-    x = x0 + ((1.0 - x0[:r].sum()) / g[:r].sum()) * g
-    raw = _hermitian_from_coords(x, r)
-
-    # a second copy of the effects: holding the first stack or using the design instead raised peak RSS
-    fitted = np.reshape(mats, (len(mats), -1)) @ raw.T.ravel()  # trace(raw F_i)
-    residual = float(np.linalg.norm(fitted.real - mu))
+    if ic:
+        raw, residual = _ic_fit(mu, r)
+    else:
+        c = np.arange(d_mu.size) < r  # the trace vector: 1 on the r diagonal parameters, else 0
+        x0, g = np.linalg.solve(gram, np.stack([d_mu, c], axis=1)).T
+        raw = _hermitian_from_coords(x0 + ((1.0 - x0[:r].sum()) / g[:r].sum()) * g, r)
+        # a second copy of the effects: holding the first stack or using the design instead raised peak RSS
+        fitted = np.reshape(mats, (len(mats), -1)) @ raw.T.ravel()  # trace(raw F_i)
+        residual = float(np.linalg.norm(fitted.real - mu))
     if not (residual <= tol.NOISE_BOUND):
         raise InconsistentSamples(
             f"least-squares residual {residual:.3e} exceeds noise bound {tol.NOISE_BOUND:.1e}"

@@ -12,6 +12,8 @@
 - Reciprocity: p(B|A) = p(A|B) for rank-one events A and B.
 - Events that commute with each other and with a binary partition show no
   order effect, no interference and no sure-thing violation.
+- tr(rho F) = vdot(rho, F) for Hermitian rho and F: the Born rule on a density
+  as the engine computes it equals trace(rho @ F).
 
 Projectors have any rank, so degenerate eigenspaces are covered.
 """
@@ -21,6 +23,7 @@ import pytest
 
 from qdecision import (
     DensityOperator,
+    Effect,
     Projector,
     StateVector,
     apply_function,
@@ -29,6 +32,7 @@ from qdecision import (
     event_probability,
     expectation,
     expectation_of_function,
+    gpm_evaluate,
     outcome_distribution,
     sequential_event_probability,
     sequential_probability,
@@ -185,3 +189,16 @@ def test_commuting_events_behave_classically(data):
     assert conjunction_report(state, proj_a, proj_b).order_asymmetry <= IDENTITY_TOL
     assert abs(total_probability_report(state, condition, proj_a).interference) <= IDENTITY_TOL
     assert not sure_thing_check(state, condition, proj_a, threshold).violation_flag
+
+
+@hypothesis.settings(max_examples=150, deadline=None)
+@hypothesis.given(data=st.data())
+def test_born_rule_on_a_density_is_the_trace_of_the_product(data):
+    d = data.draw(st.integers(2, 32), label="d")
+    rank = data.draw(st.integers(1, d), label="density rank")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    rho = _state("density", d, rank, rng)
+    u = random_unitary(d, rng)
+    m = (u * rng.uniform(0.0, 1.0, d)) @ u.conj().T
+    effect = Effect((m + m.conj().T) / 2.0)
+    assert abs(gpm_evaluate(rho, effect) - np.trace(rho.matrix @ effect.matrix).real) <= 1e-14

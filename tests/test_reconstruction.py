@@ -1,4 +1,4 @@
-"""Density reconstruction: design matrix, one-factorization solve, conditioning gate and its memo."""
+"""Density reconstruction: design matrix, one-factorization solve, conditioning gate, and the IC family's closed form."""
 
 import numpy as np
 import pytest
@@ -12,8 +12,9 @@ from qdecision import (
     ic_effect_basis,
     reconstruct_density,
 )
+from qdecision import engine
 from qdecision import tolerances as tol
-from qdecision.engine import _GRAM_CONDITION, _hermitian_coords, _hermitian_from_coords
+from qdecision.engine import _hermitian_coords, _hermitian_from_coords
 
 from conftest import random_density, random_hermitian, random_unitary, rng_for
 
@@ -240,7 +241,7 @@ def test_solve_agrees_with_the_eigen_solve(r, family):
 
 
 # ---------------------------------------------------------------------------
-# the gate's condition number, kept per dimension for the last Gram matrix seen
+# the gate on repeated calls, and the IC family's closed form against the generic path
 
 
 def ic_samples(r, seed, noisy):
@@ -253,14 +254,34 @@ def ic_samples(r, seed, noisy):
     return [GPMSample(s.effect, float(np.clip(s.probability + n, 0.0, 1.0))) for s, n in zip(samples, noise)]
 
 
+@pytest.fixture
+def generic_calls(monkeypatch):
+    """The dimensions at which ``reconstruct_density`` built a design matrix, which only its generic path does."""
+    calls, real = [], engine._hermitian_coords
+
+    def spy(mats):
+        calls.append(mats.shape[1])
+        return real(mats)
+
+    monkeypatch.setattr(engine, "_hermitian_coords", spy)
+    return calls
+
+
+def on_copies(samples):
+    """The same samples on equal copies of their effects, which only the generic path inverts."""
+    return [GPMSample(Effect._trusted(s.effect.matrix.copy()), s.probability) for s in samples]
+
+
 @pytest.mark.parametrize("r", [*range(2, 9), 32])
 @pytest.mark.parametrize("noisy", [False, True])
-def test_warm_gate_gives_the_cold_result(r, noisy):
+def test_warm_gate_gives_the_cold_result(r, noisy, generic_calls):
+    """Calls with the IC family's cache cold and warm agree bit for bit; once the cache has
+    dropped the family, its old effects take the generic path and agree to rounding."""
+    engine._ic_basis.cache_clear()
     samples = ic_samples(r, 1000 + r, noisy)
-    _GRAM_CONDITION.pop(r, None)
     cold = reconstruct_density(samples)
-    assert r in _GRAM_CONDITION
     warm = reconstruct_density(samples)
+    assert engine._ic_basis.cache_info().currsize == 1 and generic_calls == []
     assert np.array_equal(warm.rho.matrix, cold.rho.matrix)
     assert (warm.residual, warm.min_eigenvalue, warm.condition_number, warm.clipped) == (
         cold.residual,
@@ -268,6 +289,11 @@ def test_warm_gate_gives_the_cold_result(r, noisy):
         cold.condition_number,
         cold.clipped,
     )
+    engine._ic_basis.cache_clear()
+    dropped = reconstruct_density(samples)
+    assert generic_calls == [r]
+    assert np.linalg.norm(dropped.rho.matrix - cold.rho.matrix, "fro") <= 1e-12
+    assert dropped.condition_number == pytest.approx(cold.condition_number, rel=1e-11)
 
 
 def rejection_message(samples):
@@ -280,7 +306,6 @@ def test_epsilon_pair_gives_the_same_verdict_on_a_second_call():
     rho = random_density(3, rng_for(991))
     rejected = samples_for(rho, near_duplicate_family(3, 3e-3))
     accepted = samples_for(rho, near_duplicate_family(3, 5e-3))
-    _GRAM_CONDITION.pop(3, None)
     first = rejection_message(rejected)
     assert rejection_message(rejected) == first
     for _ in range(2):
@@ -292,7 +317,6 @@ def test_epsilon_pair_gives_the_same_verdict_on_a_second_call():
 @pytest.mark.parametrize("name", ["one_missing", "three_missing", "duplicate", "diagonal_only", "single_effect"])
 def test_rank_deficient_families_are_rejected_on_a_second_call(r, name):
     samples = samples_for(np.eye(r) / r, rank_deficient_families(r)[name])
-    _GRAM_CONDITION.pop(r, None)
     first = rejection_message(samples)
     assert rejection_message(samples) == first
 
@@ -309,10 +333,59 @@ def test_alternating_families_each_get_their_own_condition_number(r):
         assert rec.condition_number == pytest.approx(np.linalg.cond(design.T @ design), rel=1e-9)
 
 
-def test_memo_holds_only_digests_and_floats():
-    for r in (2, 3):
-        reconstruct_density(ic_samples(r, 1060 + r, noisy=False))
-    assert _GRAM_CONDITION
-    for r, slot in _GRAM_CONDITION.items():
-        assert isinstance(r, int)
-        assert [type(value) for value in slot] == [bytes, float]
+@pytest.mark.parametrize("r", range(2, 33))
+@pytest.mark.parametrize("noisy", [False, True])
+def test_closed_form_is_the_generic_solve(r, noisy, generic_calls):
+    samples = ic_samples(r, 1000 + r, noisy)
+    closed = reconstruct_density(samples)
+    assert generic_calls == []
+    general = reconstruct_density(on_copies(samples))
+    assert generic_calls == [r]
+    assert np.linalg.norm(closed.rho.matrix - general.rho.matrix, "fro") <= 1e-12
+    assert abs(closed.residual - general.residual) <= 1e-14
+    assert closed.clipped == general.clipped
+    assert closed.condition_number == pytest.approx(general.condition_number, rel=1e-11)
+    assert closed.min_eigenvalue == pytest.approx(general.min_eigenvalue, abs=1e-12)
+
+
+def look_alike_families(r):
+    """Families that share the IC family's effects, its matrices or its length, but are not it."""
+    ic = ic_effect_basis(r)
+    _, v = np.linalg.eigh(random_hermitian(r, rng_for(1070 + r)))
+    extra = Effect((v * rng_for(1080 + r).uniform(0.0, 1.0, r)) @ v.conj().T)
+    return {
+        "permuted": ic[::-1],
+        "rebuilt": [Effect(f.matrix.copy()) for f in ic],
+        "plus_one": [*ic, extra],
+        "minus_one": ic[:-1],
+    }
+
+
+@pytest.mark.parametrize("r", [2, 3, 8])
+@pytest.mark.parametrize("name", ["permuted", "rebuilt", "plus_one", "minus_one"])
+def test_look_alike_families_take_the_generic_path(r, name, generic_calls):
+    rho = DensityOperator(random_density(r, rng_for(1090 + r)))
+    samples = [GPMSample(f, gpm_evaluate(rho, f)) for f in look_alike_families(r)[name]]
+    if name == "minus_one":
+        with pytest.raises(InsufficientSpan):
+            reconstruct_density(samples)
+    else:
+        assert np.linalg.norm(reconstruct_density(samples).rho.matrix - rho.matrix, "fro") <= RECONSTRUCTION_TOL
+    assert generic_calls == [r]
+
+
+def test_ic_effect_basis_hands_out_new_lists_of_shared_read_only_effects():
+    first, second = ic_effect_basis(3), ic_effect_basis(3)
+    assert first is not second and len(first) == len(second) == 9
+    assert all(a is b for a, b in zip(first, second))
+    first.clear()
+    second.append(second[0])
+    third = ic_effect_basis(3)
+    assert len(third) == 9 and all(a is b for a, b in zip(third, ic_effect_basis(3)))
+    for f, m in zip(third, loop_ic_effect_basis(3)):
+        assert np.array_equal(f.matrix, m)
+        assert not f.matrix.flags.writeable
+        with pytest.raises(ValueError):
+            f.matrix[0, 0] = 0.5
+        with pytest.raises(ValueError):
+            f.matrix.setflags(write=True)

@@ -2,6 +2,7 @@
 
     python tools/report_diff.py record TREE OUT.json
     python tools/report_diff.py diff OLD.json NEW.json
+    python tools/report_diff.py diff --rows OLD.json NEW.json
 
 ``record`` imports qdecision from ``TREE/src`` (any checkout of this
 repository) and runs every case in-process through ``qdecision.cli.main``,
@@ -24,7 +25,7 @@ different trees see the same documents:
   ``bulk_numeric`` reconstructs at) for the same seeds in text, a negative
   ``--seed`` on both seeded demos, ``demo reconstruct --dim 33``, and
   ``--tolerances``. Cases at one dimension run back to back, so every seed
-  after the first meets the reconstruction gate's memo warm.
+  after the first reuses the cached ``ic_effect_basis`` of its dimension.
 
 Help and usage text is wrapped at ``COLUMNS=80``, so recordings made in
 different terminals compare.
@@ -33,6 +34,12 @@ different terminals compare.
 file of the recorded tree (numpy's RuntimeWarning, with the source line
 printed under it) are dropped first: they carry the tree's path and line
 numbers. It prints every differing case and exits 1 if there is one.
+With ``--rows`` it prints, instead of each case, one line per report row
+that changed (``reconstruct_check.residual``, ``tolerance.NOISE_BOUND``, or
+a header name): how many cases change it and the largest |delta| of its
+numeric values. Every other change (a non-numeric value, lines added or
+removed, exit code or stderr, a case on one side only) is listed in full.
+The exit code is the same as without ``--rows``.
 """
 
 from __future__ import annotations
@@ -42,6 +49,7 @@ import difflib
 import io
 import json
 import os
+import re
 import sys
 import tempfile
 import traceback
@@ -172,30 +180,119 @@ def _strip_tree_warnings(stderr: str, tree: str) -> str:
     return "".join(kept)
 
 
-def diff(old_path: Path, new_path: Path) -> int:
-    # recorded output may hold lone surrogates, which strict UTF-8 cannot print
-    sys.stdout.reconfigure(errors="backslashreplace")
-    old, new = (json.loads(p.read_text(encoding="utf-8")) for p in (old_path, new_path))
-    differing = 0
+def _differing(old: dict, new: dict):
+    """Yield (name, old case, new case) for every case that differs; a case missing on one side is None."""
     for name in sorted(set(old["cases"]) | set(new["cases"])):
         if name not in old["cases"] or name not in new["cases"]:
-            print(f"{name}: only in {new_path if name in new['cases'] else old_path}")
-            differing += 1
+            yield name, old["cases"].get(name), new["cases"].get(name)
             continue
         (a_code, a_out, a_err), (b_code, b_out, b_err) = old["cases"][name], new["cases"][name]
         a_err, b_err = _strip_tree_warnings(a_err, old["tree"]), _strip_tree_warnings(b_err, new["tree"])
-        if (a_code, a_out, a_err) == (b_code, b_out, b_err):
+        if (a_code, a_out, a_err) != (b_code, b_out, b_err):
+            yield name, (a_code, a_out, a_err), (b_code, b_out, b_err)
+
+
+def _row_names(stdout: str) -> list[str | None]:
+    """The report row each stdout line holds, as ``section.name`` (``reconstruct_check.residual``,
+    ``tolerance.NOISE_BOUND``, or a header name alone), or None for a line that holds no row."""
+    lines, names, section, kinds = stdout.splitlines(), [], "", {}
+    fmt = "structured" if stdout.startswith("{") else "csv" if stdout.startswith("query_index,") else "text"
+    for line in lines:
+        name = None
+        if fmt == "csv" and (m := re.fullmatch(r"(\d+),([^,]+),(.*)", line)):
+            if m[2] == "kind":
+                kinds[m[1]] = m[3]
+            name = m[2] if m[1] == "0" else f"{kinds.get(m[1], m[1])}.{m[2]}"
+        elif fmt == "structured" and (m := re.fullmatch(r'\s*"([^"]+)": (.*?),?', line)):
+            if m[2] == "{" and m[1] == "tolerances":
+                section = "tolerance"
+            elif m[1] == "kind":
+                section = json.loads(m[2])
+            name = f"{section}.{m[1]}" if section else m[1]
+        elif fmt == "text" and (m := re.fullmatch(r"query \d+: (\S+)|(tolerances):", line)):
+            section = m[1] or "tolerance"
+        elif fmt == "text" and (m := re.fullmatch(r"(  )?(\S+?):?\s+.*", line)):
+            name = f"{section}.{m[2]}" if m[1] else m[2]
+        names.append(name)
+    return names
+
+
+def _value(line: str) -> float | None:
+    """The number a row line ends with, or None when its value is not a number."""
+    try:
+        return float(re.split(r"[\s,:]+", line.strip().rstrip(","))[-1])
+    except ValueError:
+        return None
+
+
+def _row_changes(name: str, a, b):
+    """Yield (row, |delta| or None, description) for each changed row of one differing case."""
+    if a is None or b is None:
+        yield "(case)", None, f"{name}: only in the {'old' if b is None else 'new'} recording"
+        return
+    if a[0] != b[0] or a[2] != b[2]:
+        yield "(case)", None, f"{name}: exit {a[0]} -> {b[0]}, stderr {a[2]!r} -> {b[2]!r}"
+    a_lines, b_lines = a[1].splitlines(), b[1].splitlines()
+    a_names, b_names = _row_names(a[1]), _row_names(b[1])
+    for op, i1, i2, j1, j2 in difflib.SequenceMatcher(None, a_lines, b_lines, autojunk=False).get_opcodes():
+        if op == "equal":
             continue
-        differing += 1
-        print(f"{name}: exit {a_code} -> {b_code}")
-        for stream, a, b in (("stdout", a_out, b_out), ("stderr", a_err, b_err)):
-            if a != b:
-                lines = difflib.unified_diff(
-                    a.splitlines(), b.splitlines(), f"old {stream}", f"new {stream}", lineterm="", n=1
-                )
+        if op == "replace" and i2 - i1 == j2 - j1:
+            for i, j in zip(range(i1, i2), range(j1, j2)):
+                row = a_names[i] if a_names[i] == b_names[j] else None
+                old_v, new_v = _value(a_lines[i]), _value(b_lines[j])
+                if row is not None and old_v is not None and new_v is not None:
+                    yield row, abs(new_v - old_v), None
+                else:
+                    yield row or "(unnamed)", None, f"{name}: {a_lines[i]!r} -> {b_lines[j]!r}"
+        else:
+            yield "(lines)", None, f"{name}: {a_lines[i1:i2]!r} -> {b_lines[j1:j2]!r}"
+
+
+def _print_rows(differing) -> None:
+    """For each row name: the number of cases that change it and its largest numeric |delta|;
+    then every change that is not a number changing, in full."""
+    cases: dict[str, set[str]] = {}
+    largest: dict[str, float] = {}
+    other = []
+    for name, a, b in differing:
+        for row, delta, text in _row_changes(name, a, b):
+            cases.setdefault(row, set()).add(name)
+            if delta is not None:
+                largest[row] = max(largest.get(row, 0.0), delta)
+            if text is not None:
+                other.append(text)
+    for row in sorted(cases):
+        delta = f"largest |delta| {largest[row]:.3g}" if row in largest else "no numeric change"
+        print(f"{row}: {len(cases[row])} cases, {delta}")
+    if other:
+        print(f"{len(other)} non-numeric changes:")
+        print("\n".join(f"    {text}" for text in other))
+
+
+def _print_cases(differing, old_path: Path, new_path: Path) -> None:
+    for name, a, b in differing:
+        if a is None or b is None:
+            print(f"{name}: only in {new_path if a is None else old_path}")
+            continue
+        print(f"{name}: exit {a[0]} -> {b[0]}")
+        for stream, x, y in (("stdout", a[1], b[1]), ("stderr", a[2], b[2])):
+            if x != y:
+                lines = difflib.unified_diff(x.splitlines(), y.splitlines(), f"old {stream}", f"new {stream}", lineterm="", n=1)
                 print("\n".join(f"    {line}" for line in lines))
+
+
+def diff(old_path: Path, new_path: Path, rows: bool = False) -> int:
+    # recorded output may hold lone surrogates, which strict UTF-8 cannot print
+    sys.stdout.reconfigure(errors="backslashreplace")
+    old, new = (json.loads(p.read_text(encoding="utf-8")) for p in (old_path, new_path))
+    differing = list(_differing(old, new))
+    if rows:
+        _print_rows(differing)
+    else:
+        _print_cases(differing, old_path, new_path)
     total = len(set(old["cases"]) | set(new["cases"]))
-    print(f"{total - differing} of {total} cases identical, {differing} differ")
+    print(f"{total - len(differing)} of {total} cases identical, {len(differing)} differ")
     return 1 if differing else 0
 
 
@@ -208,10 +305,11 @@ def main() -> int:
     cmp = sub.add_parser("diff", help="compare two recordings")
     cmp.add_argument("old", type=Path)
     cmp.add_argument("new", type=Path)
+    cmp.add_argument("--rows", action="store_true", help="summarize the changes by report row instead of by case")
     args = parser.parse_args()
     if args.command == "record":
         return record(args.tree, args.out)
-    return diff(args.old, args.new)
+    return diff(args.old, args.new, args.rows)
 
 
 if __name__ == "__main__":
