@@ -225,10 +225,6 @@ class LikelihoodTable:
         self.variable = variable
         self.entries = table
 
-    @property
-    def data_values(self) -> tuple[str, ...]:
-        return tuple(self.entries)
-
 
 def likelihood_effect(table: LikelihoodTable, z: str) -> Effect:
     """Evidence from observing ``z``, packaged as the effect sum_j p(z|u_j) P_j."""
@@ -238,10 +234,7 @@ def likelihood_effect(table: LikelihoodTable, z: str) -> Effect:
         raise UnknownDataLabel(
             f"{z!r} is not a data label of the table (labels: {list(table.entries)})"
         ) from None
-    out = sum(
-        p * proj.matrix for p, proj in zip(row, table.variable.eigenprojectors)
-    )
-    return Effect((out + out.conj().T) / 2.0)
+    return Effect(_spectral_sum(row, table.variable.eigenprojectors))
 
 
 def _as_effect(f) -> Effect:
@@ -407,4 +400,5 @@ def reconstruct_density(samples: Sequence[GPMSample]) -> DensityReconstruction:
         w = w / w.sum()
         raw = (v * w) @ v.conj().T
         raw = (raw + raw.conj().T) / 2.0
-    return DensityReconstruction(DensityOperator(raw), residual, clipped, min_eig, cond)
+    # a density by construction: eigh fixed the spectrum, the constraint or the clip the trace, every fit is self-adjoint
+    return DensityReconstruction(DensityOperator._trusted(raw), residual, clipped, min_eig, cond)

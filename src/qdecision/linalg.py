@@ -58,7 +58,19 @@ def matrix_of(m) -> np.ndarray:
     return as_complex_matrix(m)
 
 
-class StateVector:
+class _Immutable:
+    """Refuses to rebind or delete an attribute once it is set."""
+
+    def __setattr__(self, name: str, value) -> None:
+        if name in self.__dict__:
+            raise AttributeError(f"{type(self).__name__}.{name} is immutable")
+        object.__setattr__(self, name, value)
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"{type(self).__name__}.{name} is immutable")
+
+
+class StateVector(_Immutable):
     """Unit complex vector; a pure state up to global phase."""
 
     def __init__(self, amplitudes):
@@ -97,7 +109,7 @@ class StateVector:
         return f"StateVector(dim={self.dim})"
 
 
-class HermitianOperator:
+class HermitianOperator(_Immutable):
     """r x r complex self-adjoint matrix."""
 
     def __init__(self, matrix):
@@ -172,8 +184,9 @@ class DensityOperator(HermitianOperator):
 
     @classmethod
     def from_state(cls, psi: StateVector) -> "DensityOperator":
-        """Rank-one density |psi><psi|."""
-        return cls(np.outer(psi.amplitudes, psi.amplitudes.conj()))
+        """Rank-one density |psi><psi| / <psi|psi> of the ray, so its trace is 1 however far ||psi|| is from 1."""
+        a = psi.amplitudes
+        return cls(np.outer(a, a.conj()) / np.vdot(a, a).real)
 
 
 class Effect(HermitianOperator):
@@ -205,19 +218,11 @@ class SpectralDecomposition:
     def dim(self) -> int:
         return self.eigenvalues.size
 
-    @property
-    def is_simple(self) -> bool:
-        """True when every eigenvalue is non-degenerate."""
-        return all(len(g) == 1 for g in self.groups)
-
     def group_projector(self, g: int) -> Projector:
         """Orthogonal projector onto the eigenspace of group ``g``."""
         cols = self.eigenvectors[:, list(self.groups[g])]
         p = cols @ cols.conj().T
         return Projector((p + p.conj().T) / 2.0)
-
-    def projectors(self) -> list[Projector]:
-        return [self.group_projector(g) for g in range(len(self.groups))]
 
 
 def _fix_column_phases(v: np.ndarray) -> np.ndarray:

@@ -16,12 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tolerances as tol
-from .engine import (
-    State,
-    collapse_onto,
-    event_probability,
-    sequential_event_probability,
-)
+from .engine import State, event_probability, sequential_event_probability
 from .errors import NotAPartition, ZeroProbabilityOutcome
 from .linalg import Projector, StateVector
 from .variables import DecisionVariable
@@ -85,10 +80,8 @@ class TotalProbabilityReport:
 @dataclass(frozen=True)
 class SureThingReport:
     condition_values: tuple[float, float]
-    condition_probabilities: tuple[float, float]
     conditionals: tuple[float, float]
     p_unconditional: float
-    threshold: float
     violation_flag: bool
     interference: float
 
@@ -144,30 +137,25 @@ def sure_thing_check(
     and under its complement, it is likely unconditionally. The flag is set
     when both conditionals exceed ``threshold`` yet the unconditional
     probability does not, which requires nonzero interference.
+
+    Each conditional is the Lüders-rule ratio ``||P_c P_j psi||^2 / ||P_j psi||^2``
+    (``trace(P_c P_j rho P_j) / trace(P_j rho)`` for a density): a partition term
+    of ``total_probability_report`` over p_j, which must exceed ``ZERO_PROB_TOL``.
     """
     if len(condition.values) != 2:
         raise NotAPartition(
             f"sure-thing condition needs exactly two values, got {len(condition.values)}"
         )
-    cond_probs = []
-    conditionals = []
-    for value, proj in zip(condition.values, condition.eigenprojectors):
-        p_cond = event_probability(psi, proj)
+    p_conditions = [event_probability(psi, proj) for proj in condition.eigenprojectors]
+    for value, p_cond in zip(condition.values, p_conditions):
         if p_cond <= tol.ZERO_PROB_TOL:
-            raise ZeroProbabilityOutcome(
-                f"condition outcome {value!r} has probability {p_cond:.3e}"
-            )
-        conditioned = collapse_onto(psi, proj)
-        cond_probs.append(p_cond)
-        conditionals.append(event_probability(conditioned, proj_c))
+            raise ZeroProbabilityOutcome(f"condition outcome {value!r} has probability {p_cond:.3e}")
     report = total_probability_report(psi, condition, proj_c)
-    p_unconditional = report.p_direct
+    conditionals = tuple(term / p for term, p in zip(report.partition_terms, p_conditions))
     return SureThingReport(
-        condition_values=(condition.values[0], condition.values[1]),
-        condition_probabilities=(cond_probs[0], cond_probs[1]),
-        conditionals=(conditionals[0], conditionals[1]),
-        p_unconditional=p_unconditional,
-        threshold=float(threshold),
-        violation_flag=min(conditionals) > threshold and p_unconditional <= threshold,
+        condition_values=condition.values,
+        conditionals=conditionals,
+        p_unconditional=report.p_direct,
+        violation_flag=min(conditionals) > threshold and report.p_direct <= threshold,
         interference=report.interference,
     )

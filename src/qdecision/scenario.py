@@ -51,6 +51,7 @@ from .errors import (
     EngineError,
     ScenarioSyntaxError,
     ScenarioValidationError,
+    UnknownValue,
 )
 from .linalg import DensityOperator, StateVector
 from .phenomena import (
@@ -59,7 +60,7 @@ from .phenomena import (
     total_probability_report,
 )
 from .report import QueryResult, Report, format_number
-from .variables import DecisionVariable, round_value, variable_from_spectrum
+from .variables import DecisionVariable, variable_from_spectrum
 
 __all__ = [
     "Query",
@@ -242,7 +243,9 @@ def _parse_event(node, location: str, scenario_vars: dict[str, DecisionVariable]
     if name not in scenario_vars:
         _fail(location, f"query references undeclared variable {name!r}")
     v = scenario_vars[name]
-    if round_value(value) not in {round_value(u) for u in v.values}:
+    try:
+        v.value_index(value)
+    except UnknownValue:
         _fail(location, f"{value!r} is not a value of variable {name!r} (values: {list(v.values)})")
     return name, value
 

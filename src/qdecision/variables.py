@@ -137,6 +137,7 @@ class DecisionVariable:
             )
         self.name = str(name)
         self.values = tuple(vals)
+        self._index = {round_value(u): j for j, u in enumerate(vals)}
         self.eigenprojectors = tuple(projectors)
         self.operator = HermitianOperator._trusted(op)
 
@@ -145,11 +146,11 @@ class DecisionVariable:
         return self.operator.dim
 
     def value_index(self, value: float) -> int:
-        key = round_value(value)
-        for j, u in enumerate(self.values):
-            if round_value(u) == key:
-                return j
-        raise UnknownValue(f"{value!r} is not a value of variable {self.name!r}")
+        """Position of ``value`` among the values, matched at ``VALUE_SIG_DIGITS``."""
+        try:
+            return self._index[round_value(value)]
+        except KeyError:
+            raise UnknownValue(f"{value!r} is not a value of variable {self.name!r}") from None
 
     def projector_for(self, value: float) -> Projector:
         return self.eigenprojectors[self.value_index(value)]
@@ -224,10 +225,7 @@ def apply_function(v: DecisionVariable, f: Callable[[float], float]) -> Decision
     merged: dict[float, np.ndarray] = {}
     for u, p in zip(v.values, v.eigenprojectors):
         key = round_value(f(u))
-        if key in merged:
-            merged[key] = merged[key] + p.matrix
-        else:
-            merged[key] = p.matrix.copy()
+        merged[key] = merged.get(key, 0.0) + p.matrix
     new_values = sorted(merged)
     projectors = [Projector(merged[u]) for u in new_values]
     return DecisionVariable(v.name, new_values, projectors)

@@ -74,6 +74,20 @@ def test_engine_failure_exits_two(tmp_path, capsys):
     assert "engine error" in capsys.readouterr().err
 
 
+def test_reconstruct_check_accepts_a_state_at_the_edge_of_the_norm_slack(tmp_path, capsys):
+    # ||psi|| - 1 = 0.9e-10 is inside UNIT_NORM_TOL; |psi><psi| alone would have trace 1 + 1.8e-10
+    doc = {
+        "dimension": 2,
+        "state": {"vector": [[1.0 + 0.9e-10, 0.0], [0.0, 0.0]]},
+        "variables": [{"name": "v", "values": [0, 1], "basis_angle_degrees": 0.0}],
+        "queries": [{"kind": "reconstruct_check"}],
+    }
+    path = tmp_path / "edge.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["analyze", str(path)]) == 0
+    assert "roundtrip_error" in capsys.readouterr().out
+
+
 def test_malformed_corpus_never_crashes(tmp_path, capsys):
     for name, text in malformed_documents():
         path = tmp_path / f"{name}.json"

@@ -357,7 +357,7 @@ def test_likelihood_effects_complete_to_identity():
         raw = rng.uniform(0.1, 1.0, size=(3, r))
         raw /= raw.sum(axis=0)
         table = LikelihoodTable(v, {f"z{i}": raw[i] for i in range(3)})
-        total = sum(likelihood_effect(table, z).matrix for z in table.data_values)
+        total = sum(likelihood_effect(table, z).matrix for z in table.entries)
         assert np.linalg.norm(total - np.eye(r), "fro") <= 1e-10
 
 

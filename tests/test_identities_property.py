@@ -10,6 +10,8 @@
   equals the Born rule on f(A) computed by diagonalizing A, and equals the
   expectation of the variable f(v) (Helland's "function of a variable").
 - Reciprocity: p(B|A) = p(A|B) for rank-one events A and B.
+- A sure-thing conditional p(C | j), the ratio of a partition term to p_j, is
+  the probability of C in the Lüders-collapsed state.
 - Events that commute with each other and with a binary partition show no
   order effect, no interference and no sure-thing violation.
 - tr(rho F) = vdot(rho, F) for Hermitian rho and F: the Born rule on a density
@@ -178,6 +180,19 @@ def test_rank_one_conditioning_is_reciprocal(data):
     b_given_a = event_probability(collapse_onto(state, a), b)
     a_given_b = event_probability(collapse_onto(state, b), a)
     assert abs(b_given_a - a_given_b) <= IDENTITY_TOL
+
+
+@hypothesis.settings(max_examples=150, deadline=None)
+@hypothesis.given(data=st.data())
+def test_sure_thing_conditionals_are_the_collapsed_probabilities(data):
+    d, state, rng = _state_and_dimension(data, top=8)
+    rank = data.draw(st.integers(1, d - 1), label="rank of the condition's upper value")
+    condition = _variable("C", [d - rank, rank], rng)
+    choice = _variable("A", _sizes(data, d), rng)
+    proj_c = choice.eigenprojectors[data.draw(st.integers(0, len(choice.values) - 1), label="choice")]
+    report = sure_thing_check(state, condition, proj_c)
+    for conditional, proj in zip(report.conditionals, condition.eigenprojectors):
+        assert abs(conditional - event_probability(collapse_onto(state, proj), proj_c)) <= IDENTITY_TOL
 
 
 @hypothesis.settings(max_examples=150, deadline=None)

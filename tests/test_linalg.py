@@ -22,6 +22,22 @@ from conftest import random_hermitian, random_state, rng_for
 
 
 # ---------------------------------------------------------------------------
+# immutability
+
+
+def test_validated_values_refuse_attribute_rebinding():
+    psi = StateVector([1.0, 0.0])
+    proj = Projector(np.diag([1.0, 0.0]))
+    for obj, name in ((psi, "amplitudes"), (proj, "matrix"), (proj, "rank")):
+        before = getattr(obj, name)
+        with pytest.raises(AttributeError):
+            setattr(obj, name, before)
+        with pytest.raises(AttributeError):
+            delattr(obj, name)
+        assert getattr(obj, name) is before
+
+
+# ---------------------------------------------------------------------------
 # trace
 
 
@@ -132,8 +148,7 @@ def test_eig_residual_and_orthonormality_random_draws():
 def test_eig_degeneracy_grouping():
     sd = hermitian_eig(np.diag([1.0, 1.0, 2.0]))
     assert sd.groups == ((0, 1), (2,))
-    assert not sd.is_simple
-    assert sd.group_projector(0).rank == 2
+    assert [sd.group_projector(g).rank for g in range(len(sd.groups))] == [2, 1]
 
 
 def test_eig_near_degenerate_pairs_stay_matched():
@@ -164,8 +179,8 @@ def test_eigenprojectors_of_simple_spectrum_resolve_identity():
     rng = rng_for(16)
     for _ in range(10):
         sd = hermitian_eig(random_hermitian(5, rng))
-        assert sd.is_simple
-        projs = sd.projectors()
+        assert len(sd.groups) == 5
+        projs = [sd.group_projector(g) for g in range(len(sd.groups))]
         total = sum(p.matrix for p in projs)
         assert np.linalg.norm(total - np.eye(5), "fro") <= 1e-10
         for i in range(len(projs)):

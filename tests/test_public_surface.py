@@ -8,6 +8,13 @@ names it in a ``"<module>.<name>"`` string (the tracer's targets). Imports
 inside the package are not reads. The unreached names must be exactly
 ``KEPT``: a new unreached public name fails here, and a name leaves ``KEPT``
 once something reaches it.
+
+The public members of the classes in ``__all__`` (methods, properties and
+class-level annotated fields, so every dataclass field) are held to the same
+rule one level down: each is read as ``.<member>`` somewhere in ``src/`` or
+``bench/``, or is named by a string constant in ``bench/`` (its ``getattr``
+field tables), or it is in ``KEPT_MEMBERS``. Members match by name alone, so a
+read of ``x.dim`` reaches every public ``dim``.
 """
 
 import ast
@@ -26,6 +33,11 @@ KEPT = {
     "apply_function": "the paper's functions of a maximal variable; a query kind will reach it",
     "conjugate": "the paper's unitary relation between maximal variables; a query kind will reach it",
     "are_complementary": "the paper's complementary maximal variables; a query kind will reach it",
+}
+
+KEPT_MEMBERS = {
+    "probability_of": "acceptance criterion 7 reads an outcome's probability by value",
+    "group_projector": "the eigenspace oracle of the hermitian_eig tests",
 }
 
 DEFINITIONS = (ast.FunctionDef, ast.ClassDef)
@@ -73,12 +85,16 @@ def _public_names(tree: ast.Module) -> list[str]:
     return []
 
 
-def _unreached() -> set[str]:
-    trees = {
+def _package_trees() -> dict[str, ast.Module]:
+    return {
         path.stem: ast.parse(path.read_text(encoding="utf-8"))
         for path in sorted(PACKAGE.glob("*.py"))
         if path.name != "__init__.py"
     }
+
+
+def _unreached() -> set[str]:
+    trees = _package_trees()
     read_in = {module: _read_names(tree) for module, tree in trees.items()}
     in_bench = _bench_names(set(trees))
     unreached = set()
@@ -91,5 +107,42 @@ def _unreached() -> set[str]:
     return unreached
 
 
+def _public_members(cls: ast.ClassDef) -> set[str]:
+    members = set()
+    for node in cls.body:
+        if isinstance(node, ast.FunctionDef):
+            members.add(node.name)
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            members.add(node.target.id)
+    return {m for m in members if not m.startswith("_")}
+
+
+def _attribute_reads(paths, with_strings: bool) -> set[str]:
+    read: set[str] = set()
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+            elif with_strings and isinstance(node, ast.Constant) and isinstance(node.value, str):
+                read.add(node.value)
+    return read
+
+
+def _unreached_members() -> set[str]:
+    read = _attribute_reads(sorted(PACKAGE.glob("*.py")), with_strings=False)
+    read |= _attribute_reads(sorted((ROOT / "bench").glob("*.py")), with_strings=True)
+    unreached = set()
+    for tree in _package_trees().values():
+        public = set(_public_names(tree))
+        for node in tree.body:
+            if isinstance(node, ast.ClassDef) and node.name in public:
+                unreached |= _public_members(node) - read
+    return unreached
+
+
 def test_every_unreached_public_name_is_kept_for_a_reason():
     assert _unreached() == set(KEPT)
+
+
+def test_every_unreached_public_member_is_kept_for_a_reason():
+    assert _unreached_members() == set(KEPT_MEMBERS)

@@ -389,3 +389,48 @@ def test_ic_effect_basis_hands_out_new_lists_of_shared_read_only_effects():
             f.matrix[0, 0] = 0.5
         with pytest.raises(ValueError):
             f.matrix.setflags(write=True)
+
+
+def test_shared_effects_refuse_attribute_rebinding():
+    family = ic_effect_basis(2)
+    with pytest.raises(AttributeError):
+        family[1].matrix = np.eye(2, dtype=complex)
+    with pytest.raises(AttributeError):
+        del family[1].matrix
+    for f, m in zip(ic_effect_basis(2), loop_ic_effect_basis(2)):
+        assert np.array_equal(f.matrix, m)
+
+
+# ---------------------------------------------------------------------------
+# the result is wrapped unchecked, so the public density check must accept every one
+
+
+def states_to_reconstruct(r, rng):
+    """A mixed density, a pure one, and a trace-one matrix with eigenvalue -1e-6 that the fit must clip."""
+    psi, phi = (rng.normal(size=r) + 1j * rng.normal(size=r) for _ in range(2))
+    psi = psi / np.linalg.norm(psi)
+    phi = phi - np.vdot(psi, phi) * psi
+    phi = phi / np.linalg.norm(phi)
+    pure = np.outer(psi, psi.conj())
+    return {"mixed": random_density(r, rng), "pure": pure, "negative": pure + 1e-6 * (pure - np.outer(phi, phi.conj()))}
+
+
+@pytest.mark.parametrize("r", range(2, 17))
+@pytest.mark.parametrize("noisy", [False, True])
+def test_every_reconstruction_passes_the_density_check(r, noisy, generic_calls):
+    rng = rng_for(1100 + r)
+    families = {
+        "ic": ic_effect_basis(r),
+        "copies": [Effect._trusted(f.matrix.copy()) for f in ic_effect_basis(r)],
+        "ic_plus_random": [Effect(m) for m in effect_families(r)["ic_plus_random"]],
+    }
+    for kind, rho in states_to_reconstruct(r, rng).items():
+        for name, effects in families.items():
+            mu = np.array([np.vdot(rho, f.matrix).real for f in effects])
+            if noisy:
+                mu = mu + rng.normal(0.0, 1e-7, size=mu.size)
+            rec = reconstruct_density([GPMSample(f, float(p)) for f, p in zip(effects, np.clip(mu, 0.0, 1.0))])
+            DensityOperator(rec.rho.matrix)
+            if kind != "pure":  # noise moves a pure state's zero eigenvalues either way
+                assert rec.clipped == (kind == "negative"), (kind, name)
+    assert generic_calls == [r, r] * 3
