@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import functools
 from collections.abc import Mapping, Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -136,20 +136,20 @@ class OutcomeDistribution:
 
     values: tuple[float, ...]
     probabilities: tuple[float, ...]
+    _index: Mapping[float, int] = field(repr=False, compare=False)  # the variable's rounded value keys
 
     def probability_of(self, value: float) -> float:
-        key = round_value(value)
-        for u, p in zip(self.values, self.probabilities):
-            if round_value(u) == key:
-                return p
-        raise UnknownValue(f"{value!r} is not among the outcome values")
+        try:
+            return self.probabilities[self._index[round_value(value)]]
+        except KeyError:
+            raise UnknownValue(f"{value!r} is not among the outcome values") from None
 
 
 def outcome_distribution(state: State, v: DecisionVariable) -> OutcomeDistribution:
     """Born probabilities of every value of ``v`` in the given state."""
     _check_dims(state.dim, v.dim)
     probs = [event_probability(state, p) for p in v.eigenprojectors]
-    return OutcomeDistribution(v.values, tuple(probs))
+    return OutcomeDistribution(v.values, tuple(probs), v._index)
 
 
 def sequential_event_probability(state: State, projectors: Sequence[Projector]) -> float:

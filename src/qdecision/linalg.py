@@ -214,10 +214,6 @@ class SpectralDecomposition:
     eigenvectors: np.ndarray
     groups: tuple[tuple[int, ...], ...]
 
-    @property
-    def dim(self) -> int:
-        return self.eigenvalues.size
-
     def group_projector(self, g: int) -> Projector:
         """Orthogonal projector onto the eigenspace of group ``g``."""
         cols = self.eigenvectors[:, list(self.groups[g])]

@@ -1,6 +1,7 @@
 """Hidden-direction spin model: sampling and conditionals."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ import pytest
 from qdecision import (
     DegenerateConditioning,
     Direction,
+    SpinComparison,
     classical_conditional,
     classical_conditional_analytic,
     comparison_report,
@@ -16,6 +18,7 @@ from qdecision import (
     spin_component,
     __version__,
 )
+from qdecision import spin
 from qdecision.spin import _plus
 
 from conftest import rng_for
@@ -191,6 +194,14 @@ def cosine_mask(a, phi):
     return np.cos(a - phi) >= 0.0
 
 
+def buffered_plus(a, phi):
+    """``_plus`` through output buffers whose stale contents must not show in the mask."""
+    out, x, spare = np.ones(phi.shape, bool), np.full(phi.shape, np.nan), np.ones(phi.shape, bool)
+    mask = _plus(a, phi, out, x, spare)
+    assert mask is out
+    return mask
+
+
 def doubles_around(x, count=30):
     below, above, out = x, x, [x]
     for _ in range(count):
@@ -204,6 +215,7 @@ def test_plus_mask_is_the_cosine_sign_at_every_quarter_turn(a):
     # phi such that a - phi lands on the doubles around k * pi/2, where cos changes sign or peaks
     phi = np.array([a - x for k in range(-6, 7) for x in doubles_around(k * math.pi / 2)])
     assert np.array_equal(_plus(a, phi), cosine_mask(a, phi))
+    assert np.array_equal(buffered_plus(a, phi), _plus(a, phi))
 
 
 @pytest.mark.parametrize("a", [7.0, -3.0, 100.0])
@@ -212,6 +224,7 @@ def test_plus_mask_is_the_cosine_sign_on_raw_angles(a):
     phi[:3] = [math.inf, -math.inf, math.nan]
     with np.errstate(invalid="ignore"):  # cos of inf
         assert np.array_equal(_plus(a, phi), cosine_mask(a, phi))
+        assert np.array_equal(buffered_plus(a, phi), _plus(a, phi))
     assert np.array_equal(_plus(a, phi[3:]), cosine_mask(a, phi[3:]))
 
 
@@ -221,6 +234,65 @@ def test_plus_mask_is_the_cosine_sign_on_sampled_directions(seed):
     for degrees in (0.0, 10.0, 60.0, 90.0, 135.0, 180.0, 270.0, 359.9):
         a = Direction.from_degrees(degrees).angle
         assert np.array_equal(_plus(a, phi), cosine_mask(a, phi)), degrees
+        assert np.array_equal(buffered_plus(a, phi), _plus(a, phi)), degrees
+
+
+# ---------------------------------------------------------------------------
+# the streamed draw: blocks change no number and bound the memory
+
+
+def whole_draw_report(a, b, n, seed):
+    """``comparison_report`` on the whole draw at once, the reference of the streamed counts."""
+    phi = sample_phi(n, seed)
+    plus_a, plus_b = _plus(a, phi), _plus(b, phi)
+    count_a = int(np.count_nonzero(plus_a))
+    if count_a == 0:
+        raise DegenerateConditioning("no sample produced spin +1 along the first direction")
+    analytic, quantum = classical_conditional_analytic(a, b), quantum_conditional(a, b)
+    return SpinComparison(
+        classical_estimate=int(np.count_nonzero(plus_a & plus_b)) / count_a,
+        classical_analytic=analytic,
+        quantum=quantum,
+        gap=quantum - analytic,
+        p_plus_a=count_a / n,
+        p_plus_b=int(np.count_nonzero(plus_b)) / n,
+    )
+
+
+def outcome(report, *args):
+    try:
+        return report(*args)
+    except (ValueError, DegenerateConditioning) as exc:
+        return type(exc), str(exc)
+
+
+DIRECTION_PAIRS = [
+    (Direction(0.9), Direction(0.9)),  # a = b
+    (Direction(0.0), Direction.from_degrees(180.0)),
+    (Direction(0.3), Direction.from_degrees(100.0)),
+    (7.0, 8.1),  # raw angles >= 2*pi: the np.cos fallback
+]
+
+
+@pytest.mark.parametrize("block", [1, 7, spin._BLOCK])
+def test_blocks_do_not_change_the_comparison(block, monkeypatch):
+    monkeypatch.setattr(spin, "_BLOCK", block)
+    for n in (1, block - 1, block, block + 1, 3 * block + 7):
+        for seed in (0, 1, 2026):
+            for a, b in DIRECTION_PAIRS:
+                got = outcome(comparison_report, a, b, n, seed)
+                assert got == outcome(whole_draw_report, a, b, n, seed), (n, seed, a, b)
+                assert type(got) is not SpinComparison or all(type(v) is float for v in vars(got).values())
+
+
+def test_comparison_memory_is_bounded_by_the_block():
+    tracemalloc.start()
+    try:
+        comparison_report(Direction(0.0), Direction.from_degrees(60.0), 2_000_000, 4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
 
 
 SPIN_REPORTS = {
