@@ -58,7 +58,6 @@ from .linalg import (
     StateVector,
     hermitian_eig,
     projector_onto_span,
-    spectral_function,
 )
 from .phenomena import (
     ConjunctionReport,

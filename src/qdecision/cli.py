@@ -6,8 +6,8 @@
     qdecision demo reconstruct [--dim 3 --seed 7]
     qdecision --tolerances
 
-Exit codes: 0 success, 1 scenario validation/syntax error, 2 engine error
-(argparse also exits 2 on a usage error, such as ``--dim x``).
+Exit codes: 0 success, 1 scenario validation/syntax error or usage error
+(such as ``--dim x``), 2 engine error.
 """
 
 from __future__ import annotations
@@ -28,6 +28,14 @@ EXIT_VALIDATION = 1
 EXIT_ENGINE = 2
 
 
+class _Parser(argparse.ArgumentParser):
+    """Ends a usage error as a scenario error: the usage text, then exit 1; subparsers inherit it."""
+
+    def error(self, message: str):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_VALIDATION, f"scenario error: {message}\n")
+
+
 def _add_format(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--format",
@@ -43,7 +51,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     ``main`` reuses it for each call in a process; callers must not mutate it.
     """
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="qdecision",
         description="Quantum probability engine for decision variables.",
     )

@@ -32,7 +32,6 @@ from .linalg import (
     Effect,
     Projector,
     StateVector,
-    _apply_value_map,
     matrix_of,
 )
 from .variables import DecisionVariable, _spectral_sum, round_value
@@ -186,7 +185,13 @@ def expectation_of_function(state: State, v: DecisionVariable, f) -> float:
     ``VALUE_SIG_DIGITS``). A non-finite f(u_j), or one that overflows the
     operator, raises ``InvariantViolation``.
     """
-    op = _spectral_sum(_apply_value_map(f, v.values), v.eigenprojectors)
+    if isinstance(f, Mapping):
+        table = {round_value(k): float(val) for k, val in f.items()}
+        missing = [u for u in v.values if round_value(u) not in table]
+        if missing:
+            raise InvariantViolation(f"value table has no entry for {missing[0]!r}")
+        f = lambda u: table[round_value(u)]
+    op = _spectral_sum(np.array([float(f(u)) for u in v.values]), v.eigenprojectors)
     if op is None:
         raise InvariantViolation(f"f({v.name}) must be finite and give a finite operator")
     return _born(state, op)

@@ -10,7 +10,7 @@ inputs, go through the private ``_trusted`` constructors instead.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Mapping, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,7 +35,6 @@ __all__ = [
     "as_complex_matrix",
     "matrix_of",
     "hermitian_eig",
-    "spectral_function",
     "projector_onto_span",
 ]
 
@@ -214,12 +213,6 @@ class SpectralDecomposition:
     eigenvectors: np.ndarray
     groups: tuple[tuple[int, ...], ...]
 
-    def group_projector(self, g: int) -> Projector:
-        """Orthogonal projector onto the eigenspace of group ``g``."""
-        cols = self.eigenvectors[:, list(self.groups[g])]
-        p = cols @ cols.conj().T
-        return Projector((p + p.conj().T) / 2.0)
-
 
 def _fix_column_phases(v: np.ndarray) -> np.ndarray:
     """Rotate each column so its first non-negligible entry is real positive."""
@@ -294,36 +287,6 @@ def hermitian_eig(a) -> SpectralDecomposition:
     w.setflags(write=False)
     v.setflags(write=False)
     return SpectralDecomposition(w, v, tuple(tuple(g) for g in groups))
-
-
-def _apply_value_map(f, values: Sequence[float]) -> np.ndarray:
-    """Evaluate a callable or a value table on each eigenvalue (or declared value)."""
-    if isinstance(f, Mapping):
-        table = {float(f"{float(k):.{tol.VALUE_SIG_DIGITS}g}"): float(val) for k, val in f.items()}
-
-        def lookup(x: float) -> float:
-            key = float(f"{x:.{tol.VALUE_SIG_DIGITS}g}")
-            if key not in table:
-                raise InvariantViolation(f"value table has no entry for {x!r}")
-            return table[key]
-
-        return np.array([lookup(float(x)) for x in values])
-    return np.array([float(f(float(x))) for x in values])
-
-
-def spectral_function(
-    a,
-    f: Callable[[float], float] | Mapping[float, float],
-) -> HermitianOperator:
-    """Apply a real function to a Hermitian operator through its spectrum.
-
-    Returns ``sum_i f(lambda_i) v_i v_i^dag``; commutes with the input.
-    ``f`` may be a callable or a value table (eigenvalue -> result).
-    """
-    sd = hermitian_eig(a)
-    fvals = _apply_value_map(f, sd.eigenvalues)
-    out = (sd.eigenvectors * fvals) @ sd.eigenvectors.conj().T
-    return HermitianOperator((out + out.conj().T) / 2.0)
 
 
 def _span_projection(cols: np.ndarray) -> np.ndarray:

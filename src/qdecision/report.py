@@ -134,22 +134,20 @@ def _json_scalar(v: Value) -> str:
     return _encode_string(str(v))
 
 
-def emit_json(node, indent: int = 0) -> str:
+def _emit_json(node, indent: int = 0) -> str:
     """Minimal JSON writer with the fixed float convention."""
     pad = "  " * indent
     inner = "  " * (indent + 1)
     if isinstance(node, dict):
         if not node:
             return "{}"
-        parts = [f'{inner}{_json_scalar(str(k))}: {emit_json(v, indent + 1)}' for k, v in node.items()]
+        parts = [f'{inner}{_json_scalar(str(k))}: {_emit_json(v, indent + 1)}' for k, v in node.items()]
         return "{\n" + ",\n".join(parts) + f"\n{pad}}}"
     if isinstance(node, (list, tuple)):
         if not node:
             return "[]"
-        parts = [f"{inner}{emit_json(v, indent + 1)}" for v in node]
+        parts = [f"{inner}{_emit_json(v, indent + 1)}" for v in node]
         return "[\n" + ",\n".join(parts) + f"\n{pad}]"
-    if node is None:
-        return "null"
     return _json_scalar(node)
 
 
@@ -168,7 +166,7 @@ def _emit_structured(report: Report) -> str:
             for r in report.results
         ],
     }
-    return emit_json(tree) + "\n"
+    return _emit_json(tree) + "\n"
 
 
 def emit_report(report: Report, fmt: str = "text") -> str:

@@ -225,6 +225,24 @@ def test_demo_reconstruct_reports_its_diagnostics(capsys):
     assert 0.0 < outputs["min_eigenvalue"] < 0.25  # a full-rank density at r = 4, before any clipping
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["demo", "reconstruct", "--dim", "x"], "argument --dim: invalid int value: 'x'"),
+        (["analyze", "doc.json", "--bogus"], "unrecognized arguments: --bogus"),
+        (["bogus"], "argument command: invalid choice: 'bogus'"),
+    ],
+    ids=["not-an-integer", "unknown-option", "unknown-command"],
+)
+def test_usage_error_is_a_scenario_error(argv, message, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage: qdecision")
+    assert err.splitlines()[-1].startswith(f"scenario error: {message}")
+
+
 def _run_in_process(argv):
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
@@ -259,7 +277,7 @@ def test_one_parser_serves_every_call_like_a_fresh_process(medical_file, tmp_pat
     monkeypatch.setenv("COLUMNS", "80")  # help and usage text wrap at the terminal width
     first = [_run_in_process(argv) for argv in argvs]
     assert [_run_in_process(argv) for argv in argvs] == first
-    assert {code for code, _, _ in first} == {0, 1, 2}
+    assert {code for code, _, _ in first} == {0, 1}
     for argv, expected in zip(argvs, first):
         proc = subprocess.run(
             [sys.executable, "-m", "qdecision.cli", *argv],

@@ -311,6 +311,10 @@ def test_expectation_of_function_takes_a_table_keyed_by_the_declared_values():
     assert expectation_of_function(psi, v, table) == pytest.approx(want, abs=1e-12)
     with pytest.raises(InvariantViolation):
         expectation_of_function(psi, v, {0.1: 3.0})
+    # keys match the declared values at VALUE_SIG_DIGITS significant digits
+    assert expectation_of_function(psi, v, {0.1 + 1e-14: 3.0, 0.7: -1.5}) == pytest.approx(want, abs=1e-12)
+    with pytest.raises(InvariantViolation, match="no entry for 0.1$"):
+        expectation_of_function(psi, v, {0.1 + 1e-11: 3.0, 0.7: -1.5})
 
 
 @pytest.mark.parametrize(

@@ -38,7 +38,6 @@ from qdecision import (
     outcome_distribution,
     sequential_event_probability,
     sequential_probability,
-    spectral_function,
     sure_thing_check,
     tolerances,
     total_probability_report,
@@ -149,6 +148,12 @@ def _born(state, m: np.ndarray) -> float:
     return float(np.trace(state.matrix @ m).real)
 
 
+def _spectral_function(a: np.ndarray, f) -> np.ndarray:
+    """f(A) = sum_i f(lambda_i) v_i v_i^dag from a fresh eigendecomposition of A."""
+    w, vecs = np.linalg.eigh(a)
+    return (vecs * [f(float(x)) for x in w]) @ vecs.conj().T
+
+
 @hypothesis.settings(max_examples=150, deadline=None)
 @hypothesis.given(data=st.data())
 def test_expectation_of_function_is_the_spectral_sum(data):
@@ -161,7 +166,7 @@ def test_expectation_of_function_is_the_spectral_sum(data):
     dist = outcome_distribution(state, v)
     assert abs(got - sum(f(u) * p for u, p in zip(dist.values, dist.probabilities))) <= IDENTITY_TOL
     # the route through a fresh eigendecomposition of A, used before the spectral sum
-    assert abs(got - _born(state, spectral_function(v.operator, f).matrix)) <= IDENTITY_TOL
+    assert abs(got - _born(state, _spectral_function(v.operator.matrix, f))) <= IDENTITY_TOL
     # the variable f(v) carries its values rounded to VALUE_SIG_DIGITS
     rounded = expectation_of_function(state, v, lambda u: round_value(f(u)))
     assert abs(rounded - expectation(state, apply_function(v, f))) <= IDENTITY_TOL

@@ -15,7 +15,6 @@ from qdecision import (
     StateVector,
     hermitian_eig,
     projector_onto_span,
-    spectral_function,
 )
 
 from conftest import random_hermitian, random_state, rng_for
@@ -148,7 +147,7 @@ def test_eig_residual_and_orthonormality_random_draws():
 def test_eig_degeneracy_grouping():
     sd = hermitian_eig(np.diag([1.0, 1.0, 2.0]))
     assert sd.groups == ((0, 1), (2,))
-    assert [sd.group_projector(g).rank for g in range(len(sd.groups))] == [2, 1]
+    assert [projector_onto_span(list(sd.eigenvectors[:, g].T)).rank for g in sd.groups] == [2, 1]
 
 
 def test_eig_near_degenerate_pairs_stay_matched():
@@ -180,61 +179,12 @@ def test_eigenprojectors_of_simple_spectrum_resolve_identity():
     for _ in range(10):
         sd = hermitian_eig(random_hermitian(5, rng))
         assert len(sd.groups) == 5
-        projs = [sd.group_projector(g) for g in range(len(sd.groups))]
+        projs = [projector_onto_span(list(sd.eigenvectors[:, g].T)) for g in sd.groups]
         total = sum(p.matrix for p in projs)
         assert np.linalg.norm(total - np.eye(5), "fro") <= 1e-10
         for i in range(len(projs)):
             for j in range(i + 1, len(projs)):
                 assert np.linalg.norm(projs[i].matrix @ projs[j].matrix, "fro") <= 1e-10
-
-
-# ---------------------------------------------------------------------------
-# spectral calculus
-
-
-def test_spectral_function_identity():
-    rng = rng_for(17)
-    a = random_hermitian(4, rng)
-    fa = spectral_function(a, lambda x: x)
-    assert np.linalg.norm(fa.matrix - a, "fro") <= 1e-10
-
-
-def test_spectral_function_sqrt_diagonal():
-    fa = spectral_function(np.diag([1.0, 4.0]), np.sqrt)
-    assert np.allclose(fa.matrix, np.diag([1.0, 2.0]), atol=1e-12)
-
-
-def test_spectral_function_indicator_recovers_eigenprojector():
-    # simple spectrum: the indicator of one eigenvalue is its rank-1 projector
-    rng = rng_for(18)
-    a = random_hermitian(4, rng)
-    sd = hermitian_eig(a)
-    target = float(sd.eigenvalues[1])
-    ind = spectral_function(a, lambda x: 1.0 if abs(x - target) < 1e-9 else 0.0)
-    expected = sd.group_projector(1).matrix
-    assert np.linalg.norm(ind.matrix - expected, "fro") <= 1e-10
-
-
-def test_spectral_function_accepts_value_table():
-    fa = spectral_function(np.diag([1.0, 2.0]), {1.0: 10.0, 2.0: 20.0})
-    assert np.allclose(fa.matrix, np.diag([10.0, 20.0]), atol=1e-12)
-
-
-def test_spectral_function_commutes_with_input():
-    rng = rng_for(19)
-    a = random_hermitian(5, rng)
-    fa = spectral_function(a, np.tanh).matrix
-    assert np.linalg.norm(fa @ a - a @ fa, "fro") <= 1e-10
-
-
-def test_spectral_function_composition():
-    rng = rng_for(20)
-    a = random_hermitian(6, rng)
-    f = lambda x: x * x + 1.0
-    g = np.tanh
-    once = spectral_function(a, lambda x: f(g(x))).matrix
-    twice = spectral_function(spectral_function(a, g), f).matrix
-    assert np.linalg.norm(once - twice, "fro") <= 1e-9
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,6 @@ ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "qdecision"
 
 KEPT = {
-    "spectral_function": "the oracle of test_expectation_of_function_is_the_spectral_sum",
     "scenario_to_document": "README documents it",
     "planar_projector": "README documents it",
     "spin_component": "acceptance criterion 6 imports it",
@@ -37,7 +36,7 @@ KEPT = {
 
 KEPT_MEMBERS = {
     "probability_of": "acceptance criterion 7 reads an outcome's probability by value",
-    "group_projector": "the eigenspace oracle of the hermitian_eig tests",
+    "eigenvalues": "read only by the hermitian_eig tests; leaves with the eigensolver (direction 1)",
 }
 
 DEFINITIONS = (ast.FunctionDef, ast.ClassDef)
