@@ -291,10 +291,10 @@ def hermitian_eig(a) -> SpectralDecomposition:
 
 def _span_projection(cols: np.ndarray) -> np.ndarray:
     """Orthogonal projection matrix onto the span of independent columns,
-    made exactly self-adjoint."""
+    made exactly self-adjoint; on a stack of such matrices, one per matrix."""
     q, _ = np.linalg.qr(cols)
-    p = q @ q.conj().T
-    return (p + p.conj().T) / 2.0
+    p = q @ q.conj().swapaxes(-1, -2)
+    return (p + p.conj().swapaxes(-1, -2)) / 2.0
 
 
 def projector_onto_span(vectors: Sequence[StateVector | np.ndarray]) -> Projector:

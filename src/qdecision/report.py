@@ -8,6 +8,7 @@ therefore always serialize to identical bytes.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import json
 from dataclasses import dataclass
@@ -105,10 +106,7 @@ def _emit_text(report: Report) -> str:
         lines.append("")
         lines.append(f"query {result.index}: {result.kind}")
         lines.extend(_aligned([*result.echo, *result.outputs, *result.flags]))
-    lines.append("")
-    lines.append("tolerances:")
-    lines.extend(_aligned(tol.all_defaults().items()))
-    return "\n".join(lines) + "\n"
+    return "\n".join(lines) + "\n" + _tolerance_rows("text")
 
 
 def _emit_csv(report: Report) -> str:
@@ -117,8 +115,7 @@ def _emit_csv(report: Report) -> str:
     writer.writerow(["query_index", "name", "value"])
     for name, value in report.meta_rows():
         writer.writerow([0, name, _render_value(value)])
-    for name, value in tol.all_defaults().items():
-        writer.writerow([0, f"tolerance.{name}", _render_value(value)])
+    buf.write(_tolerance_rows("csv"))
     for result in report.results:
         for name, value in result.rows():
             writer.writerow([result.index, name, _render_value(value)])
@@ -134,39 +131,39 @@ def _json_scalar(v: Value) -> str:
     return _encode_string(str(v))
 
 
-def _emit_json(node, indent: int = 0) -> str:
-    """Minimal JSON writer with the fixed float convention."""
-    pad = "  " * indent
-    inner = "  " * (indent + 1)
-    if isinstance(node, dict):
-        if not node:
-            return "{}"
-        parts = [f'{inner}{_json_scalar(str(k))}: {_emit_json(v, indent + 1)}' for k, v in node.items()]
-        return "{\n" + ",\n".join(parts) + f"\n{pad}}}"
-    if isinstance(node, (list, tuple)):
-        if not node:
-            return "[]"
-        parts = [f"{inner}{_emit_json(v, indent + 1)}" for v in node]
-        return "[\n" + ",\n".join(parts) + f"\n{pad}]"
-    return _json_scalar(node)
+def _json_object(rows, indent: str) -> str:
+    """``rows`` as a JSON object whose members sit at ``indent``, its closing brace two spaces left of them."""
+    if not rows:
+        return "{}"
+    members = ",\n".join(f"{indent}{_encode_string(name)}: {_json_scalar(value)}" for name, value in rows)
+    return "{\n" + members + "\n" + indent[:-2] + "}"
 
 
 def _emit_structured(report: Report) -> str:
-    tree = {
-        **{name: value for name, value in report.meta_rows()},
-        "tolerances": tol.all_defaults(),
-        "results": [
-            {
-                "index": r.index,
-                "kind": r.kind,
-                "echo": {name: value for name, value in r.echo},
-                "outputs": {name: value for name, value in r.outputs},
-                "flags": {name: value for name, value in r.flags},
-            }
-            for r in report.results
-        ],
-    }
-    return _emit_json(tree) + "\n"
+    results = ",\n".join(
+        "    {\n"
+        f'      "index": {r.index},\n'
+        f'      "kind": {_encode_string(r.kind)},\n'
+        f'      "echo": {_json_object(r.echo, " " * 8)},\n'
+        f'      "outputs": {_json_object(r.outputs, " " * 8)},\n'
+        f'      "flags": {_json_object(r.flags, " " * 8)}\n'
+        "    }"
+        for r in report.results
+    )
+    head = "".join(f"  {_encode_string(name)}: {_json_scalar(value)},\n" for name, value in report.meta_rows())
+    tail = f'  "results": [\n{results}\n  ]\n' if results else '  "results": []\n'
+    return "{\n" + head + _tolerance_rows("structured") + tail + "}\n"
+
+
+@functools.cache
+def _tolerance_rows(fmt: str) -> str:
+    """The tolerance rows of a ``fmt`` report; they are the same in every report, so each is rendered once."""
+    rows = tol.all_defaults().items()
+    if fmt == "text":
+        return "\ntolerances:\n" + "".join(line + "\n" for line in _aligned(rows))
+    if fmt == "csv":  # names and numbers hold nothing that csv quotes
+        return "".join(f"0,tolerance.{name},{_render_value(value)}\n" for name, value in rows)
+    return f'  "tolerances": {_json_object(rows, " " * 4)},\n'
 
 
 def emit_report(report: Report, fmt: str = "text") -> str:

@@ -32,6 +32,7 @@ from __future__ import annotations
 import json
 import sys
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Any
 
 import numpy as np
@@ -149,17 +150,57 @@ def _as_complex(node, location: str) -> complex:
     return complex(_as_number(arr[0], location + "[0]"), _as_number(arr[1], location + "[1]"))
 
 
+_REAL = {int, float}  # JSON true and false are bools, so they miss the gate
+
+
+def _pair_array(node: list, nested: bool = False) -> np.ndarray | None:
+    """``node``'s [re, im] pairs, or (``nested``) its non-empty list of equally long rows of them,
+    as one complex array; None when an entry is not a pair of JSON numbers or an integer is beyond
+    the float range, so that the per-entry path names the entry at fault. Each check is one ``map``.
+    """
+    if not nested:
+        shape, pairs = (len(node),), node
+    elif node and {*map(type, node)} == {list} and len({*map(len, node)}) == 1:
+        shape, pairs = (len(node), len(node[0])), list(chain.from_iterable(node))
+    else:
+        return None
+    if pairs and ({*map(type, pairs)} != {list} or {*map(len, pairs)} != {2}):
+        return None
+    parts = list(chain.from_iterable(pairs))
+    if not {*map(type, parts)} <= _REAL:
+        return None
+    try:
+        return np.array(parts, dtype=float).view(complex).reshape(shape)
+    except OverflowError:
+        return None
+
+
 def _complex_vector(node, location: str) -> np.ndarray:
     arr = _as_array(node, location)
-    return np.array([_as_complex(x, f"{location}[{i}]") for i, x in enumerate(arr)])
+    fast = _pair_array(arr)
+    return fast if fast is not None else np.array([_as_complex(x, f"{location}[{i}]") for i, x in enumerate(arr)])
 
 
 def _complex_matrix(node, location: str) -> np.ndarray:
     arr = _as_array(node, location)
+    fast = _pair_array(arr, nested=True)
+    if fast is not None:
+        return fast
     rows = [_complex_vector(row, f"{location}[{i}]") for i, row in enumerate(arr)]
     if not rows or any(r.size != rows[0].size for r in rows):
         _fail(location, "matrix rows are empty or ragged")
     return np.vstack(rows)
+
+
+def _eigenvector_group(node, location: str, dimension: int) -> np.ndarray:
+    """One ``eigenvectors[g]`` group as a k x dimension array, one row per eigenvector."""
+    group = _as_array(node, location)
+    vectors = _pair_array(group, nested=True)
+    if vectors is None:  # only an empty group gets past the per-entry path and the size check below
+        vectors = [_complex_vector(vec, f"{location}[{k}]") for k, vec in enumerate(group)]
+    if any(v.size != dimension for v in vectors):
+        _fail(location, f"eigenvectors must have {dimension} components")
+    return np.reshape(vectors, (-1, dimension))
 
 
 def _parse_state(node, dimension: int) -> StateVector | DensityOperator:
@@ -207,27 +248,14 @@ def _parse_variable(node, index: int, dimension: int) -> DecisionVariable:
         alpha = np.deg2rad(_as_number(obj["basis_angle_degrees"], loc + ".basis_angle_degrees"))
         if not np.isfinite(alpha):  # no cos or sin of an infinite angle: NaN axes fail the basis check
             alpha = np.nan
-        hi = np.array([np.cos(alpha), np.sin(alpha)])
-        lo = np.array([-np.sin(alpha), np.cos(alpha)])
-        ordered = sorted(range(2), key=lambda j: values[j])
-        groups = [None, None]
-        groups[ordered[0]] = [lo.astype(complex)]
-        groups[ordered[1]] = [hi.astype(complex)]
-        eigenbasis = groups
+        c, s = np.cos(alpha), np.sin(alpha)
+        lo_hi = np.array([[-s, c], [c, s]], dtype=complex)
+        eigenbasis = [lo_hi[1:], lo_hi[:1]] if values[1] < values[0] else [lo_hi[:1], lo_hi[1:]]
     else:
         groups_node = _as_array(obj["eigenvectors"], loc + ".eigenvectors")
         if len(groups_node) != len(values):
             _fail(loc + ".eigenvectors", f"{len(groups_node)} groups for {len(values)} values")
-        eigenbasis = []
-        for g, group in enumerate(groups_node):
-            gloc = f"{loc}.eigenvectors[{g}]"
-            vectors = [
-                _complex_vector(vec, f"{gloc}[{k}]")
-                for k, vec in enumerate(_as_array(group, gloc))
-            ]
-            if any(v.size != dimension for v in vectors):
-                _fail(gloc, f"eigenvectors must have {dimension} components")
-            eigenbasis.append(vectors)
+        eigenbasis = [_eigenvector_group(group, f"{loc}.eigenvectors[{g}]", dimension) for g, group in enumerate(groups_node)]
 
     try:
         return variable_from_spectrum(name, values, eigenbasis)

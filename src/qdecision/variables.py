@@ -159,17 +159,29 @@ class DecisionVariable:
         return f"DecisionVariable({self.name!r}, values={self.values}, dim={self.dim})"
 
 
+def _group_rows(group: Sequence[StateVector | np.ndarray] | np.ndarray) -> np.ndarray:
+    """One eigenvector group as a k x r complex array, one row per eigenvector."""
+    if isinstance(group, np.ndarray) and group.ndim == 2:
+        return group.astype(complex, copy=False)
+    rows = [v.amplitudes if isinstance(v, StateVector) else np.asarray(v, dtype=complex).reshape(-1) for v in group]
+    if len({row.size for row in rows}) > 1:
+        raise DimensionMismatch("eigenvectors have inconsistent dimensions")
+    return np.array(rows) if rows else np.empty((0, 0), dtype=complex)
+
+
 def variable_from_spectrum(
     name: str,
     values: Sequence[float],
-    eigenbasis: Sequence[Sequence[StateVector | np.ndarray]],
+    eigenbasis: Sequence[Sequence[StateVector | np.ndarray] | np.ndarray],
 ) -> DecisionVariable:
     """Assemble a variable from values and orthonormal eigenvector groups.
 
-    ``eigenbasis[j]`` spans the eigenspace of ``values[j]``; the groups must
+    ``eigenbasis[j]`` spans the eigenspace of ``values[j]``: a sequence of
+    vectors, or a k x r array with one eigenvector per row. The groups must
     jointly form an orthonormal basis of the full space within
     ``ORTHONORMALITY_TOL``. That one check stands for every projector and
     variable invariant, so the result is built without re-checking them.
+    The groups of each size are projected in one stacked QR.
     """
     if len(values) != len(eigenbasis):
         raise DimensionMismatch(
@@ -179,35 +191,36 @@ def variable_from_spectrum(
     if len(set(round_value(v) for v in vals)) != len(vals):
         raise DuplicateValues(f"values must be distinct: {vals}")
 
-    groups = [
-        [v.amplitudes if isinstance(v, StateVector) else np.asarray(v, dtype=complex).reshape(-1) for v in group]
-        for group in eigenbasis
-    ]
-    columns = [c for group in groups for c in group]
-    if not columns:
+    groups = [_group_rows(g) for g in eigenbasis]
+    filled = [g for g in groups if len(g)]
+    if not filled:
         raise DimensionMismatch("eigenbasis is empty")
-    r = columns[0].size
-    if any(c.size != r for c in columns):
+    r = filled[0].shape[1]
+    if any(g.shape[1] != r for g in filled):
         raise DimensionMismatch("eigenvectors have inconsistent dimensions")
-    if len(columns) != r:
+    basis = np.vstack(filled)  # one eigenvector per row
+    if len(basis) != r:
         raise DimensionMismatch(
-            f"total eigenvector count {len(columns)} must equal the dimension {r}"
+            f"total eigenvector count {len(basis)} must equal the dimension {r}"
         )
-    basis = np.column_stack(columns)
     # a NaN or infinite entry leaves the Gram deviation undefined, so it is not computed
-    gram_dev = float(np.linalg.norm(basis.conj().T @ basis - np.eye(r), "fro")) if np.isfinite(basis).all() else np.nan
+    gram_dev = float(np.linalg.norm(basis.conj() @ basis.T - np.eye(r), "fro")) if np.isfinite(basis).all() else np.nan
     if not (gram_dev <= tol.ORTHONORMALITY_TOL):
         raise NonOrthonormalBasis(
             f"eigenbasis is not orthonormal: ||V^dag V - I||_F = {gram_dev:.3e}"
         )
-    if any(not group for group in groups):
+    if len(filled) != len(groups):
         raise DegenerateSpan("cannot project onto the span of an empty list")
 
+    matrices = {}
+    for k in {len(g) for g in groups}:
+        members = [j for j, g in enumerate(groups) if len(g) == k]
+        batch = np.concatenate([groups[j] for j in members]).reshape(len(members), k, r)
+        stack = _span_projection(batch.swapaxes(-1, -2))
+        stack.setflags(write=False)  # so that no projector's view of it can be made writeable again
+        matrices.update(zip(members, stack))
     order = sorted(range(len(vals)), key=lambda j: vals[j])
-    projectors = [
-        Projector._trusted(_span_projection(np.column_stack(groups[j])), len(groups[j]))
-        for j in order
-    ]
+    projectors = [Projector._trusted(matrices[j], len(groups[j])) for j in order]
     return DecisionVariable._trusted(name, [vals[j] for j in order], projectors)
 
 

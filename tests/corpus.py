@@ -122,7 +122,7 @@ def _mutate(**changes):
 
 
 def malformed_documents() -> list[tuple[str, str]]:
-    """70 named malformed scenario documents."""
+    """76 named malformed scenario documents."""
     inv2 = 1.0 / np.sqrt(2.0)
     cases: list[tuple[str, str]] = [
         # syntax
@@ -274,6 +274,35 @@ def malformed_documents() -> list[tuple[str, str]]:
             _mutate(queries__0=dict(kind="sure_thing", condition="b", choice=["a", 1.0], threshold=10**400)),
         ),
         ("dimension_too_many_digits", _mutate().replace('"dimension": 2', '"dimension": 1' + "0" * 5000)),
+        # entries that miss the one-call conversion of a whole vector, density or eigenvector group,
+        # so the per-entry path rejects them: bools, integers past the float range, odd pairs, bad lengths
+        ("vector_bool_in_pair", _mutate(state={"vector": [[True, 0.0], [0.0, 0.0]]})),
+        ("density_bool_entry", _mutate(state={"density": [[[1.0, 0.0], [0.0, False]], [[0.0, 0.0], [0.0, 0.0]]]})),
+        ("density_integer_overflow", _mutate(state={"density": [[[1, 0], [0, 0]], [[0, 0], [10**400, 0]]]})),
+        (
+            "eigenvector_integer_overflow",
+            _mutate(
+                variables__0__basis_angle_degrees=...,
+                variables__0__eigenvectors=[[[[1, 0], [0, 0]]], [[[0, 0], [10**400, 0]]]],
+            ),
+        ),
+        (
+            "eigenvector_three_element_pair",
+            _mutate(
+                variables__0__basis_angle_degrees=...,
+                variables__0__eigenvectors=[[[[1.0, 0.0, 0.0], [0.0, 0.0]]], [[[0.0, 0.0], [1.0, 0.0]]]],
+            ),
+        ),
+        (
+            "eigenvector_group_wrong_length",
+            _mutate(
+                variables__0__basis_angle_degrees=...,
+                variables__0__eigenvectors=[
+                    [[[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0], [0.0, 0.0]]],
+                    [[[0.0, 0.0], [0.0, 0.0], [1.0, 0.0]]],
+                ],
+            ),
+        ),
     ]
-    assert len(cases) >= 70, len(cases)
+    assert len(cases) >= 76, len(cases)
     return cases
