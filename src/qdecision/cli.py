@@ -119,7 +119,7 @@ def main(argv: list[str] | None = None) -> int:
             try:
                 with open(args.file, encoding="utf-8") as fh:
                     text = fh.read()
-            except OSError as exc:
+            except (OSError, UnicodeDecodeError) as exc:
                 raise ScenarioError(f"cannot read {args.file!r}: {exc}") from exc
             report = run_scenario(parse_scenario(text), seed=args.seed)
         elif args.demo_name == "medical":

@@ -186,12 +186,13 @@ def expectation_of_function(state: State, v: DecisionVariable, f) -> float:
     operator, raises ``InvariantViolation``.
     """
     if isinstance(f, Mapping):
-        table = {round_value(k): float(val) for k, val in f.items()}
-        missing = [u for u in v.values if round_value(u) not in table]
-        if missing:
-            raise InvariantViolation(f"value table has no entry for {missing[0]!r}")
-        f = lambda u: table[round_value(u)]
-    op = _spectral_sum(np.array([float(f(u)) for u in v.values]), v.eigenprojectors)
+        table = {v._index.get(round_value(k)): float(val) for k, val in f.items()}  # value position -> image; None for no value
+        images = [table.get(j) for j in range(len(v.values))]
+        if None in images:
+            raise InvariantViolation(f"value table has no entry for {v.values[images.index(None)]!r}")
+    else:
+        images = [float(f(u)) for u in v.values]
+    op = _spectral_sum(np.array(images), v.eigenprojectors)
     if op is None:
         raise InvariantViolation(f"f({v.name}) must be finite and give a finite operator")
     return _born(state, op)
@@ -278,7 +279,6 @@ def _ic_basis(r: int) -> tuple[Effect, ...]:
     pairs = (eye[j][:, None] + np.array([1.0, 1.0j])[:, None] * eye[k][:, None]) / np.sqrt(2.0)
     vectors = np.concatenate([eye, pairs.reshape(-1, r)])
     mats = vectors[:, :, None] * vectors.conj()[:, None, :]
-    mats.setflags(write=False)  # so that no view of it can be made writeable again
     return tuple(Effect._trusted(m) for m in mats)
 
 

@@ -57,6 +57,13 @@ def matrix_of(m) -> np.ndarray:
     return as_complex_matrix(m)
 
 
+def _frozen(arr: np.ndarray) -> np.ndarray:
+    """A read-only view of ``arr`` that cannot be made writeable again: ``arr`` and its memory's owner are frozen."""
+    (arr if arr.base is None else arr.base).setflags(write=False)
+    arr.setflags(write=False)
+    return arr.view()
+
+
 class _Immutable:
     """Refuses to rebind or delete an attribute once it is set."""
 
@@ -83,15 +90,13 @@ class StateVector(_Immutable):
             raise InvariantViolation(
                 f"state vector violates the unit-norm invariant: ||psi|| = {nrm!r}"
             )
-        arr.setflags(write=False)
-        self.amplitudes = arr
+        self.amplitudes = _frozen(arr)
 
     @classmethod
     def _trusted(cls, amplitudes: np.ndarray) -> "StateVector":
         """Wrap a finite vector the engine normalized itself; checks nothing."""
         self = cls.__new__(cls)
-        amplitudes.setflags(write=False)
-        self.amplitudes = amplitudes
+        self.amplitudes = _frozen(amplitudes)
         return self
 
     @property
@@ -121,16 +126,14 @@ class HermitianOperator(_Immutable):
                 f"{type(self).__name__} is not self-adjoint: "
                 f"max |A - A^dag| entry = {dev:.3e} > {tol.HERMITIAN_ENTRY_TOL:.1e}"
             )
-        arr.setflags(write=False)
-        self.matrix = arr
+        self.matrix = _frozen(arr)
 
     @classmethod
     def _trusted(cls, matrix: np.ndarray):
         """Wrap a finite matrix the engine built to be exactly self-adjoint
         and to meet the invariants of ``cls``; checks nothing."""
         self = cls.__new__(cls)
-        matrix.setflags(write=False)
-        self.matrix = matrix
+        self.matrix = _frozen(matrix)
         return self
 
     @property

@@ -71,18 +71,6 @@ __all__ = [
     "run_scenario",
 ]
 
-# kind -> its parameter keys, in document order
-_QUERY_KEYS = {
-    "distribution": ("variable",),
-    "sequence": ("steps",),
-    "expectation": ("variable",),
-    "conjunction": ("first", "second"),
-    "total_probability": ("partition", "target"),
-    "sure_thing": ("condition", "choice", "threshold"),
-    "reconstruct_check": (),
-}
-QUERY_KINDS = tuple(_QUERY_KEYS)
-
 
 @dataclass(frozen=True)
 class Query:
@@ -306,7 +294,7 @@ def _parse_query(node, index: int, scenario_vars: dict[str, DecisionVariable]) -
     kind = _require(obj, "kind", loc)
     if kind not in QUERY_KINDS:
         _fail(loc + ".kind", f"unknown query kind {kind!r} (choose from {QUERY_KINDS})")
-    keys = _QUERY_KEYS[kind]
+    keys, _ = _QUERIES[kind]
     extra = set(obj) - {"kind", *keys}
     if extra:
         _fail(loc, f"unexpected keys for kind {kind!r}: {sorted(extra)}")
@@ -370,10 +358,6 @@ def parse_scenario(text: str) -> Scenario:
 # re-emission
 
 
-def _complex_to_doc(z: complex) -> list[float]:
-    return [float(z.real), float(z.imag)]
-
-
 def scenario_to_document(s: Scenario) -> str:
     """Serialize a scenario back to its document form.
 
@@ -382,28 +366,19 @@ def scenario_to_document(s: Scenario) -> str:
     parse reproduces states and operators to rounding error.
     """
 
-    def vec_doc(amplitudes: np.ndarray) -> list:
-        return [_complex_to_doc(complex(z)) for z in amplitudes]
+    def pairs(a: np.ndarray) -> list:  # each complex entry as a [re, im] pair
+        return np.stack([a.real, a.imag], axis=-1).tolist()
 
-    if isinstance(s.initial_state, StateVector):
-        state_doc: dict[str, Any] = {"vector": vec_doc(s.initial_state.amplitudes)}
-    else:
-        state_doc = {"density": [vec_doc(row) for row in s.initial_state.matrix]}
+    state = s.initial_state
+    state_doc = {"vector": pairs(state.amplitudes)} if isinstance(state, StateVector) else {"density": pairs(state.matrix)}
 
     variables_doc = []
     for v in s.variables:
         groups = []
         for p in v.eigenprojectors:
             w, vecs = np.linalg.eigh(p.matrix)
-            cols = [vecs[:, k] for k in range(p.dim) if w[k] > 0.5]
-            groups.append([vec_doc(c) for c in cols])
-        variables_doc.append(
-            {
-                "name": v.name,
-                "values": [float(u) for u in v.values],
-                "eigenvectors": groups,
-            }
-        )
+            groups.append(pairs(vecs[:, w > 0.5].T))  # the eigenvectors of eigenvalue 1, one per row
+        variables_doc.append({"name": v.name, "values": [float(u) for u in v.values], "eigenvectors": groups})
 
     tree = {
         "context": s.context,
@@ -434,79 +409,99 @@ def _echo(params: dict[str, Any]) -> tuple[tuple[str, Any], ...]:
     return tuple(rows)
 
 
-def _run_query(s: Scenario, q: Query, index: int) -> QueryResult:
+def _event_projector(s: Scenario, event: tuple[str, float]):
+    return s.variable(event[0]).projector_for(event[1])
+
+
+def _distribution(s: Scenario, p: dict[str, Any]):
+    dist = outcome_distribution(s.initial_state, s.variable(p["variable"]))
+    outputs = []
+    for j, (u, prob) in enumerate(zip(dist.values, dist.probabilities), start=1):
+        outputs += [(f"value_{j}", u), (f"p_{j}", prob)]
+    return outputs, ()
+
+
+def _sequence(s: Scenario, p: dict[str, Any]):
+    steps = [(s.variable(name), value) for name, value in p["steps"]]
+    return [("probability", sequential_probability(s.initial_state, steps))], ()
+
+
+def _expectation(s: Scenario, p: dict[str, Any]):
+    return [("expectation", expectation(s.initial_state, s.variable(p["variable"])))], ()
+
+
+def _conjunction(s: Scenario, p: dict[str, Any]):
+    rep = conjunction_report(s.initial_state, _event_projector(s, p["first"]), _event_projector(s, p["second"]))
+    outputs = [
+        ("p_first", rep.p_a),
+        ("p_second", rep.p_b),
+        ("p_first_then_second", rep.p_a_then_b),
+        ("p_second_then_first", rep.p_b_then_a),
+        ("order_asymmetry", rep.order_asymmetry),
+    ]
+    return outputs, (("conjunction_flag", rep.conjunction_flag),)
+
+
+def _total_probability(s: Scenario, p: dict[str, Any]):
+    rep = total_probability_report(s.initial_state, s.variable(p["partition"]), _event_projector(s, p["target"]))
+    outputs = [
+        ("p_direct", rep.p_direct),
+        ("p_via_partition", rep.p_via_partition),
+        ("interference", rep.interference),
+    ]
+    outputs += [(f"term[{format_number(u)}]", term) for u, term in zip(rep.partition_values, rep.partition_terms)]
+    return outputs, ()
+
+
+def _sure_thing(s: Scenario, p: dict[str, Any]):
+    rep = sure_thing_check(s.initial_state, s.variable(p["condition"]), _event_projector(s, p["choice"]), p["threshold"])
+    outputs = [
+        (f"p_choice_given[{format_number(rep.condition_values[0])}]", rep.conditionals[0]),
+        (f"p_choice_given[{format_number(rep.condition_values[1])}]", rep.conditionals[1]),
+        ("p_choice_unconditional", rep.p_unconditional),
+        ("interference", rep.interference),
+    ]
+    return outputs, (("violation_flag", rep.violation_flag),)
+
+
+def _reconstruct_check(s: Scenario, p: dict[str, Any]):
     state = s.initial_state
-    p = q.params
+    rho = DensityOperator.from_state(state) if isinstance(state, StateVector) else state
+    effects = ic_effect_basis(s.dimension)
+    rec = reconstruct_density([GPMSample(f, gpm_evaluate(rho, f)) for f in effects])
+    outputs = [
+        ("roundtrip_error", float(np.linalg.norm(rec.rho.matrix - rho.matrix, "fro"))),
+        ("residual", rec.residual),
+        ("gram_condition", rec.condition_number),
+        ("min_eigenvalue", rec.min_eigenvalue),
+        ("effect_count", len(effects)),
+    ]
+    return outputs, (("psd_clipped", rec.clipped),)
 
-    def projector(key: str):
-        name, value = p[key]
-        return s.variable(name).projector_for(value)
 
-    flags: tuple[tuple[str, bool], ...] = ()
-    if q.kind == "distribution":
-        dist = outcome_distribution(state, s.variable(p["variable"]))
-        outputs = []
-        for j, (u, prob) in enumerate(zip(dist.values, dist.probabilities), start=1):
-            outputs.append((f"value_{j}", u))
-            outputs.append((f"p_{j}", prob))
-    elif q.kind == "expectation":
-        outputs = [("expectation", expectation(state, s.variable(p["variable"])))]
-    elif q.kind == "sequence":
-        steps = [(s.variable(name), value) for name, value in p["steps"]]
-        outputs = [("probability", sequential_probability(state, steps))]
-    elif q.kind == "conjunction":
-        rep = conjunction_report(state, projector("first"), projector("second"))
-        outputs = [
-            ("p_first", rep.p_a),
-            ("p_second", rep.p_b),
-            ("p_first_then_second", rep.p_a_then_b),
-            ("p_second_then_first", rep.p_b_then_a),
-            ("order_asymmetry", rep.order_asymmetry),
-        ]
-        flags = (("conjunction_flag", rep.conjunction_flag),)
-    elif q.kind == "total_probability":
-        rep = total_probability_report(state, s.variable(p["partition"]), projector("target"))
-        outputs = [
-            ("p_direct", rep.p_direct),
-            ("p_via_partition", rep.p_via_partition),
-            ("interference", rep.interference),
-        ]
-        for u, term in zip(rep.partition_values, rep.partition_terms):
-            outputs.append((f"term[{format_number(u)}]", term))
-    elif q.kind == "sure_thing":
-        rep = sure_thing_check(state, s.variable(p["condition"]), projector("choice"), p["threshold"])
-        outputs = [
-            (f"p_choice_given[{format_number(rep.condition_values[0])}]", rep.conditionals[0]),
-            (f"p_choice_given[{format_number(rep.condition_values[1])}]", rep.conditionals[1]),
-            ("p_choice_unconditional", rep.p_unconditional),
-            ("interference", rep.interference),
-        ]
-        flags = (("violation_flag", rep.violation_flag),)
-    elif q.kind == "reconstruct_check":
-        rho = DensityOperator.from_state(state) if isinstance(state, StateVector) else state
-        effects = ic_effect_basis(s.dimension)
-        rec = reconstruct_density([GPMSample(f, gpm_evaluate(rho, f)) for f in effects])
-        outputs = [
-            ("roundtrip_error", float(np.linalg.norm(rec.rho.matrix - rho.matrix, "fro"))),
-            ("residual", rec.residual),
-            ("gram_condition", rec.condition_number),
-            ("min_eigenvalue", rec.min_eigenvalue),
-            ("effect_count", len(effects)),
-        ]
-        flags = (("psd_clipped", rec.clipped),)
-    else:
-        raise EngineError(f"unhandled query kind {q.kind!r}")
-    return QueryResult(index, q.kind, _echo(p), tuple(outputs), flags)
+# kind -> (its parameter keys in document order, its runner (scenario, params) -> (outputs, flags))
+_QUERIES = {
+    "distribution": (("variable",), _distribution),
+    "sequence": (("steps",), _sequence),
+    "expectation": (("variable",), _expectation),
+    "conjunction": (("first", "second"), _conjunction),
+    "total_probability": (("partition", "target"), _total_probability),
+    "sure_thing": (("condition", "choice", "threshold"), _sure_thing),
+    "reconstruct_check": ((), _reconstruct_check),
+}
+QUERY_KINDS = tuple(_QUERIES)
 
 
 def run_scenario(s: Scenario, *, seed: int = 0) -> Report:
     """Execute every query in order, each starting from the initial state."""
     results = []
     for i, q in enumerate(s.queries, start=1):
+        _, run = _QUERIES[q.kind]
         try:
-            results.append(_run_query(s, q, i))
+            outputs, flags = run(s, q.params)
         except EngineError as exc:
             raise type(exc)(f"query {i} ({q.kind}): {exc}") from exc
+        results.append(QueryResult(i, q.kind, _echo(q.params), tuple(outputs), flags))
     return Report(
         engine_version=__version__,
         context=s.context,

@@ -26,6 +26,7 @@ from .linalg import (
     HermitianOperator,
     Projector,
     StateVector,
+    _frozen,
     _span_projection,
     matrix_of,
 )
@@ -58,8 +59,7 @@ class UnitaryOperator:
         dev = float(np.linalg.norm(arr.conj().T @ arr - np.eye(arr.shape[0]), "fro"))
         if not (dev <= tol.UNITARY_TOL):
             raise NotUnitary(f"||W^dag W - I||_F = {dev:.3e} > {tol.UNITARY_TOL:.1e}")
-        arr.setflags(write=False)
-        self.matrix = arr
+        self.matrix = _frozen(arr)
 
     @property
     def dim(self) -> int:
@@ -91,7 +91,8 @@ class DecisionVariable:
             raise DimensionMismatch(
                 f"{len(vals)} values but {len(projectors)} projectors"
             )
-        if len(set(round_value(v) for v in vals)) != len(vals):
+        index = {round_value(u): j for j, u in enumerate(vals)}
+        if len(index) != len(vals):
             raise DuplicateValues(f"variable {name!r} has repeated values: {vals}")
         if any(b <= a for a, b in zip(vals, vals[1:])):
             raise DuplicateValues(f"variable {name!r} values must be strictly increasing: {vals}")
@@ -117,19 +118,19 @@ class DecisionVariable:
                         f"eigenprojectors {i} and {j} of {name!r} are not orthogonal"
                     )
 
-        self._assign(name, vals, projectors)
+        self._assign(name, vals, projectors, index)
 
     @classmethod
     def _trusted(
-        cls, name: str, values: list[float], projectors: list[Projector]
+        cls, name: str, values: list[float], projectors: list[Projector], index: dict[float, int]
     ) -> "DecisionVariable":
-        """Variable from sorted distinct values and eigenprojectors the engine
-        built from a checked orthonormal basis; checks only the values."""
+        """Variable from sorted distinct values, each rounded value's position in ``index``, and
+        eigenprojectors the engine built from a checked orthonormal basis; checks only the values."""
         self = cls.__new__(cls)
-        self._assign(name, values, projectors)
+        self._assign(name, values, projectors, index)
         return self
 
-    def _assign(self, name: str, vals: list[float], projectors: Sequence[Projector]) -> None:
+    def _assign(self, name: str, vals: list[float], projectors: Sequence[Projector], index: dict[float, int]) -> None:
         op = _spectral_sum(vals, projectors)
         if op is None:
             raise InvariantViolation(
@@ -137,7 +138,7 @@ class DecisionVariable:
             )
         self.name = str(name)
         self.values = tuple(vals)
-        self._index = {round_value(u): j for j, u in enumerate(vals)}
+        self._index = index
         self.eigenprojectors = tuple(projectors)
         self.operator = HermitianOperator._trusted(op)
 
@@ -188,7 +189,8 @@ def variable_from_spectrum(
             f"{len(values)} values but {len(eigenbasis)} eigenvector groups"
         )
     vals = [float(v) for v in values]
-    if len(set(round_value(v) for v in vals)) != len(vals):
+    keys = [round_value(v) for v in vals]
+    if len(set(keys)) != len(vals):
         raise DuplicateValues(f"values must be distinct: {vals}")
 
     groups = [_group_rows(g) for g in eigenbasis]
@@ -217,11 +219,10 @@ def variable_from_spectrum(
         members = [j for j, g in enumerate(groups) if len(g) == k]
         batch = np.concatenate([groups[j] for j in members]).reshape(len(members), k, r)
         stack = _span_projection(batch.swapaxes(-1, -2))
-        stack.setflags(write=False)  # so that no projector's view of it can be made writeable again
         matrices.update(zip(members, stack))
     order = sorted(range(len(vals)), key=lambda j: vals[j])
     projectors = [Projector._trusted(matrices[j], len(groups[j])) for j in order]
-    return DecisionVariable._trusted(name, [vals[j] for j in order], projectors)
+    return DecisionVariable._trusted(name, [vals[j] for j in order], projectors, {keys[j]: i for i, j in enumerate(order)})
 
 
 def is_maximal(v: DecisionVariable) -> bool:

@@ -51,6 +51,16 @@ def test_missing_file_is_a_validation_failure(capsys):
     assert "scenario error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("make", [lambda p: p.write_bytes(b"\xff\xfe{}"), lambda p: p.mkdir()], ids=["non-utf8", "directory"])
+def test_unreadable_file_is_a_scenario_error(make, tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    make(path)
+    assert main(["analyze", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"scenario error: cannot read {str(path)!r}: ")
+    assert "Traceback" not in err
+
+
 def test_malformed_file_is_a_validation_failure(tmp_path, capsys):
     path = tmp_path / "broken.json"
     path.write_text('{"dimension": 2', encoding="utf-8")

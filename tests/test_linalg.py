@@ -16,6 +16,7 @@ from qdecision import (
     hermitian_eig,
     projector_onto_span,
 )
+from qdecision.variables import UnitaryOperator, variable_from_spectrum
 
 from conftest import random_hermitian, random_state, rng_for
 
@@ -34,6 +35,33 @@ def test_validated_values_refuse_attribute_rebinding():
         with pytest.raises(AttributeError):
             delattr(obj, name)
         assert getattr(obj, name) is before
+
+
+_FROZEN_ARRAYS = {
+    "StateVector": lambda: StateVector([1.0, 0.0]).amplitudes,
+    "StateVector-column": lambda: StateVector([[1.0], [0.0]]).amplitudes,  # reshaped to a view of its copy
+    "StateVector._trusted": lambda: StateVector._trusted(np.array([1.0, 0.0j])).amplitudes,
+    "HermitianOperator": lambda: HermitianOperator(np.eye(2)).matrix,
+    "HermitianOperator._trusted": lambda: HermitianOperator._trusted(np.eye(2, dtype=complex)).matrix,
+    "Projector": lambda: Projector(np.diag([1.0, 0.0])).matrix,
+    "Projector._trusted": lambda: Projector._trusted(np.diag([1.0, 0.0j]), 1).matrix,
+    "DensityOperator": lambda: DensityOperator(np.eye(2) / 2.0).matrix,
+    "DensityOperator._trusted": lambda: DensityOperator._trusted(np.eye(2, dtype=complex) / 2.0).matrix,
+    "Effect": lambda: Effect(np.eye(2) / 2.0).matrix,
+    "Effect._trusted": lambda: Effect._trusted(np.eye(2, dtype=complex) / 2.0).matrix,
+    "UnitaryOperator": lambda: UnitaryOperator(np.eye(2)).matrix,
+    "DecisionVariable.operator": lambda: variable_from_spectrum("v", [0.0, 1.0], [[[1.0, 0.0]], [[0.0, 1.0]]]).operator.matrix,
+}
+
+
+@pytest.mark.parametrize("make", _FROZEN_ARRAYS.values(), ids=_FROZEN_ARRAYS.keys())
+def test_value_arrays_cannot_be_made_writeable_again(make):
+    arr = make()
+    assert not arr.flags.writeable
+    with pytest.raises(ValueError):
+        arr[0] = 0.5
+    with pytest.raises(ValueError):
+        arr.setflags(write=True)
 
 
 # ---------------------------------------------------------------------------

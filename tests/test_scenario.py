@@ -1,6 +1,8 @@
 """Scenario documents: parsing, validation, execution, emission."""
 
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,6 +22,7 @@ from qdecision import (
     transition_probability,
 )
 from qdecision.demos import medical_document
+from qdecision.scenario import QUERY_KINDS
 
 from corpus import generate_valid_document, malformed_documents
 
@@ -314,3 +317,9 @@ def test_generated_corpus_parses_and_runs():
     for seed in range(10):
         report = run_scenario(parse_scenario(generate_valid_document(seed)))
         assert report.results
+
+
+def test_readme_names_exactly_the_query_kinds():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    bullet = re.search(r"^- Query kinds: (.*?)\.\s", readme, re.MULTILINE | re.DOTALL)[1]
+    assert sorted(re.findall(r"`([a-z_]+)`", bullet)) == sorted(QUERY_KINDS)

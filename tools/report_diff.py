@@ -18,6 +18,10 @@ different trees see the same documents:
   run on a parser that has just raised ``SystemExit``;
 - ``generate_valid_document(0..59)`` of ``tests/corpus.py`` in the three
   formats, and every document of the malformed corpus;
+- ``analyze`` of two paths that cannot be read as UTF-8 text: a directory
+  and a file that is not UTF-8. They are given relative to the working
+  directory, which ``record`` sets to its scratch directory, so the path in
+  the error message is the same in every recording;
 - ``demo medical``, ``demo spin`` (also with non-finite ``--delta-degrees``,
   at 7 angles x 3 seeds, and with ``--samples`` 0, -5, 10^7 + 1 and 10^30,
   outside its range), ``demo reconstruct --dim 0..8`` for seeds 1, 7
@@ -54,7 +58,7 @@ import sys
 import tempfile
 import traceback
 import warnings
-from contextlib import redirect_stderr, redirect_stdout
+from contextlib import chdir, redirect_stderr, redirect_stdout
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -113,6 +117,11 @@ def _cases(workdir: str):
         yield from analyze(f"valid/{seed}", generate_valid_document(seed))
     for name, text in malformed_documents():
         yield from analyze(f"malformed/{name}", text, formats=("text",))
+    os.mkdir(os.path.join(workdir, "directory.json"))
+    with open(os.path.join(workdir, "not-utf8.json"), "wb") as fh:
+        fh.write(b"\xff\xfe{}")
+    for name in ("directory.json", "not-utf8.json"):
+        yield f"unreadable/{name}", ["analyze", name]
     yield "demo/medical", ["demo", "medical"]
     yield "demo/spin", ["demo", "spin"]
     for value in ("nan", "inf", "-inf"):
@@ -157,7 +166,7 @@ def record(tree: Path, out_path: Path) -> int:
     # the cases run before it
     warnings.simplefilter("always")
     cases = {}
-    with tempfile.TemporaryDirectory() as workdir:
+    with tempfile.TemporaryDirectory() as workdir, chdir(workdir):
         for name, argv in _cases(workdir):
             cases[name] = _run(cli, argv)
     tree_src = str((tree / "src").resolve())
