@@ -32,6 +32,7 @@ from .linalg import (
     Effect,
     Projector,
     StateVector,
+    _frozen,
     matrix_of,
 )
 from .variables import DecisionVariable, _spectral_sum, round_value
@@ -72,10 +73,13 @@ def transition_probability(from_state: StateVector, to_state: StateVector) -> fl
 
 def _born(state: State, m: np.ndarray) -> float:
     """Born rule for an operator matrix: <psi|M|psi> or trace(rho M)."""
-    _check_dims(state.dim, m.shape[0])
     if isinstance(state, StateVector):
-        return float(np.vdot(state.amplitudes, m @ state.amplitudes).real)
-    return float(np.vdot(state.matrix, m).real)  # trace(rho M), both Hermitian
+        a = state.amplitudes
+        _check_dims(a.size, m.shape[0])
+        return float(np.vdot(a, m @ a).real)
+    rho = state.matrix
+    _check_dims(rho.shape[0], m.shape[0])
+    return float(np.vdot(rho, m).real)  # trace(rho M), both Hermitian
 
 
 def _chain(state: State, projectors: Sequence[Projector]) -> tuple[np.ndarray, float]:
@@ -254,12 +258,12 @@ def _as_effect(f) -> Effect:
 
 def gpm_evaluate(state: State, f) -> float:
     """Generalized probability measure: trace(rho F), or <psi|F|psi>, for an effect F."""
-    return _born(state, _as_effect(f).matrix)
+    return _born(state, (f if isinstance(f, Effect) else _as_effect(f)).matrix)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GPMSample:
-    """One observed effect probability."""
+    """One observed effect probability; the effect may be given as a matrix, as to ``gpm_evaluate``."""
 
     effect: Effect
     probability: float
@@ -269,13 +273,21 @@ class GPMSample:
             raise InvariantViolation(
                 f"sample probability {self.probability!r} outside [0, 1]"
             )
+        if not isinstance(self.effect, Effect):
+            object.__setattr__(self, "effect", _as_effect(self.effect))
+
+
+@functools.lru_cache(maxsize=4)
+def _upper(r: int) -> tuple[np.ndarray, np.ndarray]:
+    """``np.triu_indices(r, 1)``, built once per dimension as arrays no caller can make writeable."""
+    return tuple(_frozen(a) for a in np.triu_indices(r, 1))
 
 
 @functools.lru_cache(maxsize=4)
 def _ic_basis(r: int) -> tuple[Effect, ...]:
     """The effects of ``ic_effect_basis(r)``, built once per dimension as views of one read-only stack."""
     eye = np.eye(r, dtype=complex)
-    j, k = np.triu_indices(r, 1)
+    j, k = _upper(r)
     pairs = (eye[j][:, None] + np.array([1.0, 1.0j])[:, None] * eye[k][:, None]) / np.sqrt(2.0)
     vectors = np.concatenate([eye, pairs.reshape(-1, r)])
     mats = vectors[:, :, None] * vectors.conj()[:, None, :]
@@ -298,7 +310,7 @@ def _hermitian_coords(mats: np.ndarray) -> np.ndarray:
     """Design matrix of a stack of n r x r matrices: trace(rho M_i) against the r diagonal
     parameters, then Re and Im of each upper entry (i < j, row-major), doubled for its mirror."""
     n, r, _ = mats.shape
-    i, j = np.triu_indices(r, 1)
+    i, j = _upper(r)
     re = 2 * (i * r + j)  # Re of entry (i, j) in a flattened matrix's float view; Im follows
     cols = np.concatenate([2 * (r + 1) * np.arange(r), np.stack([re, re + 1], axis=1).ravel()])
     design = np.take(np.ascontiguousarray(mats, dtype=complex).reshape(n, -1).view(np.float64), cols, axis=1)
@@ -308,7 +320,7 @@ def _hermitian_coords(mats: np.ndarray) -> np.ndarray:
 
 def _hermitian_from_coords(x: np.ndarray, r: int) -> np.ndarray:
     out = np.diag(x[:r].astype(complex))
-    i, j = np.triu_indices(r, 1)
+    i, j = _upper(r)
     out[i, j] = x[r::2] + 1j * x[r + 1::2]
     out[j, i] = x[r::2] - 1j * x[r + 1::2]
     return out
@@ -337,7 +349,7 @@ def _ic_fit(mu: np.ndarray, r: int) -> tuple[np.ndarray, float]:
     with p' = p + lam and d' = (p'_j + p'_k) / 2, rho_jj = p'_j, Re rho_jk = p+_jk - d', Im rho_jk = d' - pi_jk.
     """
     diag = mu[:r] + (1.0 - mu[:r].sum()) / r
-    j, k = np.triu_indices(r, 1)
+    j, k = _upper(r)
     mid, sign = (diag[j] + diag[k])[:, None] / 2.0, np.array([1.0, -1.0])
     x = np.concatenate([diag, ((mu[r:].reshape(-1, 2) - mid) * sign).ravel()])
     fitted = np.concatenate([diag, (mid + x[r:].reshape(-1, 2) * sign).ravel()])  # D x, by the family's forward map
@@ -362,11 +374,12 @@ def reconstruct_density(samples: Sequence[GPMSample]) -> DensityReconstruction:
     if not samples:
         raise InsufficientSpan("no samples given")
     r = samples[0].effect.dim
-    for s in samples:
-        _check_dims(r, s.effect.dim)
-
-    mu = np.array([s.probability for s in samples])
     ic = len(samples) == r * r and all(s.effect is f for s, f in zip(samples, _ic_basis(r)))
+    if not ic:  # the shared family holds r x r effects by construction
+        for s in samples:
+            _check_dims(r, s.effect.dim)
+
+    mu = np.fromiter((s.probability for s in samples), float, len(samples))
     if ic:  # the eigenvalues of G span [1 / l, l], l = (r + 1 + sqrt((r + 1)^2 - 4)) / 2
         cond = float((r + 1 + np.sqrt((r + 1) ** 2 - 4.0)) / 2.0) ** 2
     else:

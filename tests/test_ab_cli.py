@@ -1,4 +1,4 @@
-"""``tools/ab_cli.py``: one round of ``analyze_mix`` on two trees, interleaved, with equal output required."""
+"""``tools/ab_cli.py``: one round of a benchmark workload on two trees, interleaved, with equal output required."""
 
 import json
 import shutil
@@ -50,3 +50,17 @@ def test_each_rebuilt_command_line_reads_the_document_of_its_op(tmp_path):
         assert argv[0] == "analyze" and argv[2:] == ["--format", op.tags["fmt"]]
         document = json.loads(Path(argv[1]).read_text(encoding="utf-8"))
         assert document["dimension"] == op.tags["d"]
+
+
+def test_bulk_numeric_tree_against_itself_prints_every_tag_and_the_p50():
+    done = subprocess.run(
+        [sys.executable, str(SCRIPT), str(ROOT), str(ROOT), "--workload", "bulk_numeric", "--seed", "3", "--reps", "1"],
+        capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 0, done.stdout + done.stderr
+    lines = done.stdout.splitlines()
+    for tag in ("tomography r8 exact", "tomography r8 noisy", "tomography r16 exact", "tomography r32 noisy", "spin"):
+        assert any(line.startswith(tag + " ") for line in lines), tag
+    assert "round: 169 ops, identical output on both trees, 1 repeats, seed 3" in lines
+    assert lines[-2].startswith("latency_p50_ms  parent ")
+    assert lines[-1].startswith("throughput_ops_s  parent ")

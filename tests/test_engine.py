@@ -6,6 +6,7 @@ import pytest
 from qdecision import (
     DensityOperator,
     DimensionMismatch,
+    Effect,
     GPMSample,
     InconsistentSamples,
     InsufficientSpan,
@@ -28,6 +29,7 @@ from qdecision import (
     transition_probability,
     variable_from_spectrum,
 )
+from qdecision import engine
 
 from conftest import random_density, random_maximal_variable, random_state, rng_for
 
@@ -563,3 +565,43 @@ def test_reconstruct_clips_negative_minimizer():
     w = np.linalg.eigvalsh(rec.rho.matrix)
     assert w.min() >= -1e-12
     assert np.trace(rec.rho.matrix).real == pytest.approx(1.0, abs=1e-12)
+
+
+def test_raw_effect_matrices_reconstruct_like_their_effects():
+    # copies, not the shared family, so both lists take the generic path
+    rho = DensityOperator(random_density(3, rng_for(65)))
+    mats = [f.matrix.copy() for f in ic_effect_basis(3)]
+    probs = [gpm_evaluate(rho, m) for m in mats]
+    raw = reconstruct_density([GPMSample(m, p) for m, p in zip(mats, probs)])
+    typed = reconstruct_density([GPMSample(Effect(m), p) for m, p in zip(mats, probs)])
+    assert np.array_equal(raw.rho.matrix, typed.rho.matrix)
+    assert (raw.residual, raw.clipped, raw.min_eigenvalue, raw.condition_number) == (
+        typed.residual, typed.clipped, typed.min_eigenvalue, typed.condition_number)
+
+
+def test_gpm_sample_rejects_a_raw_non_effect():
+    with pytest.raises(InvalidEffect):
+        GPMSample(np.diag([2.0, 0.0]), 0.5)
+
+
+def test_r_squared_samples_of_mixed_dimensions_raise_the_first_mismatch():
+    two, three = ic_effect_basis(2), ic_effect_basis(3)
+    samples = [GPMSample(f, 0.5) for f in two[:2] + three[:2]]
+    with pytest.raises(DimensionMismatch, match=r"^dimensions differ: 2 vs 3$"):
+        reconstruct_density(samples)
+
+
+def test_ic_family_with_a_foreign_last_effect_raises_its_mismatch():
+    rho = DensityOperator(np.eye(3) / 3.0)
+    samples = exact_samples(rho)[:-1] + [GPMSample(ic_effect_basis(2)[0], 0.5)]
+    with pytest.raises(DimensionMismatch, match=r"^dimensions differ: 3 vs 2$"):
+        reconstruct_density(samples)
+
+
+@pytest.mark.parametrize("r", range(2, 33))
+def test_upper_index_table_is_triu_indices_and_read_only(r):
+    table = engine._upper(r)
+    assert all(np.array_equal(a, b) for a, b in zip(table, np.triu_indices(r, 1)))
+    for a in table:
+        with pytest.raises(ValueError):
+            a.setflags(write=True)
