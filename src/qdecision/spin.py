@@ -32,9 +32,14 @@ __all__ = [
 
 TWO_PI = 2.0 * math.pi
 
-# Samples per block of ``comparison_report``'s draw; its 0.6 MiB of buffers are made once per call and stay in
-# cache. At 10^6 samples 2^15 and 2^16 took 5.5 ms, 2^13 and 2^17 6.3 to 7 ms, one whole-draw block 12 ms.
+# Samples per block of ``comparison_report``'s draw; its one float and one bool buffer (288 KiB) are made once per
+# call and stay in cache. At 10^6 samples 2^15 to 2^17 took 3.0 to 3.1 ms, 2^13 3.7 ms, 2^20 4.3 ms.
 _BLOCK = 1 << 15
+# ``rng.random()`` returns u = k * 2**-53 for an integer 0 <= k < 2**53 (the top 53 bits of one 64-bit draw).
+_K = 1 << 53
+_U = 1.0 / _K
+# The double after 3*pi/2 (``3 * math.pi / 2`` rounds below it): the least double above pi with cos >= 0.
+_C3 = math.nextafter(3 * math.pi / 2, math.inf)
 
 
 @dataclass(frozen=True)
@@ -44,7 +49,8 @@ class Direction:
     angle: float
 
     def __post_init__(self):
-        object.__setattr__(self, "angle", float(self.angle) % TWO_PI)
+        angle = float(self.angle) % TWO_PI  # a tiny negative angle rounds up to 2*pi itself
+        object.__setattr__(self, "angle", 0.0 if angle == TWO_PI else angle)
 
     @classmethod
     def from_degrees(cls, degrees: float) -> "Direction":
@@ -80,23 +86,64 @@ def _plus(a, phi: np.ndarray, out=None, x=None, spare=None) -> np.ndarray:
     """
     x = np.abs(np.subtract(_angle(a), phi, out=x), out=x)
     plus = np.less_equal(x, math.pi / 2, out=out)
-    plus |= np.greater_equal(x, math.nextafter(3 * math.pi / 2, math.inf), out=spare)
+    plus |= np.greater_equal(x, _C3, out=spare)
     big = np.greater_equal(x, TWO_PI, out=spare)
     if big.any():
         plus[big] = np.cos(x[big]) >= 0.0
     return plus
 
 
-def _draw(n: int, seed: int, block: int):
-    """``sample_phi(n, seed)`` bit for bit (0 + 2*pi*u is 2*pi*u), in blocks of at most ``block`` in one buffer."""
+def _plus_at(a: float, k: int) -> bool:
+    """``_plus`` at the draw's value u = k * 2**-53, in Python floats (they round as numpy does)."""
+    x = abs(a - k * _U * TWO_PI)
+    return x <= math.pi / 2 or x >= _C3 if x < TWO_PI else bool(np.cos(x) >= 0.0)
+
+
+def _first(pred, lo: int, hi: int, guess: int) -> int:
+    """The least k in [lo, hi) with ``pred(k)``, or ``hi``, for ``pred`` false and then true on [lo, hi); bisects
+    only the 2**13 values around ``guess`` when ``pred`` shows the change among them."""
+    guess = min(max(guess, lo), hi)
+    wlo, whi = max(lo, guess - 4096), min(hi, guess + 4096)
+    if (wlo == lo or not pred(wlo - 1)) and (whi == hi or pred(whi)):
+        lo, hi = wlo, whi
+    while lo < hi:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if pred(mid) else (mid + 1, hi)
+    return lo
+
+
+def _cuts(a: float) -> list[int]:
+    """Each k in (0, 2**53) where the spin along ``a`` at the draw's value k * 2**-53 differs from that at k - 1.
+
+    ``_plus`` reads u only through d = fl(a - fl(u * 2*pi)), which never increases with u. While d falls from one
+    multiple of pi to the next the answer flips at most once, near an odd multiple of pi/2, or, where a - phi
+    rounds to a coarse grid, at the stretch's first k. So the search walks those stretches of k and bisects each
+    whose ends differ. A non-finite ``a`` gives one d (or nan) throughout: no cut.
+    """
+    if not math.isfinite(a):
+        return []
+    cuts, k, plus = [], 0, _plus_at(a, 0)
+    while k < _K:
+        d = a - k * _U * TWO_PI
+        j = math.floor(d / math.pi)
+        t = min(j * math.pi, d)  # d itself where the rounding of a - phi skips that multiple of pi
+        end = _first(lambda i: a - i * _U * TWO_PI < t, k + 1, _K, int((a - t) / TWO_PI * _K))
+        if _plus_at(a, k) != plus:
+            cuts.append(k)
+            plus = not plus
+        if _plus_at(a, end - 1) != plus:
+            guess = int((a - (j + 0.5) * math.pi) / TWO_PI * _K)
+            cuts.append(_first(lambda i: _plus_at(a, i) != plus, k + 1, end - 1, guess))
+            plus = not plus
+        k = end
+    return cuts
+
+
+def _stream(n: int, seed: int) -> np.random.Generator:
+    """The first child stream of ``SeedSequence(seed)``, which each draw of ``n`` samples comes from."""
     if n < 1:
         raise ValueError(f"need at least one sample, got {n}")
-    rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
-    buf = np.empty(min(n, block))
-    for start in range(0, n, buf.size):
-        phi = rng.random(out=buf[: n - start])
-        phi *= TWO_PI
-        yield phi
+    return np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
 
 
 def sample_phi(n: int, seed: int) -> np.ndarray:
@@ -105,7 +152,9 @@ def sample_phi(n: int, seed: int) -> np.ndarray:
     Drawn from the first child stream of ``SeedSequence(seed)``, so the
     result for a given (seed, n) pair is always the same.
     """
-    return next(_draw(n, seed, n))
+    phi = _stream(n, seed).random(n)
+    phi *= TWO_PI  # 0 + 2*pi*u is 2*pi*u
+    return phi
 
 
 def classical_conditional(a, b, n: int, seed: int) -> float:
@@ -144,14 +193,24 @@ class SpinComparison:
 
 def comparison_report(a, b, n: int, seed: int) -> SpinComparison:
     """Classical (sampled and exact) against quantum conditionals, with the
-    sampled +1 marginals of both directions, all from one draw of ``n`` phi."""
-    x, masks = np.empty(_BLOCK), np.empty((3, _BLOCK), dtype=bool)
-    count_a = count_b = count_ab = 0
-    for phi in _draw(n, seed, _BLOCK):
-        plus_a, plus_b, spare = masks[:, : phi.size]
-        count_a += int(np.count_nonzero(_plus(a, phi, plus_a, x[: phi.size], spare)))
-        count_b += int(np.count_nonzero(_plus(b, phi, plus_b, x[: phi.size], spare)))
-        count_ab += int(np.count_nonzero(np.logical_and(plus_a, plus_b, out=spare)))
+    sampled +1 marginals of both directions, all from one draw of ``n`` phi.
+
+    Each spin is constant between the cuts of ``_cuts``, so the raw u are only counted below each cut, in blocks
+    of ``_BLOCK``: the counts of ``_plus`` on ``sample_phi(n, seed)``, bit for bit.
+    """
+    a, b = _angle(a), _angle(b)
+    edges = sorted({0, *_cuts(a), *_cuts(b)})
+    rng, bounds, below = _stream(n, seed), [k * _U for k in edges[1:]], [0] * len(edges)
+    u, mask = np.empty(min(n, _BLOCK)), np.empty(min(n, _BLOCK), dtype=bool)
+    for start in range(0, n, u.size):
+        block = rng.random(out=u[: n - start])
+        for i, bound in enumerate(bounds, 1):
+            below[i] += int(np.count_nonzero(np.less(block, bound, out=mask[: block.size])))
+    counts = np.diff([*below, n])  # samples in each stretch [edges[i], edges[i + 1]) of k
+    phi = np.array(edges) * _U * TWO_PI
+    plus_a, plus_b = _plus(a, phi), _plus(b, phi)
+    count_a, count_b = int(counts[plus_a].sum()), int(counts[plus_b].sum())
+    count_ab = int(counts[plus_a & plus_b].sum())
     if count_a == 0:
         raise DegenerateConditioning("no sample produced spin +1 along the first direction")
     analytic = classical_conditional_analytic(a, b)
