@@ -33,6 +33,7 @@ from .linalg import (
     Projector,
     StateVector,
     _frozen,
+    _norm,
     matrix_of,
 )
 from .variables import DecisionVariable, _spectral_sum, round_value
@@ -93,7 +94,7 @@ def _chain(state: State, projectors: Sequence[Projector]) -> tuple[np.ndarray, f
         for p in projectors:
             _check_dims(phi.size, p.dim)
             phi = p.matrix @ phi
-        return phi, float(np.linalg.norm(phi) ** 2)
+        return phi, float(_norm(phi) ** 2)
     rho = state.matrix
     for p in projectors:
         _check_dims(rho.shape[0], p.dim)
@@ -353,7 +354,7 @@ def _ic_fit(mu: np.ndarray, r: int) -> tuple[np.ndarray, float]:
     mid, sign = (diag[j] + diag[k])[:, None] / 2.0, np.array([1.0, -1.0])
     x = np.concatenate([diag, ((mu[r:].reshape(-1, 2) - mid) * sign).ravel()])
     fitted = np.concatenate([diag, (mid + x[r:].reshape(-1, 2) * sign).ravel()])  # D x, by the family's forward map
-    return _hermitian_from_coords(x, r), float(np.linalg.norm(fitted - mu))
+    return _hermitian_from_coords(x, r), float(_norm(fitted - mu))
 
 
 def reconstruct_density(samples: Sequence[GPMSample]) -> DensityReconstruction:
@@ -402,7 +403,7 @@ def reconstruct_density(samples: Sequence[GPMSample]) -> DensityReconstruction:
         raw = _hermitian_from_coords(x0 + ((1.0 - x0[:r].sum()) / g[:r].sum()) * g, r)
         # a second copy of the effects: holding the first stack or using the design instead raised peak RSS
         fitted = np.reshape(mats, (len(mats), -1)) @ raw.T.ravel()  # trace(raw F_i)
-        residual = float(np.linalg.norm(fitted.real - mu))
+        residual = float(_norm(fitted.real - mu))
     if not (residual <= tol.NOISE_BOUND):
         raise InconsistentSamples(
             f"least-squares residual {residual:.3e} exceeds noise bound {tol.NOISE_BOUND:.1e}"

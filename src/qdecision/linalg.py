@@ -14,6 +14,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from . import tolerances as tol
 from .errors import (
@@ -57,6 +58,14 @@ def matrix_of(m) -> np.ndarray:
     return as_complex_matrix(m)
 
 
+def _norm(x: np.ndarray) -> np.floating:
+    """``np.linalg.norm(x)``, a vector's 2-norm or a matrix's Frobenius norm, by numpy's own arithmetic without its dispatch."""
+    x = x.ravel(order="K")
+    if x.dtype.kind == "c":
+        return np.sqrt(x.real.dot(x.real) + x.imag.dot(x.imag))
+    return np.sqrt(x.dot(x))
+
+
 def _frozen(arr: np.ndarray) -> np.ndarray:
     """A read-only view of ``arr`` that cannot be made writeable again: ``arr`` and its memory's owner are frozen."""
     (arr if arr.base is None else arr.base).setflags(write=False)
@@ -85,7 +94,7 @@ class StateVector(_Immutable):
             raise DimensionMismatch("state vector cannot be empty")
         if not np.all(np.isfinite(arr)):
             raise InvariantViolation("state vector contains non-finite entries")
-        nrm = float(np.linalg.norm(arr))
+        nrm = float(_norm(arr))
         if not (abs(nrm - 1.0) <= tol.UNIT_NORM_TOL):
             raise InvariantViolation(
                 f"state vector violates the unit-norm invariant: ||psi|| = {nrm!r}"
@@ -150,7 +159,7 @@ class Projector(HermitianOperator):
     def __init__(self, matrix):
         super().__init__(matrix)
         m = self.matrix
-        idem_dev = float(np.linalg.norm(m @ m - m, "fro"))
+        idem_dev = float(_norm(m @ m - m))
         if not (idem_dev <= tol.PROJECTOR_IDEM_TOL):
             raise InvariantViolation(
                 f"projector violates idempotence: ||P@P - P||_F = {idem_dev:.3e} > {tol.PROJECTOR_IDEM_TOL:.1e}"
@@ -252,8 +261,8 @@ def hermitian_eig(a) -> SpectralDecomposition:
     arr = matrix_of(a)
     if arr.shape[0] != arr.shape[1]:
         raise DimensionMismatch(f"eigendecomposition requires a square matrix, got {arr.shape}")
-    nrm = float(np.linalg.norm(arr, "fro"))
-    asym = float(np.linalg.norm(arr - arr.conj().T, "fro"))
+    nrm = float(_norm(arr))
+    asym = float(_norm(arr - arr.conj().T))
     if asym > tol.HERMITIAN_REL_TOL * max(nrm, np.finfo(float).tiny):
         raise NotHermitian(
             f"matrix is not Hermitian: ||A - A^dag||_F = {asym:.3e} vs ||A||_F = {nrm:.3e}"
@@ -282,7 +291,7 @@ def hermitian_eig(a) -> SpectralDecomposition:
             v[:, g] = v[:, order]
             w[g] = w[order]
 
-    residual = float(np.linalg.norm(arr - (v * w) @ v.conj().T, "fro"))
+    residual = float(_norm(arr - (v * w) @ v.conj().T))
     if residual > tol.EIG_RESIDUAL_TOL * max(1.0, nrm):
         raise NoConvergence(
             f"eigendecomposition residual {residual:.3e} exceeds contract"
@@ -293,9 +302,11 @@ def hermitian_eig(a) -> SpectralDecomposition:
 
 
 def _span_projection(cols: np.ndarray) -> np.ndarray:
-    """Orthogonal projection matrix onto the span of independent columns,
-    made exactly self-adjoint; on a stack of such matrices, one per matrix."""
-    q, _ = np.linalg.qr(cols)
+    """Orthogonal projection matrix onto the span of independent columns, made exactly self-adjoint; on a stack of
+    such matrices, one per matrix. Q is bit for bit ``np.linalg.qr``'s, from the gufuncs it calls but without its
+    dispatch, error state and unread R: LAPACK flags only malformed arguments, and on any columns it returns the same Q."""
+    a = cols.astype(complex)  # qr_r_raw overwrites this copy with the reflectors
+    q = _umath_linalg.qr_reduced(a, _umath_linalg.qr_r_raw(a, signature="D->D"), signature="DD->D")
     p = q @ q.conj().swapaxes(-1, -2)
     return (p + p.conj().swapaxes(-1, -2)) / 2.0
 

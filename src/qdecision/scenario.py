@@ -54,7 +54,7 @@ from .errors import (
     ScenarioValidationError,
     UnknownValue,
 )
-from .linalg import DensityOperator, StateVector
+from .linalg import DensityOperator, StateVector, _norm
 from .phenomena import (
     conjunction_report,
     sure_thing_check,
@@ -470,7 +470,7 @@ def _reconstruct_check(s: Scenario, p: dict[str, Any]):
     effects = ic_effect_basis(s.dimension)
     rec = reconstruct_density([GPMSample(f, gpm_evaluate(rho, f)) for f in effects])
     outputs = [
-        ("roundtrip_error", float(np.linalg.norm(rec.rho.matrix - rho.matrix, "fro"))),
+        ("roundtrip_error", float(_norm(rec.rho.matrix - rho.matrix))),
         ("residual", rec.residual),
         ("gram_condition", rec.condition_number),
         ("min_eigenvalue", rec.min_eigenvalue),

@@ -77,17 +77,16 @@ def spin_component(a, phi):
     return int(out) if out.ndim == 0 else out
 
 
-def _plus(a, phi: np.ndarray, out=None, x=None, spare=None) -> np.ndarray:
+def _plus(a, phi: np.ndarray) -> np.ndarray:
     """Mask of the samples whose spin along ``a`` is +1 (cos = 0 counts as +1): ``np.cos(a - phi) >= 0``.
 
     For 0 <= x = |a - phi| < 2*pi, cos(x) >= 0 exactly when x <= pi/2 (``math.pi / 2`` is the largest double
     below pi/2) or x >= 3*pi/2 (the double after ``3 * math.pi / 2``, which rounds below). Larger x use ``np.cos``.
-    ``out``, ``x``, ``spare``: optional bool, float and bool buffers shaped like ``phi``; the mask lands in ``out``.
     """
-    x = np.abs(np.subtract(_angle(a), phi, out=x), out=x)
-    plus = np.less_equal(x, math.pi / 2, out=out)
-    plus |= np.greater_equal(x, _C3, out=spare)
-    big = np.greater_equal(x, TWO_PI, out=spare)
+    x = np.abs(_angle(a) - phi)
+    plus = x <= math.pi / 2
+    plus |= x >= _C3
+    big = x >= TWO_PI
     if big.any():
         plus[big] = np.cos(x[big]) >= 0.0
     return plus

@@ -9,6 +9,7 @@ all expressed on that spectral data.
 from __future__ import annotations
 
 from collections.abc import Callable, Sequence
+from contextlib import nullcontext
 
 import numpy as np
 
@@ -27,6 +28,7 @@ from .linalg import (
     Projector,
     StateVector,
     _frozen,
+    _norm,
     _span_projection,
     matrix_of,
 )
@@ -56,7 +58,7 @@ class UnitaryOperator:
         arr = matrix_of(matrix).copy()
         if arr.shape[0] != arr.shape[1]:
             raise DimensionMismatch(f"unitary must be square, got {arr.shape}")
-        dev = float(np.linalg.norm(arr.conj().T @ arr - np.eye(arr.shape[0]), "fro"))
+        dev = float(_norm(arr.conj().T @ arr - np.eye(arr.shape[0])))
         if not (dev <= tol.UNITARY_TOL):
             raise NotUnitary(f"||W^dag W - I||_F = {dev:.3e} > {tol.UNITARY_TOL:.1e}")
         self.matrix = _frozen(arr)
@@ -67,14 +69,15 @@ class UnitaryOperator:
 
 
 def _spectral_sum(values: Sequence[float], projectors: Sequence[Projector]) -> np.ndarray | None:
-    """``sum_j u_j P_j`` made exactly self-adjoint, or None when it is not finite: a NaN or
-    infinite ``u_j`` is caught before any arithmetic, finite ones whose sum overflows after it."""
+    """``sum_j u_j P_j`` made exactly self-adjoint, or None when it is not finite: a NaN or infinite ``u_j`` is caught
+    before any arithmetic, finite ones whose sum overflows after it, unless all m are below 1e300 / m and cannot overflow."""
     if not np.isfinite(values).all():
         return None
-    with np.errstate(over="ignore", invalid="ignore"):
+    bounded = max(map(abs, values)) < 1e300 / len(projectors)  # no entry of a projector exceeds 1 in size
+    with nullcontext() if bounded else np.errstate(over="ignore", invalid="ignore"):
         op = sum(u * p.matrix for u, p in zip(values, projectors))
         op = (op + op.conj().T) / 2.0
-    return op if np.isfinite(op).all() else None
+    return op if bounded or np.isfinite(op).all() else None
 
 
 class DecisionVariable:
@@ -106,13 +109,13 @@ class DecisionVariable:
                 f"projector ranks sum to {sum(p.rank for p in projectors)}, expected {r}"
             )
         total = sum(p.matrix for p in projectors)
-        if not (float(np.linalg.norm(total - np.eye(r), "fro")) <= tol.ORTHONORMALITY_TOL):
+        if not (float(_norm(total - np.eye(r))) <= tol.ORTHONORMALITY_TOL):
             raise NonOrthonormalBasis(
                 f"eigenprojectors of {name!r} do not resolve the identity"
             )
         for i in range(len(projectors)):
             for j in range(i + 1, len(projectors)):
-                cross = float(np.linalg.norm(projectors[i].matrix @ projectors[j].matrix, "fro"))
+                cross = float(_norm(projectors[i].matrix @ projectors[j].matrix))
                 if not (cross <= tol.ORTHONORMALITY_TOL):
                     raise NonOrthonormalBasis(
                         f"eigenprojectors {i} and {j} of {name!r} are not orthogonal"
@@ -206,7 +209,7 @@ def variable_from_spectrum(
             f"total eigenvector count {len(basis)} must equal the dimension {r}"
         )
     # a NaN or infinite entry leaves the Gram deviation undefined, so it is not computed
-    gram_dev = float(np.linalg.norm(basis.conj() @ basis.T - np.eye(r), "fro")) if np.isfinite(basis).all() else np.nan
+    gram_dev = float(_norm(basis.conj() @ basis.T - np.eye(r))) if np.isfinite(basis).all() else np.nan
     if not (gram_dev <= tol.ORTHONORMALITY_TOL):
         raise NonOrthonormalBasis(
             f"eigenbasis is not orthonormal: ||V^dag V - I||_F = {gram_dev:.3e}"
@@ -276,7 +279,7 @@ def is_one_to_one_related(v1: DecisionVariable, v2: DecisionVariable) -> bool:
     unused = list(v2.eigenprojectors)
     for p in v1.eigenprojectors:
         for k, q in enumerate(unused):
-            if float(np.linalg.norm(p.matrix - q.matrix, "fro")) <= tol.PROJECTOR_MATCH_TOL:
+            if float(_norm(p.matrix - q.matrix)) <= tol.PROJECTOR_MATCH_TOL:
                 del unused[k]
                 break
         else:

@@ -64,3 +64,47 @@ def test_bulk_numeric_tree_against_itself_prints_every_tag_and_the_p50():
     assert "round: 169 ops, identical output on both trees, 1 repeats, seed 3" in lines
     assert lines[-2].startswith("latency_p50_ms  parent ")
     assert lines[-1].startswith("throughput_ops_s  parent ")
+
+
+def test_engine_calls_tree_against_itself_prints_every_kind_and_dimension():
+    # the tree is imported under two package names, so equal reports are instances of two distinct classes
+    done = subprocess.run(
+        [sys.executable, str(SCRIPT), str(ROOT), str(ROOT), "--workload", "engine_calls", "--seed", "3", "--reps", "1"],
+        capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 0, done.stdout + done.stderr
+    lines = done.stdout.splitlines()
+    for kind in ("outcome_distribution", "expectation_of_function", "collapse", "conjunction_report", "sure_thing_check"):
+        for d in (2, 8, 16):
+            assert any(line.startswith(f"{kind} d{d} ") for line in lines), (kind, d)
+    assert "round: 576 ops, identical output on both trees, 1 repeats, seed 3" in lines
+    assert lines[-2].startswith("latency_p50_ms  parent ")
+    assert lines[-1].startswith("throughput_ops_s  parent ")
+
+
+def test_engine_results_of_two_trees_are_equal_by_value_and_differ_by_one_bit():
+    import dataclasses
+    import math
+
+    import numpy as np
+
+    from qdecision import StateVector
+    from qdecision.phenomena import ConjunctionReport
+
+    sys.path[:0] = [str(ROOT / "tools")]
+    try:
+        import ab_cli
+    finally:
+        del sys.path[0]
+    # the other tree's class: same name and fields, but not the same class
+    Other = dataclasses.make_dataclass("ConjunctionReport", [f.name for f in dataclasses.fields(ConjunctionReport)])
+    values = [0.25, 0.5, 0.125, 0.0625, False, 0.0625]
+    report = ConjunctionReport(*values)
+    assert ab_cli._same(report, Other(*values))
+    assert not ab_cli._same(report, Other(*values[:2], math.nextafter(0.125, 1.0), *values[3:]))
+    psi = StateVector([0.6, 0.8])
+    assert ab_cli._same(psi, StateVector([0.6, 0.8]))
+    assert not ab_cli._same(psi, StateVector([0.6, math.nextafter(0.8, 1.0)]))
+    assert ab_cli._same(0.5, np.float64(0.5)) and not ab_cli._same(0.5, math.nextafter(0.5, 1.0))
+    # any other result is compared by ==, not taken for a dataclass
+    assert ab_cli._same(None, None) and ab_cli._same({"p": 1}, {"p": 1}) and not ab_cli._same(1, 2)

@@ -194,14 +194,6 @@ def cosine_mask(a, phi):
     return np.cos(a - phi) >= 0.0
 
 
-def buffered_plus(a, phi):
-    """``_plus`` through output buffers whose stale contents must not show in the mask."""
-    out, x, spare = np.ones(phi.shape, bool), np.full(phi.shape, np.nan), np.ones(phi.shape, bool)
-    mask = _plus(a, phi, out, x, spare)
-    assert mask is out
-    return mask
-
-
 def doubles_around(x, count=30):
     below, above, out = x, x, [x]
     for _ in range(count):
@@ -215,7 +207,6 @@ def test_plus_mask_is_the_cosine_sign_at_every_quarter_turn(a):
     # phi such that a - phi lands on the doubles around k * pi/2, where cos changes sign or peaks
     phi = np.array([a - x for k in range(-6, 7) for x in doubles_around(k * math.pi / 2)])
     assert np.array_equal(_plus(a, phi), cosine_mask(a, phi))
-    assert np.array_equal(buffered_plus(a, phi), _plus(a, phi))
 
 
 @pytest.mark.parametrize("a", [7.0, -3.0, 100.0])
@@ -224,7 +215,6 @@ def test_plus_mask_is_the_cosine_sign_on_raw_angles(a):
     phi[:3] = [math.inf, -math.inf, math.nan]
     with np.errstate(invalid="ignore"):  # cos of inf
         assert np.array_equal(_plus(a, phi), cosine_mask(a, phi))
-        assert np.array_equal(buffered_plus(a, phi), _plus(a, phi))
     assert np.array_equal(_plus(a, phi[3:]), cosine_mask(a, phi[3:]))
 
 
@@ -234,7 +224,6 @@ def test_plus_mask_is_the_cosine_sign_on_sampled_directions(seed):
     for degrees in (0.0, 10.0, 60.0, 90.0, 135.0, 180.0, 270.0, 359.9):
         a = Direction.from_degrees(degrees).angle
         assert np.array_equal(_plus(a, phi), cosine_mask(a, phi)), degrees
-        assert np.array_equal(buffered_plus(a, phi), _plus(a, phi)), degrees
 
 
 # ---------------------------------------------------------------------------

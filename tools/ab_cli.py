@@ -4,7 +4,7 @@
 
 The script imports ``qdecision`` from ``PARENT_TREE/src`` and from
 ``CHANGE_TREE/src`` under two package names, and builds one round of
-workload W (``analyze_mix``, the default, or ``bulk_numeric``) for seed N
+workload W (``analyze_mix``, the default, ``engine_calls`` or ``bulk_numeric``) for seed N
 with ``bench/workloads.py`` of the checkout it lives in, read only, as
 ``tools/report_diff.py`` does. Then it runs every op of the round R times on
 each tree, the two trees back to back and taking turns to go first, and
@@ -13,22 +13,26 @@ keeps the fastest timing of each op's inputs on each tree, as
 
 ``analyze_mix`` is built once: each op's command line is rebuilt from the
 round's documents and the op's format tag and run on each tree's CLI.
-``bulk_numeric`` is built once per tree, with ``qdecision`` pointing at that
-tree's package, since the workload's factory imports it by name; the seed
-fixes the inputs, so the two rounds hold the same ops in the same order.
+``engine_calls`` and ``bulk_numeric`` are built once per tree, with
+``qdecision`` pointing at that tree's package, since the workload's factory
+and its preparation import it by name; the seed fixes the inputs, so the two
+rounds hold the same ops in the same order.
 
 On every repeat the two trees' results must be equal: exit code, stdout
-and stderr for a CLI call; for a reconstruction, ``rho.matrix`` bit for bit
-and its ``residual``, ``clipped``, ``min_eigenvalue`` and
-``condition_number``. On the first, the workload's own check must accept
-each op's result on both trees. At the first op where the trees differ, or
-whose check fails, the script prints the op and exits 1. Otherwise it prints the summed
-fastest latencies on each tree and their ratio, parent over change, so that
-above 1 is a speedup: per document kind and per report format for
-``analyze_mix``; per ``(op, r, noisy)`` tag for ``bulk_numeric``, with the
-median latency of each tag's ops and its ratio next to it. The row for the
-whole round is the ratio of ``throughput_ops_s``, and for ``bulk_numeric``
-also of ``latency_p50_ms``.
+and stderr for a CLI call; a number, or the compared fields of a report
+dataclass, by ``==``; a collapsed state's amplitudes bit for bit; for a
+reconstruction, ``rho.matrix`` bit for bit and its ``residual``,
+``clipped``, ``min_eigenvalue`` and ``condition_number``. On the first, the
+workload's own check must accept each op's result on both trees. At the
+first op where the trees differ, or whose check fails, the script prints
+the op and exits 1. Otherwise it prints the summed fastest latencies on
+each tree and their ratio, parent over change, so that above 1 is a
+speedup: per document kind and per report format for ``analyze_mix``; per
+``(op, d)`` tag for ``engine_calls`` and ``(op, r, noisy)`` tag for
+``bulk_numeric``, with the median latency of each tag's ops and its ratio
+next to it. The row for the whole round is the ratio of
+``throughput_ops_s``, and for ``engine_calls`` and ``bulk_numeric`` also of
+``latency_p50_ms``.
 
 Why interleave: on a shared host a core's speed drifts for seconds at a
 time, so two ``bench/run.py`` runs of one tree can differ by a third. Ops
@@ -38,6 +42,7 @@ that run back to back see the same drift, and their ratio does not.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import importlib
 import importlib.util
 import math
@@ -52,7 +57,7 @@ import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 TREES = ("parent", "change")
-WORKLOADS = ("analyze_mix", "bulk_numeric")
+WORKLOADS = ("analyze_mix", "engine_calls", "bulk_numeric")
 RECONSTRUCTION_FIELDS = ("residual", "clipped", "min_eigenvalue", "condition_number")
 
 
@@ -103,24 +108,39 @@ def _rounds(name: str, seed: int, clis, workdir: str):
     return [(ops[0].tags, "", [op.run for op in ops], [op.check for op in ops]) for ops in zip(*built)]
 
 
+def _compared(report) -> tuple:
+    """A report dataclass's class name and compared fields. The two trees' classes are distinct, so ``==`` on the
+    reports themselves is false even when every field is equal."""
+    return type(report).__name__, [getattr(report, f.name) for f in dataclasses.fields(report) if f.compare]
+
+
 def _same(a, b) -> bool:
-    """Equal results: a CLI call's (exit, stdout, stderr), or a reconstruction bit for bit."""
-    if isinstance(a, tuple):
-        return a == b
-    return np.array_equal(a.rho.matrix, b.rho.matrix) and all(getattr(a, k) == getattr(b, k) for k in RECONSTRUCTION_FIELDS)
+    """Equal results: a collapsed state's amplitudes or a reconstruction bit for bit; a report dataclass of either
+    tree by its compared fields; anything else, a CLI call's (exit, stdout, stderr) or a number, by ``==``."""
+    if hasattr(a, "amplitudes"):
+        return np.array_equal(a.amplitudes, b.amplitudes)
+    if hasattr(a, "rho"):
+        return np.array_equal(a.rho.matrix, b.rho.matrix) and all(getattr(a, k) == getattr(b, k) for k in RECONSTRUCTION_FIELDS)
+    if dataclasses.is_dataclass(a):
+        return _compared(a) == _compared(b)
+    return a == b
 
 
 def _describe(result) -> str:
     if isinstance(result, tuple):
         code, out, err = result
         return f"exit {code}, {len(out)} bytes of stdout, stderr {err[:200]!r}"
-    return ", ".join(f"{k} {getattr(result, k)!r}" for k in RECONSTRUCTION_FIELDS)
+    if hasattr(result, "amplitudes"):
+        return repr(result.amplitudes)
+    if hasattr(result, "rho"):
+        return ", ".join(f"{k} {getattr(result, k)!r}" for k in RECONSTRUCTION_FIELDS)
+    return repr(result)
 
 
 def _tag_key(tags: dict) -> str:
-    if "r" not in tags:
-        return tags["op"]
-    return f"{tags['op']} r{tags['r']} {'noisy' if tags['noisy'] else 'exact'}"
+    if "r" in tags:
+        return f"{tags['op']} r{tags['r']} {'noisy' if tags['noisy'] else 'exact'}"
+    return f"{tags['op']} d{tags['d']}" if "d" in tags else tags["op"]
 
 
 def _print_table(title: str, rows: dict[str, list[list[float]]], *, width: int = 12, p50: bool = False) -> None:
@@ -181,11 +201,11 @@ def main() -> int:
             row = rows.setdefault(_tag_key(tags) if key == "op" else str(tags[key]), [[], []])
             row[0].append(times[0])
             row[1].append(times[1])
-        _print_table(key, rows, width=22 if key == "op" else 12, p50=key == "op")
+        _print_table(key, rows, width=max(22, *map(len, rows)) if key == "op" else 12, p50=key == "op")
         print()
     parent, change = ([b[t] for b in best] for t in (0, 1))
     print(f"round: {len(ops)} ops, identical output on both trees, {args.reps} repeats, seed {args.seed}")
-    if args.workload == "bulk_numeric":
+    if args.workload != "analyze_mix":
         mp, mc = statistics.median(parent), statistics.median(change)
         print(f"latency_p50_ms  parent {mp * 1e3:.4f}  change {mc * 1e3:.4f}  ratio {mp / mc:.3f}")
     print(f"throughput_ops_s  parent {len(ops) / sum(parent):.1f}  change {len(ops) / sum(change):.1f}  ratio {sum(parent) / sum(change):.3f}")
