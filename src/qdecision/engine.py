@@ -13,6 +13,7 @@ from __future__ import annotations
 import functools
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 import numpy as np
 
@@ -33,6 +34,7 @@ from .linalg import (
     Projector,
     StateVector,
     _frozen,
+    _Immutable,
     _norm,
     matrix_of,
 )
@@ -103,12 +105,16 @@ def _chain(state: State, projectors: Sequence[Projector]) -> tuple[np.ndarray, f
 
 
 def event_probability(state: State, projector: Projector | Effect) -> float:
-    """Probability of the event carried by a projector (or effect).
+    """Probability of the event carried by a projector (or effect, which may be a raw matrix as to ``gpm_evaluate``).
 
     ``<psi|M|psi>`` for a vector state (equal to ``||P psi||^2`` when M is
     a projector), ``trace(rho M)`` for a density.
     """
-    return _born(state, projector.matrix)
+    try:
+        m = projector.matrix
+    except AttributeError:
+        m = _as_effect(projector).matrix
+    return _born(state, m)
 
 
 def collapse_onto(state: State, projector: Projector) -> State:
@@ -203,7 +209,7 @@ def expectation_of_function(state: State, v: DecisionVariable, f) -> float:
     return _born(state, op)
 
 
-class LikelihoodTable:
+class LikelihoodTable(_Immutable):
     """Per-value likelihoods p(z | v = u_j) for a finite set of data labels.
 
     ``entries`` maps each data label to a sequence of probabilities, one per
@@ -215,7 +221,7 @@ class LikelihoodTable:
         m = len(variable.values)
         table: dict[str, np.ndarray] = {}
         for label, row in entries.items():
-            arr = np.asarray(row, dtype=float)
+            arr = np.array(row, dtype=float)
             if arr.size != m:
                 raise DimensionMismatch(
                     f"label {label!r} has {arr.size} entries, expected {m}"
@@ -234,7 +240,7 @@ class LikelihoodTable:
                 f"likelihoods must sum to 1 over labels for every value, got {col_sums}"
             )
         self.variable = variable
-        self.entries = table
+        self.entries = MappingProxyType(table)
 
 
 def likelihood_effect(table: LikelihoodTable, z: str) -> Effect:

@@ -314,7 +314,8 @@ def _span_projection(cols: np.ndarray) -> np.ndarray:
 def projector_onto_span(vectors: Sequence[StateVector | np.ndarray]) -> Projector:
     """Orthogonal projector onto the span of the given vectors.
 
-    Raises ``DegenerateSpan`` if the vectors are linearly dependent within
+    Raises ``InvariantViolation`` if an entry is NaN or infinite, and
+    ``DegenerateSpan`` if the vectors are linearly dependent within
     ``SPAN_RANK_TOL`` (smallest singular value of the stacked columns).
     """
     if not vectors:
@@ -324,6 +325,8 @@ def projector_onto_span(vectors: Sequence[StateVector | np.ndarray]) -> Projecto
     )
     if cols.shape[1] > cols.shape[0]:
         raise DegenerateSpan(f"{cols.shape[1]} vectors cannot be independent in dimension {cols.shape[0]}")
+    if not np.isfinite(cols).all():
+        raise InvariantViolation("vectors to project onto contain non-finite entries")
     sing = np.linalg.svd(cols, compute_uv=False)
     if sing.min() <= tol.SPAN_RANK_TOL:
         raise DegenerateSpan(

@@ -58,12 +58,13 @@ class Direction:
 
 
 def _angle(d) -> float:
-    return d.angle if isinstance(d, Direction) else float(d)
+    """The angle of ``d`` in [0, 2*pi): a raw number is read as its ``Direction``, and a non-finite one as nan."""
+    return d.angle if isinstance(d, Direction) else Direction(d).angle
 
 
 def angular_separation(a, b) -> float:
     """Separation of two directions in [0, pi]."""
-    d = abs(_angle(a) - _angle(b)) % TWO_PI
+    d = abs(_angle(a) - _angle(b))
     return min(d, TWO_PI - d)
 
 
@@ -72,69 +73,32 @@ def spin_component(a, phi):
 
     Accepts a scalar phi or an array of phi samples.
     """
-    phi = np.asarray(phi, dtype=float)
-    out = np.where(_plus(a, phi.reshape(-1)), 1, -1).reshape(phi.shape)
+    out = np.where(np.cos(_angle(a) - np.asarray(phi, dtype=float)) >= 0.0, 1, -1)
     return int(out) if out.ndim == 0 else out
 
 
-def _plus(a, phi: np.ndarray) -> np.ndarray:
-    """Mask of the samples whose spin along ``a`` is +1 (cos = 0 counts as +1): ``np.cos(a - phi) >= 0``.
-
-    For 0 <= x = |a - phi| < 2*pi, cos(x) >= 0 exactly when x <= pi/2 (``math.pi / 2`` is the largest double
-    below pi/2) or x >= 3*pi/2 (the double after ``3 * math.pi / 2``, which rounds below). Larger x use ``np.cos``.
-    """
-    x = np.abs(_angle(a) - phi)
-    plus = x <= math.pi / 2
-    plus |= x >= _C3
-    big = x >= TWO_PI
-    if big.any():
-        plus[big] = np.cos(x[big]) >= 0.0
-    return plus
-
-
-def _plus_at(a: float, k: int) -> bool:
-    """``_plus`` at the draw's value u = k * 2**-53, in Python floats (they round as numpy does)."""
-    x = abs(a - k * _U * TWO_PI)
-    return x <= math.pi / 2 or x >= _C3 if x < TWO_PI else bool(np.cos(x) >= 0.0)
-
-
-def _first(pred, lo: int, hi: int, guess: int) -> int:
-    """The least k in [lo, hi) with ``pred(k)``, or ``hi``, for ``pred`` false and then true on [lo, hi); bisects
-    only the 2**13 values around ``guess`` when ``pred`` shows the change among them."""
-    guess = min(max(guess, lo), hi)
-    wlo, whi = max(lo, guess - 4096), min(hi, guess + 4096)
-    if (wlo == lo or not pred(wlo - 1)) and (whi == hi or pred(whi)):
-        lo, hi = wlo, whi
-    while lo < hi:
-        mid = (lo + hi) // 2
-        lo, hi = (lo, mid) if pred(mid) else (mid + 1, hi)
-    return lo
+# For |d| < 2*pi, cos(d) >= 0 exactly when |d| <= pi/2 (``math.pi / 2`` is the largest double below pi/2) or
+# |d| >= _C3. So as d falls the spin turns -1 below _C3, +1 at pi/2, -1 below -pi/2 and +1 at -_C3: it changes
+# where d first falls below each of these four bounds.
+_BOUNDS = (_C3, math.nextafter(math.pi / 2, math.inf), -math.pi / 2, math.nextafter(-_C3, math.inf))
 
 
 def _cuts(a: float) -> list[int]:
-    """Each k in (0, 2**53) where the spin along ``a`` at the draw's value k * 2**-53 differs from that at k - 1.
+    """Each k in (0, 2**53) where the spin along ``a`` (in [0, 2*pi), or nan) at the draw's value k * 2**-53
+    differs from that at k - 1, in increasing order.
 
-    ``_plus`` reads u only through d = fl(a - fl(u * 2*pi)), which never increases with u. While d falls from one
-    multiple of pi to the next the answer flips at most once, near an odd multiple of pi/2, or, where a - phi
-    rounds to a coarse grid, at the stretch's first k. So the search walks those stretches of k and bisects each
-    whose ends differ. A non-finite ``a`` gives one d (or nan) throughout: no cut.
+    The spin reads u only through d(k) = fl(a - fl(k * 2**-53 * 2*pi)), which lies in [a - 2*pi, a] and never
+    increases with k; so each bound that d crosses gives one cut, found by one bisection over k. A nan ``a``
+    crosses none.
     """
-    if not math.isfinite(a):
-        return []
-    cuts, k, plus = [], 0, _plus_at(a, 0)
-    while k < _K:
-        d = a - k * _U * TWO_PI
-        j = math.floor(d / math.pi)
-        t = min(j * math.pi, d)  # d itself where the rounding of a - phi skips that multiple of pi
-        end = _first(lambda i: a - i * _U * TWO_PI < t, k + 1, _K, int((a - t) / TWO_PI * _K))
-        if _plus_at(a, k) != plus:
-            cuts.append(k)
-            plus = not plus
-        if _plus_at(a, end - 1) != plus:
-            guess = int((a - (j + 0.5) * math.pi) / TWO_PI * _K)
-            cuts.append(_first(lambda i: _plus_at(a, i) != plus, k + 1, end - 1, guess))
-            plus = not plus
-        k = end
+    cuts = []
+    for t in _BOUNDS:
+        lo, hi = 0, _K - 1
+        if a >= t > a - hi * _U * TWO_PI:  # d(lo) >= t > d(hi)
+            while hi - lo > 1:
+                mid = (lo + hi) // 2
+                lo, hi = (mid, hi) if a - mid * _U * TWO_PI >= t else (lo, mid)
+            cuts.append(hi)
     return cuts
 
 
@@ -195,7 +159,7 @@ def comparison_report(a, b, n: int, seed: int) -> SpinComparison:
     sampled +1 marginals of both directions, all from one draw of ``n`` phi.
 
     Each spin is constant between the cuts of ``_cuts``, so the raw u are only counted below each cut, in blocks
-    of ``_BLOCK``: the counts of ``_plus`` on ``sample_phi(n, seed)``, bit for bit.
+    of ``_BLOCK``: the counts of ``spin_component`` on ``sample_phi(n, seed)``, bit for bit.
     """
     a, b = _angle(a), _angle(b)
     edges = sorted({0, *_cuts(a), *_cuts(b)})
@@ -207,7 +171,7 @@ def comparison_report(a, b, n: int, seed: int) -> SpinComparison:
             below[i] += int(np.count_nonzero(np.less(block, bound, out=mask[: block.size])))
     counts = np.diff([*below, n])  # samples in each stretch [edges[i], edges[i + 1]) of k
     phi = np.array(edges) * _U * TWO_PI
-    plus_a, plus_b = _plus(a, phi), _plus(b, phi)
+    plus_a, plus_b = spin_component(a, phi) == 1, spin_component(b, phi) == 1
     count_a, count_b = int(counts[plus_a].sum()), int(counts[plus_b].sum())
     count_ab = int(counts[plus_a & plus_b].sum())
     if count_a == 0:

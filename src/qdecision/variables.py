@@ -28,6 +28,7 @@ from .linalg import (
     Projector,
     StateVector,
     _frozen,
+    _Immutable,
     _norm,
     _span_projection,
     matrix_of,
@@ -51,7 +52,7 @@ def round_value(x: float) -> float:
     return float(f"{float(x):.{tol.VALUE_SIG_DIGITS}g}")
 
 
-class UnitaryOperator:
+class UnitaryOperator(_Immutable):
     """r x r matrix with W^dag W = I within tolerance."""
 
     def __init__(self, matrix):
@@ -80,7 +81,7 @@ def _spectral_sum(values: Sequence[float], projectors: Sequence[Projector]) -> n
     return op if bounded or np.isfinite(op).all() else None
 
 
-class DecisionVariable:
+class DecisionVariable(_Immutable):
     """Named variable with strictly increasing values and eigenprojectors.
 
     Invariants (checked here): values strictly increasing; projectors
@@ -139,11 +140,13 @@ class DecisionVariable:
             raise InvariantViolation(
                 f"variable {name!r} values must be finite and give a finite operator: {vals}"
             )
-        self.name = str(name)
-        self.values = tuple(vals)
-        self._index = index
-        self.eigenprojectors = tuple(projectors)
-        self.operator = HermitianOperator._trusted(op)
+        vars(self).update(  # one write past _Immutable's per-attribute check
+            name=str(name),
+            values=tuple(vals),
+            _index=index,
+            eigenprojectors=tuple(projectors),
+            operator=HermitianOperator._trusted(op),
+        )
 
     @property
     def dim(self) -> int:

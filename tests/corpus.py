@@ -15,6 +15,37 @@ def _pairs(vec: np.ndarray) -> list[list[float]]:
     return [[float(z.real), float(z.imag)] for z in vec]
 
 
+def _random_variables(r: int, rng: np.random.Generator) -> list[dict]:
+    """A binary variable ``cond`` (split eigenspaces when r > 2), then one or two maximal variables ``v0``, ``v1``."""
+    u = random_unitary(r, rng)
+    split = int(rng.integers(1, r))
+    variables = [
+        {
+            "name": "cond",
+            "values": [0.0, 1.0],
+            "eigenvectors": [
+                [_pairs(u[:, j]) for j in range(split)],
+                [_pairs(u[:, j]) for j in range(split, r)],
+            ],
+        }
+    ]
+    for idx in range(int(rng.integers(1, 3))):
+        w = random_unitary(r, rng)
+        variables.append(
+            {
+                "name": f"v{idx}",
+                "values": distinct_values(r, rng),
+                "eigenvectors": [[_pairs(w[:, j])] for j in range(r)],
+            }
+        )
+    return variables
+
+
+def _random_event(rng: np.random.Generator, variables: list[dict]) -> list:
+    v = variables[int(rng.integers(0, len(variables)))]
+    return [v["name"], v["values"][int(rng.integers(0, len(v["values"])))]]
+
+
 def generate_valid_document(seed: int) -> str:
     """One random but valid scenario document, deterministic in the seed."""
     rng = np.random.default_rng(seed)
@@ -32,35 +63,8 @@ def generate_valid_document(seed: int) -> str:
         state = {"vector": _pairs(psi)}
         vector_state = True
 
-    variables = []
-    # first variable is always binary (split eigenspaces when r > 2)
-    u = random_unitary(r, rng)
-    split = int(rng.integers(1, r))
-    variables.append(
-        {
-            "name": "cond",
-            "values": [0.0, 1.0],
-            "eigenvectors": [
-                [_pairs(u[:, j]) for j in range(split)],
-                [_pairs(u[:, j]) for j in range(split, r)],
-            ],
-        }
-    )
-    for idx in range(int(rng.integers(1, 3))):
-        w = random_unitary(r, rng)
-        variables.append(
-            {
-                "name": f"v{idx}",
-                "values": distinct_values(r, rng),
-                "eigenvectors": [[_pairs(w[:, j])] for j in range(r)],
-            }
-        )
+    variables = _random_variables(r, rng)
     names = [v["name"] for v in variables]
-
-    def event(rng):
-        name = names[int(rng.integers(0, len(names)))]
-        values = next(v["values"] for v in variables if v["name"] == name)
-        return [name, values[int(rng.integers(0, len(values)))]]
 
     queries = [{"kind": "reconstruct_check"}]
     for _ in range(int(rng.integers(1, 5))):
@@ -70,23 +74,51 @@ def generate_valid_document(seed: int) -> str:
         if kind in ("distribution", "expectation"):
             queries.append({"kind": kind, "variable": names[int(rng.integers(0, len(names)))]})
         elif kind == "conjunction" and vector_state:
-            queries.append({"kind": kind, "first": event(rng), "second": event(rng)})
+            queries.append({"kind": kind, "first": _random_event(rng, variables), "second": _random_event(rng, variables)})
         elif kind == "total_probability" and vector_state:
             queries.append(
                 {
                     "kind": kind,
                     "partition": names[int(rng.integers(0, len(names)))],
-                    "target": event(rng),
+                    "target": _random_event(rng, variables),
                 }
             )
         elif kind == "sequence" and vector_state:
-            steps = [event(rng) for _ in range(int(rng.integers(1, 4)))]
+            steps = [_random_event(rng, variables) for _ in range(int(rng.integers(1, 4)))]
             queries.append({"kind": kind, "steps": steps})
 
     doc = {
         "context": f"generated-{seed}",
         "dimension": r,
         "state": state,
+        "variables": variables,
+        "queries": queries,
+    }
+    return json.dumps(doc, indent=2)
+
+
+def generate_density_chain_document(seed: int) -> str:
+    """One random valid document on a density state of rank 1 to r, deterministic in the seed, with one query of
+    each kind that runs a chain of collapses: ``sequence``, ``conjunction``, ``total_probability``, ``sure_thing``.
+    ``generate_valid_document`` gives these kinds to vector states only."""
+    rng = np.random.default_rng([seed, 1])
+    r = int(rng.integers(2, 5))
+    rank = int(rng.integers(1, r + 1))
+    m = rng.normal(size=(r, rank)) + 1j * rng.normal(size=(r, rank))
+    rho = m @ m.conj().T
+    rho /= np.trace(rho).real
+    variables = _random_variables(r, rng)
+    names = [v["name"] for v in variables]
+    queries = [
+        {"kind": "sequence", "steps": [_random_event(rng, variables) for _ in range(int(rng.integers(1, 4)))]},
+        {"kind": "conjunction", "first": _random_event(rng, variables), "second": _random_event(rng, variables)},
+        {"kind": "total_probability", "partition": names[int(rng.integers(0, len(names)))], "target": _random_event(rng, variables)},
+        {"kind": "sure_thing", "condition": "cond", "choice": _random_event(rng, variables[1:]), "threshold": float(rng.random())},
+    ]
+    doc = {
+        "context": f"density-chain-{seed}",
+        "dimension": r,
+        "state": {"density": [_pairs(row) for row in rho]},
         "variables": variables,
         "queries": queries,
     }

@@ -340,6 +340,14 @@ def test_expectation_of_function_rejects_a_non_finite_operator(f):
 # likelihood effects
 
 
+def test_event_probability_takes_a_raw_effect_matrix():
+    psi = StateVector([1.0, 0.0])
+    assert engine.event_probability(psi, np.eye(2) / 2) == gpm_evaluate(psi, np.eye(2) / 2) == 0.5
+    assert engine.event_probability(psi, [[1.0, 0.0], [0.0, 0.0]]) == 1.0
+    with pytest.raises(InvalidEffect):
+        engine.event_probability(psi, np.diag([1.5, 0.0]))
+
+
 def test_deterministic_likelihood_gives_eigenprojectors():
     v = planar_variable("v", [0.0, 1.0], [10.0, 100.0])
     table = LikelihoodTable(v, {"z0": [1.0, 0.0], "z1": [0.0, 1.0]})

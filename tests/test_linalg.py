@@ -4,16 +4,19 @@ import numpy as np
 import pytest
 
 from qdecision import (
+    DecisionVariable,
     DegenerateSpan,
     DensityOperator,
     Effect,
     HermitianOperator,
     InvalidEffect,
     InvariantViolation,
+    LikelihoodTable,
     NotHermitian,
     Projector,
     StateVector,
     hermitian_eig,
+    outcome_distribution,
     projector_onto_span,
 )
 from qdecision.variables import UnitaryOperator, variable_from_spectrum
@@ -37,6 +40,46 @@ def test_validated_values_refuse_attribute_rebinding():
         assert getattr(obj, name) is before
 
 
+def _variable():
+    return variable_from_spectrum("v", [0.0, 1.0], [[[1.0, 0.0]], [[0.0, 1.0]]])
+
+
+_IMMUTABLE_ATTRIBUTES = {
+    "DecisionVariable": (_variable, ("name", "values", "_index", "eigenprojectors", "operator")),
+    "DecisionVariable-checked": (lambda: DecisionVariable("v", [0.0, 1.0], _variable().eigenprojectors), ("values",)),
+    "UnitaryOperator": (lambda: UnitaryOperator(np.eye(2)), ("matrix",)),
+    "LikelihoodTable": (lambda: LikelihoodTable(_variable(), {"z": [1.0, 1.0]}), ("variable", "entries")),
+}
+
+
+@pytest.mark.parametrize("make, names", _IMMUTABLE_ATTRIBUTES.values(), ids=_IMMUTABLE_ATTRIBUTES.keys())
+def test_variables_and_tables_refuse_attribute_rebinding(make, names):
+    obj = make()
+    for name in names:
+        before = getattr(obj, name)
+        with pytest.raises(AttributeError, match="immutable"):
+            setattr(obj, name, before)
+        with pytest.raises(AttributeError, match="immutable"):
+            delattr(obj, name)
+        assert getattr(obj, name) is before
+
+
+def test_a_variable_reports_the_values_it_was_built_with():
+    v, psi = _variable(), StateVector([0.6, 0.8])
+    with pytest.raises(AttributeError):
+        v.values = (5.0, 6.0)
+    assert outcome_distribution(psi, v).values == (0.0, 1.0)
+
+
+def test_a_likelihood_table_owns_its_rows():
+    row = np.array([0.25, 0.5])
+    table = LikelihoodTable(_variable(), {"z": row, "y": [0.75, 0.5]})
+    row[0] = 0.0
+    assert row.flags.writeable and table.entries["z"][0] == 0.25
+    with pytest.raises(TypeError):
+        table.entries["z"] = row
+
+
 _FROZEN_ARRAYS = {
     "StateVector": lambda: StateVector([1.0, 0.0]).amplitudes,
     "StateVector-column": lambda: StateVector([[1.0], [0.0]]).amplitudes,  # reshaped to a view of its copy
@@ -50,7 +93,7 @@ _FROZEN_ARRAYS = {
     "Effect": lambda: Effect(np.eye(2) / 2.0).matrix,
     "Effect._trusted": lambda: Effect._trusted(np.eye(2, dtype=complex) / 2.0).matrix,
     "UnitaryOperator": lambda: UnitaryOperator(np.eye(2)).matrix,
-    "DecisionVariable.operator": lambda: variable_from_spectrum("v", [0.0, 1.0], [[[1.0, 0.0]], [[0.0, 1.0]]]).operator.matrix,
+    "DecisionVariable.operator": lambda: _variable().operator.matrix,
 }
 
 
@@ -252,6 +295,13 @@ def test_projector_rejects_dependent_vectors():
     v = StateVector([1.0, 0.0])
     with pytest.raises(DegenerateSpan):
         projector_onto_span([v, v])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_projector_onto_span_rejects_non_finite_vectors(bad):
+    for vectors in ([[bad, 0.0], [0.0, 1.0]], [np.array([1.0, 1j * bad])]):
+        with pytest.raises(InvariantViolation, match="non-finite"):
+            projector_onto_span(vectors)
 
 
 def test_constructed_projectors_are_idempotent_and_hermitian():

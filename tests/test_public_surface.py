@@ -26,7 +26,6 @@ PACKAGE = ROOT / "src" / "qdecision"
 KEPT = {
     "scenario_to_document": "README documents it",
     "planar_projector": "README documents it",
-    "spin_component": "acceptance criterion 6 imports it",
     "classical_conditional": "acceptance criterion 6 imports it",
     "likelihood_effect": "the paper's likelihood route to the Born rule; a query kind will reach it",
     "apply_function": "the paper's functions of a maximal variable; a query kind will reach it",

@@ -19,7 +19,6 @@ from qdecision import (
     __version__,
 )
 from qdecision import spin
-from qdecision.spin import _plus
 
 from conftest import rng_for
 
@@ -186,7 +185,10 @@ def test_comparison_marginals_and_estimate_come_from_one_draw():
 
 
 # ---------------------------------------------------------------------------
-# the +1 mask: a half-circle test, pinned to the sign of the cosine
+# the +1 mask ``comparison_report`` counts: the spin at k = 0, flipped at each cut, pinned to the sign of the cosine
+
+
+K = 2**53
 
 
 def cosine_mask(a, phi):
@@ -194,36 +196,43 @@ def cosine_mask(a, phi):
     return np.cos(a - phi) >= 0.0
 
 
-def doubles_around(x, count=30):
-    below, above, out = x, x, [x]
-    for _ in range(count):
-        below, above = math.nextafter(below, -math.inf), math.nextafter(above, math.inf)
-        out += [below, above]
-    return out
+def cut_mask(a, k) -> np.ndarray:
+    """The spin along ``a`` is +1 at the draw's values k * 2**-53, as the cuts of ``spin._cuts`` give it."""
+    a = spin._angle(a)
+    flips = np.searchsorted(spin._cuts(a), k, side="right")
+    return (flips % 2 == 0) == cosine_mask(a, 0.0)
 
 
 @pytest.mark.parametrize("a", [0.0, 1.0, 7.0])
 def test_plus_mask_is_the_cosine_sign_at_every_quarter_turn(a):
-    # phi such that a - phi lands on the doubles around k * pi/2, where cos changes sign or peaks
-    phi = np.array([a - x for k in range(-6, 7) for x in doubles_around(k * math.pi / 2)])
-    assert np.array_equal(_plus(a, phi), cosine_mask(a, phi))
+    # the draw's k where a - phi lands within 30 steps of each k * pi/2, where cos changes sign or peaks
+    angle = Direction(a).angle
+    centres = [round((angle - j * math.pi / 2) / (2.0 * math.pi) * K) for j in range(-4, 5)]
+    k = np.unique(np.clip([c + i for c in centres for i in range(-30, 31)], 0, K - 1))
+    phi = k * 2.0**-53 * spin.TWO_PI
+    assert np.array_equal(cut_mask(a, k), cosine_mask(angle, phi))
+    assert np.array_equal(spin_component(a, phi) == 1, cosine_mask(angle, phi))
 
 
 @pytest.mark.parametrize("a", [7.0, -3.0, 100.0])
 def test_plus_mask_is_the_cosine_sign_on_raw_angles(a):
-    phi = rng_for(1000 + int(a)).uniform(-50.0, 50.0, 100_000)
+    angle, rng = Direction(a).angle, rng_for(1000 + int(a))
+    phi = rng.uniform(-50.0, 50.0, 100_000)
     phi[:3] = [math.inf, -math.inf, math.nan]
     with np.errstate(invalid="ignore"):  # cos of inf
-        assert np.array_equal(_plus(a, phi), cosine_mask(a, phi))
-    assert np.array_equal(_plus(a, phi[3:]), cosine_mask(a, phi[3:]))
+        assert np.array_equal(spin_component(a, phi) == 1, cosine_mask(angle, phi))
+    k = rng.integers(0, K, 100_000)
+    assert np.array_equal(cut_mask(a, k), cosine_mask(angle, k * 2.0**-53 * spin.TWO_PI))
 
 
 @pytest.mark.parametrize("seed", [0, 1, 42, 2026])
 def test_plus_mask_is_the_cosine_sign_on_sampled_directions(seed):
-    phi = sample_phi(200_000, seed)
+    u = spin._stream(200_000, seed).random(200_000)
+    phi, k = sample_phi(200_000, seed), (u * K).astype(np.int64)
+    assert np.array_equal(phi, u * spin.TWO_PI)
     for degrees in (0.0, 10.0, 60.0, 90.0, 135.0, 180.0, 270.0, 359.9):
-        a = Direction.from_degrees(degrees).angle
-        assert np.array_equal(_plus(a, phi), cosine_mask(a, phi)), degrees
+        a = Direction.from_degrees(degrees)
+        assert np.array_equal(cut_mask(a, k), cosine_mask(a.angle, phi)), degrees
 
 
 # ---------------------------------------------------------------------------
@@ -233,7 +242,7 @@ def test_plus_mask_is_the_cosine_sign_on_sampled_directions(seed):
 def whole_draw_report(a, b, n, seed):
     """``comparison_report`` on the whole draw at once, the reference of the streamed counts."""
     phi = sample_phi(n, seed)
-    plus_a, plus_b = _plus(a, phi), _plus(b, phi)
+    plus_a, plus_b = spin_component(a, phi) == 1, spin_component(b, phi) == 1
     count_a = int(np.count_nonzero(plus_a))
     if count_a == 0:
         raise DegenerateConditioning("no sample produced spin +1 along the first direction")
@@ -259,7 +268,7 @@ DIRECTION_PAIRS = [
     (Direction(0.9), Direction(0.9)),  # a = b
     (Direction(0.0), Direction.from_degrees(180.0)),
     (Direction(0.3), Direction.from_degrees(100.0)),
-    (7.0, 8.1),  # raw angles >= 2*pi: the np.cos fallback
+    (7.0, 8.1),  # raw angles >= 2*pi, read as their Directions
 ]
 
 

@@ -1,8 +1,8 @@
 """Cut points of the spin draw: ``comparison_report`` counts the raw uniform draw below the k at which a spin changes.
 
 ``rng.random`` returns u = k * 2**-53, and each spin is a function of k that changes only at the cuts ``_cuts``
-returns. These tests hold the cuts to ``_plus`` (the mask ``spin_component`` uses) and the counts to the whole-draw
-masks of ``test_spin.whole_draw_report``.
+returns. These tests hold the cuts to the definition ``np.cos(a - phi) >= 0`` and the counts to the whole-draw masks
+of ``test_spin.whole_draw_report``; an angle is read as its ``Direction`` throughout.
 """
 
 import dataclasses
@@ -12,8 +12,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from qdecision import Direction, EngineError, comparison_report
-from qdecision.spin import TWO_PI, _cuts, _plus
+from qdecision import Direction, EngineError, InvariantViolation, comparison_report, quantum_conditional, spin_component
+from qdecision.spin import TWO_PI, _cuts
 
 from conftest import rng_for
 from test_spin import whole_draw_report
@@ -27,6 +27,11 @@ K = 2**53
 def phi_at(k) -> np.ndarray:
     """phi = fl(u * 2*pi) at the draw's values u = k * 2**-53, as ``sample_phi`` computes it."""
     return np.asarray(k, dtype=np.int64) * 2.0**-53 * TWO_PI
+
+
+def plus(a: float, k) -> np.ndarray:
+    """The spin along ``a`` is +1 at the draw's values k * 2**-53: the cosine definition."""
+    return np.cos(a - phi_at(k)) >= 0.0
 
 
 def shifted(x: float, ulps: int) -> float:
@@ -47,11 +52,10 @@ non_finite = st.sampled_from([math.nan, math.inf, -math.inf])
 
 
 def outcome(a, b, n, seed, report):
-    """The report, or the type and message of what it raised, with nan made comparable."""
+    """The report, or the type and message of the engine error it raised, with nan made comparable."""
     try:
-        with np.errstate(invalid="ignore"):  # cos of inf
-            rep = report(a, b, n, seed)
-    except (ValueError, EngineError) as exc:
+        rep = report(a, b, n, seed)
+    except EngineError as exc:
         return type(exc), str(exc)
     return tuple(repr(v) for v in dataclasses.astuple(rep))
 
@@ -63,21 +67,23 @@ def outcome(a, b, n, seed, report):
 @hypothesis.settings(max_examples=300, deadline=None)
 @hypothesis.given(a=st.one_of(finite_angles, large_angles))
 def test_every_cut_is_a_change_of_the_mask(a):
+    a = Direction(a).angle
     cuts = _cuts(a)
     assert cuts == sorted(set(cuts)) and all(0 < k < K for k in cuts)
     for k in cuts:
-        before, at = _plus(a, phi_at([k - 1, k]))
+        before, at = plus(a, [k - 1, k])
         assert before != at, (a, k)
 
 
 @hypothesis.settings(max_examples=150, deadline=None)
 @hypothesis.given(a=st.one_of(finite_angles, large_angles), seed=st.integers(0, 2**32 - 1))
 def test_the_mask_is_constant_between_cuts(a, seed):
+    a = Direction(a).angle
     edges = [0, *_cuts(a), K]
     rng = rng_for(seed)
     for lo, hi in zip(edges, edges[1:]):
         k = np.concatenate([[lo, hi - 1], rng.integers(lo, hi, 64)])
-        mask = _plus(a, phi_at(k))
+        mask = plus(a, k)
         assert mask.all() or not mask.any(), (a, lo, hi)
 
 
@@ -88,9 +94,9 @@ def test_a_direction_has_at_most_four_cuts(degrees):
 
 @pytest.mark.parametrize("a", [math.nan, math.inf, -math.inf])
 def test_a_non_finite_angle_has_no_cut(a):
-    assert _cuts(a) == []
-    with np.errstate(invalid="ignore"):
-        assert not _plus(a, phi_at([0, K // 2, K - 1])).any()
+    a = Direction(a).angle
+    assert math.isnan(a) and _cuts(a) == []
+    assert not plus(a, [0, K // 2, K - 1]).any()
 
 
 # ---------------------------------------------------------------------------
@@ -117,6 +123,37 @@ def test_counts_match_the_whole_draw_masks(a, b, n, seed):
 def test_non_finite_angles_keep_their_outcome(pair, n, seed):
     a, b = pair
     assert outcome(a, b, n, seed, comparison_report) == outcome(a, b, n, seed, whole_draw_report)
+
+
+@pytest.mark.parametrize("x", [math.inf, -math.inf])
+def test_an_infinite_angle_ends_as_nan_does(x):
+    for a, b in ((x, 0.3), (0.3, x)):
+        nan_a, nan_b = (math.nan if v == x else v for v in (a, b))
+        got = outcome(a, b, 1_000, 3, comparison_report)
+        assert got == outcome(nan_a, nan_b, 1_000, 3, comparison_report)
+        assert got[0] is not ValueError and issubclass(got[0], EngineError)
+    with pytest.raises(InvariantViolation):
+        quantum_conditional(0.3, x)
+
+
+# ---------------------------------------------------------------------------
+# a raw angle is its Direction
+
+
+@hypothesis.settings(max_examples=100, deadline=None)
+@hypothesis.given(
+    a=st.one_of(finite_angles, large_angles),
+    b=st.one_of(finite_angles, large_angles),
+    n=st.integers(1, 5_000),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_raw_angles_report_as_their_directions(a, b, n, seed):
+    da, db = Direction(a), Direction(b)
+    assert outcome(a, b, n, seed, comparison_report) == outcome(da, db, n, seed, comparison_report)
+    assert quantum_conditional(a, b) == quantum_conditional(da, db)
+    phi = np.concatenate([phi_at(rng_for(seed).integers(0, K, 64)), [a, b, a + math.pi / 2, -b]])
+    assert np.array_equal(spin_component(a, phi), spin_component(da, phi))
+    assert spin_component(b, a) == spin_component(db, a)
 
 
 def test_memory_is_one_float_and_one_bool_block():

@@ -1,6 +1,7 @@
 """Record the CLI's output on a fixed set of cases, and diff two recordings.
 
     python tools/report_diff.py record TREE OUT.json
+    python tools/report_diff.py digest TREE OUT.txt
     python tools/report_diff.py diff OLD.json NEW.json
     python tools/report_diff.py diff --rows OLD.json NEW.json
 
@@ -17,7 +18,9 @@ different trees see the same documents:
   ``--dim``, ``analyze`` without a file), so the analyze cases that follow
   run on a parser that has just raised ``SystemExit``;
 - ``generate_valid_document(0..59)`` of ``tests/corpus.py`` in the three
-  formats, and every document of the malformed corpus;
+  formats, ``generate_density_chain_document(0..19)`` (the chain query
+  kinds on density states) in the three formats, and every document of the
+  malformed corpus;
 - ``analyze`` of two paths that cannot be read as UTF-8 text: a directory
   and a file that is not UTF-8. They are given relative to the working
   directory, which ``record`` sets to its scratch directory, so the path in
@@ -32,7 +35,15 @@ different trees see the same documents:
   after the first reuses the cached ``ic_effect_basis`` of its dimension.
 
 Help and usage text is wrapped at ``COLUMNS=80``, so recordings made in
-different terminals compare.
+different terminals compare. Every warning is shown, each time, on stderr.
+The working directory, ``COLUMNS`` and the warning filters are restored
+after the cases run.
+
+``digest`` writes one line per case: the first 16 hex digits of the SHA-256
+of its exit code, stdout and stderr (with the warning lines below dropped),
+then the case name, under a header naming the Python and numpy versions.
+``tests/golden/report_digests.txt`` is such a manifest, and
+``tests/test_golden.py`` holds the tree it runs in to it.
 
 ``diff`` compares two recordings case by case. Warning lines that name a
 file of the recorded tree (numpy's RuntimeWarning, with the source line
@@ -50,9 +61,11 @@ from __future__ import annotations
 
 import argparse
 import difflib
+import hashlib
 import io
 import json
 import os
+import platform
 import re
 import sys
 import tempfile
@@ -60,11 +73,13 @@ import traceback
 import warnings
 from contextlib import chdir, redirect_stderr, redirect_stdout
 from pathlib import Path
+from unittest.mock import patch
 
 ROOT = Path(__file__).resolve().parent.parent
 FORMATS = ("text", "csv", "structured")
 BENCH_SEEDS = (1, 2, 3, 4)
 VALID_SEEDS = range(60)
+DENSITY_CHAIN_SEEDS = range(20)
 RECONSTRUCT_SEEDS = (1, 7, 123)
 SPIN_DELTAS = ("0", "10", "45", "90", "135", "180", "359.9")
 SPIN_SEEDS = (1, 42, 2026)
@@ -96,7 +111,7 @@ def _import_tree(tree: Path):
 
 def _cases(workdir: str):
     """Yield (name, argv) for every case, writing documents into ``workdir``."""
-    from corpus import generate_valid_document, malformed_documents
+    from corpus import generate_density_chain_document, generate_valid_document, malformed_documents
     from workloads import build
 
     def analyze(name: str, text: str, formats=FORMATS):
@@ -115,6 +130,8 @@ def _cases(workdir: str):
             yield f"argparse/seed{seed}/{name}", argv
     for seed in VALID_SEEDS:
         yield from analyze(f"valid/{seed}", generate_valid_document(seed))
+    for seed in DENSITY_CHAIN_SEEDS:
+        yield from analyze(f"density_chain/{seed}", generate_density_chain_document(seed))
     for name, text in malformed_documents():
         yield from analyze(f"malformed/{name}", text, formats=("text",))
     os.mkdir(os.path.join(workdir, "directory.json"))
@@ -159,19 +176,84 @@ def _run(cli, argv: list[str]) -> tuple[int | None, str, str]:
     return code, out.getvalue(), err.getvalue()
 
 
+def _show_warning(message, category, filename, lineno, file=None, line=None) -> None:
+    """``warnings.showwarning`` as Python's default prints, even where a test harness collects warnings instead."""
+    (file or sys.stderr).write(warnings.formatwarning(message, category, filename, lineno, line))
+
+
+def recorded(cli) -> dict[str, tuple[int | None, str, str]]:
+    """(exit code, stdout, stderr) of every case, run through ``cli.main``."""
+    with patch.dict(os.environ, COLUMNS="80"), warnings.catch_warnings():
+        # show every warning every time, so a case's stderr does not depend on the cases run before it
+        warnings.simplefilter("always")
+        warnings.showwarning = _show_warning
+        with tempfile.TemporaryDirectory() as workdir, chdir(workdir):
+            return {name: _run(cli, argv) for name, argv in _cases(workdir)}
+
+
 def record(tree: Path, out_path: Path) -> int:
-    cli = _import_tree(tree.resolve())
-    os.environ["COLUMNS"] = "80"
-    # show every warning every time, so a case's stderr does not depend on
-    # the cases run before it
-    warnings.simplefilter("always")
-    cases = {}
-    with tempfile.TemporaryDirectory() as workdir, chdir(workdir):
-        for name, argv in _cases(workdir):
-            cases[name] = _run(cli, argv)
+    cases = recorded(_import_tree(tree.resolve()))
     tree_src = str((tree / "src").resolve())
     out_path.write_text(json.dumps({"tree": tree_src, "cases": cases}, indent=1), encoding="utf-8")
     print(f"recorded {len(cases)} cases from {tree_src} in {out_path}")
+    return 0
+
+
+def versions() -> str:
+    import numpy
+
+    return f"python {platform.python_version()}, numpy {numpy.__version__}"
+
+
+def case_digest(code: int | None, out: str, err: str) -> str:
+    """16 hex digits of the SHA-256 of a case's exit code, stdout and stderr."""
+    return hashlib.sha256(json.dumps([code, out, err]).encode()).hexdigest()[:16]
+
+
+def digests(cli) -> dict[str, str]:
+    """Each case's digest, with the warnings that name a file of the tree ``cli`` comes from dropped."""
+    tree_src = str(Path(cli.__file__).resolve().parents[1])
+    return {name: case_digest(code, out, _strip_tree_warnings(err, tree_src)) for name, (code, out, err) in recorded(cli).items()}
+
+
+def write_manifest(path: Path, cases: dict[str, str]) -> None:
+    lines = [f"# report_diff digests: {versions()}", *(f"{digest} {name}" for name, digest in cases.items())]
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def read_manifest(path: Path) -> tuple[str, dict[str, str]]:
+    """The versions a manifest was recorded with, and its digest of each case."""
+    header, *lines = path.read_text(encoding="utf-8").splitlines()
+    return header.split(": ", 1)[1], {name: digest for digest, name in (line.split(" ", 1) for line in lines)}
+
+
+def _family(name: str) -> str:
+    """The group a case belongs to: ``analyze_mix/seed1``, ``demo/spin``, ``valid``, ``density_chain`` and so on."""
+    parts = name.split("/")
+    return "/".join(parts[:2] if parts[0] in ("analyze_mix", "argparse", "demo") else parts[:1])
+
+
+def mismatch(expected: tuple[str, dict[str, str]], got: dict[str, str]) -> str | None:
+    """None when every case has its expected digest; else the changed, added and missing cases by family, and the
+    versions of both recordings."""
+    recorded_with, want = expected
+    changed: dict[str, list[str]] = {}
+    for name in sorted(set(want) | set(got)):
+        if want.get(name) != got.get(name):
+            note = " (new)" if name not in want else " (gone)" if name not in got else ""
+            changed.setdefault(_family(name), []).append(name + note)
+    if not changed:
+        return None
+    lines = [f"{sum(map(len, changed.values()))} of {len(set(want) | set(got))} cases differ from the manifest"]
+    lines += [f"  {family}: {len(names)}: {', '.join(names[:5])}{' ...' if len(names) > 5 else ''}" for family, names in changed.items()]
+    lines.append(f"manifest recorded with {recorded_with}; this run with {versions()}")
+    return "\n".join(lines)
+
+
+def digest(tree: Path, out_path: Path) -> int:
+    cases = digests(_import_tree(tree.resolve()))
+    write_manifest(out_path, cases)
+    print(f"wrote {len(cases)} digests from {(tree / 'src').resolve()} to {out_path}")
     return 0
 
 
@@ -311,6 +393,9 @@ def main() -> int:
     rec = sub.add_parser("record", help="run every case against TREE/src and write OUT")
     rec.add_argument("tree", type=Path)
     rec.add_argument("out", type=Path)
+    dig = sub.add_parser("digest", help="run every case against TREE/src and write one digest per case to OUT")
+    dig.add_argument("tree", type=Path)
+    dig.add_argument("out", type=Path)
     cmp = sub.add_parser("diff", help="compare two recordings")
     cmp.add_argument("old", type=Path)
     cmp.add_argument("new", type=Path)
@@ -318,6 +403,8 @@ def main() -> int:
     args = parser.parse_args()
     if args.command == "record":
         return record(args.tree, args.out)
+    if args.command == "digest":
+        return digest(args.tree, args.out)
     return diff(args.old, args.new, args.rows)
 
 
