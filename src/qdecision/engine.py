@@ -104,17 +104,13 @@ def _chain(state: State, projectors: Sequence[Projector]) -> tuple[np.ndarray, f
     return rho, float(np.trace(rho).real)
 
 
-def event_probability(state: State, projector: Projector | Effect) -> float:
-    """Probability of the event carried by a projector (or effect, which may be a raw matrix as to ``gpm_evaluate``).
+def event_probability(state: State, projector: Effect) -> float:
+    """Probability of an event: an effect (a projector is one), or a matrix checked as an effect, as ``gpm_evaluate`` does.
 
     ``<psi|M|psi>`` for a vector state (equal to ``||P psi||^2`` when M is
     a projector), ``trace(rho M)`` for a density.
     """
-    try:
-        m = projector.matrix
-    except AttributeError:
-        m = _as_effect(projector).matrix
-    return _born(state, m)
+    return _born(state, (projector if isinstance(projector, Effect) else _as_effect(projector)).matrix)
 
 
 def collapse_onto(state: State, projector: Projector) -> State:
@@ -255,8 +251,6 @@ def likelihood_effect(table: LikelihoodTable, z: str) -> Effect:
 
 
 def _as_effect(f) -> Effect:
-    if isinstance(f, Effect):
-        return f
     try:
         return Effect(matrix_of(f))
     except InvariantViolation as exc:

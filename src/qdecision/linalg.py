@@ -153,11 +153,24 @@ class HermitianOperator(_Immutable):
         return f"{type(self).__name__}(dim={self.dim})"
 
 
-class Projector(HermitianOperator):
-    """Idempotent Hermitian operator; ``rank`` is its trace rounded."""
+class Effect(HermitianOperator):
+    """Hermitian operator with spectrum in [0, 1]; a generalized event."""
 
     def __init__(self, matrix):
         super().__init__(matrix)
+        w = np.linalg.eigvalsh(self.matrix)
+        if w.size and not (w[0] >= -tol.EFFECT_EIG_TOL and w[-1] <= 1.0 + tol.EFFECT_EIG_TOL):
+            raise InvalidEffect(
+                f"effect spectrum [{w[0]:.3e}, {w[-1]:.3e}] is not within [0, 1]"
+            )
+
+
+class Projector(Effect):
+    """Idempotent Hermitian operator, an effect with spectrum {0, 1}; ``rank`` is its trace rounded. Idempotence within
+    ``PROJECTOR_IDEM_TOL`` (<= ``EFFECT_EIG_TOL``) bounds each |l^2 - l|, so no eigenvalue check is run."""
+
+    def __init__(self, matrix):
+        HermitianOperator.__init__(self, matrix)
         m = self.matrix
         idem_dev = float(_norm(m @ m - m))
         if not (idem_dev <= tol.PROJECTOR_IDEM_TOL):
@@ -198,18 +211,6 @@ class DensityOperator(HermitianOperator):
         """Rank-one density |psi><psi| / <psi|psi> of the ray, so its trace is 1 however far ||psi|| is from 1."""
         a = psi.amplitudes
         return cls(np.outer(a, a.conj()) / np.vdot(a, a).real)
-
-
-class Effect(HermitianOperator):
-    """Hermitian operator with spectrum in [0, 1]; a generalized event."""
-
-    def __init__(self, matrix):
-        super().__init__(matrix)
-        w = np.linalg.eigvalsh(self.matrix)
-        if w.size and not (w[0] >= -tol.EFFECT_EIG_TOL and w[-1] <= 1.0 + tol.EFFECT_EIG_TOL):
-            raise InvalidEffect(
-                f"effect spectrum [{w[0]:.3e}, {w[-1]:.3e}] is not within [0, 1]"
-            )
 
 
 @dataclass(frozen=True)
@@ -311,18 +312,25 @@ def _span_projection(cols: np.ndarray) -> np.ndarray:
     return (p + p.conj().swapaxes(-1, -2)) / 2.0
 
 
-def projector_onto_span(vectors: Sequence[StateVector | np.ndarray]) -> Projector:
-    """Orthogonal projector onto the span of the given vectors.
+def _vector_rows(vectors: Sequence[StateVector | np.ndarray] | np.ndarray) -> np.ndarray:
+    """A list of vectors as a k x r complex array, one row per vector: a sequence of vectors, or a k x r array."""
+    if isinstance(vectors, np.ndarray) and vectors.ndim == 2:
+        return vectors.astype(complex, copy=False)
+    rows = [v.amplitudes if isinstance(v, StateVector) else np.asarray(v, dtype=complex).reshape(-1) for v in vectors]
+    if len({row.size for row in rows}) > 1:
+        raise DimensionMismatch("eigenvectors have inconsistent dimensions")
+    return np.array(rows) if rows else np.empty((0, 0), dtype=complex)
 
-    Raises ``InvariantViolation`` if an entry is NaN or infinite, and
-    ``DegenerateSpan`` if the vectors are linearly dependent within
-    ``SPAN_RANK_TOL`` (smallest singular value of the stacked columns).
+
+def projector_onto_span(vectors: Sequence[StateVector | np.ndarray] | np.ndarray) -> Projector:
+    """Orthogonal projector onto the span of ``vectors``, given as one group of ``variable_from_spectrum`` is.
+
+    Raises ``DimensionMismatch`` for vectors of two lengths, ``InvariantViolation`` for a NaN or infinite entry, and
+    ``DegenerateSpan`` for no vectors or vectors linearly dependent within ``SPAN_RANK_TOL`` (smallest singular value).
     """
-    if not vectors:
+    cols = _vector_rows(vectors).T  # one vector per column
+    if cols.shape[1] == 0:
         raise DegenerateSpan("cannot project onto the span of an empty list")
-    cols = np.column_stack(
-        [v.amplitudes if isinstance(v, StateVector) else np.asarray(v, dtype=complex) for v in vectors]
-    )
     if cols.shape[1] > cols.shape[0]:
         raise DegenerateSpan(f"{cols.shape[1]} vectors cannot be independent in dimension {cols.shape[0]}")
     if not np.isfinite(cols).all():

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import tolerances as tol
 from .engine import transition_probability
 from .errors import DegenerateConditioning
 from .linalg import StateVector
@@ -104,8 +105,8 @@ def _cuts(a: float) -> list[int]:
 
 def _stream(n: int, seed: int) -> np.random.Generator:
     """The first child stream of ``SeedSequence(seed)``, which each draw of ``n`` samples comes from."""
-    if n < 1:
-        raise ValueError(f"need at least one sample, got {n}")
+    if not 1 <= n <= tol.MAX_SPIN_SAMPLES:
+        raise ValueError(f"need from 1 to {tol.MAX_SPIN_SAMPLES} samples, got {n}")
     return np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
 
 
@@ -162,6 +163,7 @@ def comparison_report(a, b, n: int, seed: int) -> SpinComparison:
     of ``_BLOCK``: the counts of ``spin_component`` on ``sample_phi(n, seed)``, bit for bit.
     """
     a, b = _angle(a), _angle(b)
+    _spin_up_state(b)  # a nan b is no state: the error comes before the draw, not after it
     edges = sorted({0, *_cuts(a), *_cuts(b)})
     rng, bounds, below = _stream(n, seed), [k * _U for k in edges[1:]], [0] * len(edges)
     u, mask = np.empty(min(n, _BLOCK)), np.empty(min(n, _BLOCK), dtype=bool)

@@ -38,9 +38,9 @@ PSD_CLIP_TOL = 1e-8             # eigenvalues below -tol trigger reported clippi
 NOISE_BOUND = 1e-6              # residual bound before samples count as inconsistent
 GRAM_CONDITION_MAX = 1e6        # cond(D^T D) of the effect design, enforced by reconstruct_density
 
-# Scope: the largest dimension a document or ``demo reconstruct --dim`` may ask for,
-# and the most directions ``demo spin --samples`` may draw. The draw streams through fixed blocks, so this
-# bounds time, not memory: 10^7 of them take about 0.1 s and peak at about 36 MB RSS, the interpreter included.
+# Scope: the largest dimension a document or ``demo reconstruct --dim`` may ask for, and the most directions
+# ``demo spin --samples`` or the spin library may draw. The draw streams through fixed blocks, so this bounds
+# time, not memory: 10^7 of them take about 0.1 s and peak at about 36 MB RSS, the interpreter included.
 MAX_DIMENSION = 32
 MAX_SPIN_SAMPLES = 10_000_000
 

@@ -31,6 +31,7 @@ from .linalg import (
     _Immutable,
     _norm,
     _span_projection,
+    _vector_rows,
     matrix_of,
 )
 
@@ -166,16 +167,6 @@ class DecisionVariable(_Immutable):
         return f"DecisionVariable({self.name!r}, values={self.values}, dim={self.dim})"
 
 
-def _group_rows(group: Sequence[StateVector | np.ndarray] | np.ndarray) -> np.ndarray:
-    """One eigenvector group as a k x r complex array, one row per eigenvector."""
-    if isinstance(group, np.ndarray) and group.ndim == 2:
-        return group.astype(complex, copy=False)
-    rows = [v.amplitudes if isinstance(v, StateVector) else np.asarray(v, dtype=complex).reshape(-1) for v in group]
-    if len({row.size for row in rows}) > 1:
-        raise DimensionMismatch("eigenvectors have inconsistent dimensions")
-    return np.array(rows) if rows else np.empty((0, 0), dtype=complex)
-
-
 def variable_from_spectrum(
     name: str,
     values: Sequence[float],
@@ -199,7 +190,7 @@ def variable_from_spectrum(
     if len(set(keys)) != len(vals):
         raise DuplicateValues(f"values must be distinct: {vals}")
 
-    groups = [_group_rows(g) for g in eigenbasis]
+    groups = [_vector_rows(g) for g in eigenbasis]
     filled = [g for g in groups if len(g)]
     if not filled:
         raise DimensionMismatch("eigenbasis is empty")

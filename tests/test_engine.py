@@ -8,6 +8,7 @@ from qdecision import (
     DimensionMismatch,
     Effect,
     GPMSample,
+    HermitianOperator,
     InconsistentSamples,
     InsufficientSpan,
     InvalidEffect,
@@ -94,6 +95,12 @@ def test_eigenstate_gives_point_mass():
     dist = outcome_distribution(psi, v)
     assert dist.probability_of(1.0) == pytest.approx(1.0, abs=1e-12)
     assert dist.probability_of(0.0) == pytest.approx(0.0, abs=1e-12)
+
+
+def test_an_unknown_outcome_value_has_no_probability():
+    dist = outcome_distribution(StateVector([1.0, 0.0]), planar_variable("v", [0.0, 1.0], [70.0, 160.0]))
+    with pytest.raises(UnknownValue, match="^2.0 is not among the outcome values$"):
+        dist.probability_of(2.0)
 
 
 def test_maximally_mixed_state_is_uniform():
@@ -346,6 +353,14 @@ def test_event_probability_takes_a_raw_effect_matrix():
     assert engine.event_probability(psi, [[1.0, 0.0], [0.0, 0.0]]) == 1.0
     with pytest.raises(InvalidEffect):
         engine.event_probability(psi, np.diag([1.5, 0.0]))
+
+
+@pytest.mark.parametrize("evaluate", [engine.event_probability, gpm_evaluate], ids=["event_probability", "gpm_evaluate"])
+def test_a_typed_operator_that_is_no_effect_is_rejected(evaluate):
+    psi = StateVector([1.0, 0.0])
+    with pytest.raises(InvalidEffect, match=r"^effect spectrum \[-1.000e\+00, 2.000e\+00\] is not within \[0, 1\]$"):
+        evaluate(psi, HermitianOperator(np.diag([2.0, -1.0])))
+    assert evaluate(psi, DensityOperator(np.diag([0.25, 0.75]))) == 0.25  # no Effect, but its spectrum is in [0, 1]
 
 
 def test_deterministic_likelihood_gives_eigenprojectors():

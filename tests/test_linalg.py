@@ -7,7 +7,9 @@ from qdecision import (
     DecisionVariable,
     DegenerateSpan,
     DensityOperator,
+    DimensionMismatch,
     Effect,
+    GPMSample,
     HermitianOperator,
     InvalidEffect,
     InvariantViolation,
@@ -15,10 +17,13 @@ from qdecision import (
     NotHermitian,
     Projector,
     StateVector,
+    event_probability,
+    gpm_evaluate,
     hermitian_eig,
     outcome_distribution,
     projector_onto_span,
 )
+from qdecision import tolerances as tol
 from qdecision.variables import UnitaryOperator, variable_from_spectrum
 
 from conftest import random_hermitian, random_state, rng_for
@@ -131,6 +136,21 @@ def test_state_vector_rejects_non_finite():
         StateVector([np.nan, 0.0])
 
 
+def test_state_vector_rejects_an_empty_vector():
+    with pytest.raises(DimensionMismatch, match="^state vector cannot be empty$"):
+        StateVector([])
+
+
+@pytest.mark.parametrize(
+    "make, message",
+    [(HermitianOperator, "^HermitianOperator must be square"), (UnitaryOperator, "^unitary must be square")],
+    ids=["hermitian", "unitary"],
+)
+def test_operators_reject_a_non_square_matrix(make, message):
+    with pytest.raises(DimensionMismatch, match=message):
+        make(np.zeros((2, 3)))
+
+
 def test_hermitian_operator_rejects_asymmetry():
     with pytest.raises(NotHermitian):
         HermitianOperator([[0.0, 1.0], [0.0, 0.0]])
@@ -148,6 +168,32 @@ def test_projector_invariants():
         Projector(np.diag([0.5, 0.0]))
     with pytest.raises(InvariantViolation):
         Projector(np.zeros((2, 2)))  # rank 0 is not a valid event projector
+
+
+def test_a_projector_is_an_effect_checked_without_an_eigensolver(monkeypatch):
+    calls = []
+    eigvalsh, effect_init = np.linalg.eigvalsh, Effect.__init__
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda *a, **k: calls.append("eigvalsh") or eigvalsh(*a, **k))
+    monkeypatch.setattr(Effect, "__init__", lambda self, m: calls.append("Effect") or effect_init(self, m))
+    p = Projector(np.diag([0.0, 1.0]))
+    psi = StateVector([0.6, 0.8])
+    assert isinstance(p, Effect) and issubclass(Projector, Effect)
+    assert gpm_evaluate(psi, p) == event_probability(psi, p) == pytest.approx(0.64, abs=1e-15)
+    assert GPMSample(p, 0.64).effect is p
+    assert calls == []
+    Effect(p.matrix)  # the counters see what an effect check does
+    assert calls == ["Effect", "eigvalsh"]
+
+
+def test_idempotence_bounds_a_projector_spectrum_within_the_effect_tolerance():
+    # |l^2 - l| <= ||P@P - P||_F <= PROJECTOR_IDEM_TOL puts l in [-tol, 1 + tol] for tol = PROJECTOR_IDEM_TOL
+    assert tol.PROJECTOR_IDEM_TOL <= tol.EFFECT_EIG_TOL
+    rng = rng_for(23)
+    for _ in range(50):
+        r = int(rng.integers(2, 9))
+        p = projector_onto_span([random_state(r, rng) for _ in range(int(rng.integers(1, r + 1)))])
+        w = np.linalg.eigvalsh(p.matrix)
+        assert w[0] >= -tol.EFFECT_EIG_TOL and w[-1] <= 1.0 + tol.EFFECT_EIG_TOL
 
 
 def test_density_operator_invariants():
@@ -295,6 +341,33 @@ def test_projector_rejects_dependent_vectors():
     v = StateVector([1.0, 0.0])
     with pytest.raises(DegenerateSpan):
         projector_onto_span([v, v])
+
+
+@pytest.mark.parametrize(
+    "vectors, error, message",
+    [
+        ([], DegenerateSpan, "^cannot project onto the span of an empty list$"),
+        (np.empty((0, 2)), DegenerateSpan, "^cannot project onto the span of an empty list$"),
+        (list(np.eye(2)) + [np.ones(2)], DegenerateSpan, "^3 vectors cannot be independent in dimension 2$"),
+        (np.eye(3)[:, :2], DegenerateSpan, "^3 vectors cannot be independent in dimension 2$"),
+        ([np.eye(3)[0], np.eye(2)[1]], DimensionMismatch, "^eigenvectors have inconsistent dimensions$"),
+        ([StateVector([1.0, 0.0]), [0.0, 0.0, 1.0]], DimensionMismatch, "^eigenvectors have inconsistent dimensions$"),
+    ],
+    ids=["empty", "empty_array", "too_many", "too_many_rows", "ragged", "ragged_states"],
+)
+def test_projector_onto_span_rejects_a_malformed_vector_list(vectors, error, message):
+    with pytest.raises(error, match=message):
+        projector_onto_span(vectors)
+
+
+def test_a_row_array_spans_what_its_rows_span():
+    rng = rng_for(24)
+    for r in (2, 3, 5, 8):
+        for k in range(1, r + 1):
+            rows = np.array([random_state(r, rng).amplitudes for _ in range(k)])
+            as_array, as_list = projector_onto_span(rows), projector_onto_span(list(rows))
+            assert np.array_equal(as_array.matrix, as_list.matrix) and as_array.rank == as_list.rank == k
+            assert np.array_equal(projector_onto_span(rows.real).matrix, projector_onto_span(list(rows.real)).matrix)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

@@ -16,6 +16,9 @@ from qdecision.report import Report, QueryResult, emit_report, format_number
         (2.0 / 3.0, "0.666666666667"),
         (1e-10, "0.000000000100000000000"),
         (123456.789, "123456.789000"),
+        (1.5e12, "1500000000000"),
+        (123456789012345.0, "123456789012000"),
+        (999999999999.95, "1000000000000"),  # rounding carries into a thirteenth digit
     ],
 )
 def test_format_number(value, expected):

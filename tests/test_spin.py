@@ -9,6 +9,7 @@ import pytest
 from qdecision import (
     DegenerateConditioning,
     Direction,
+    InvariantViolation,
     SpinComparison,
     classical_conditional,
     classical_conditional_analytic,
@@ -19,6 +20,7 @@ from qdecision import (
     __version__,
 )
 from qdecision import spin
+from qdecision.tolerances import MAX_SPIN_SAMPLES
 
 from conftest import rng_for
 
@@ -70,6 +72,40 @@ def test_samples_come_from_the_first_spawned_stream():
 def test_sample_count_must_be_positive():
     with pytest.raises(ValueError):
         sample_phi(0, 1)
+
+
+class Drawn(Exception):
+    """Raised in place of making the generator a draw would come from."""
+
+
+@pytest.fixture
+def no_draw(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise Drawn
+
+    monkeypatch.setattr(np.random, "default_rng", refuse)
+
+
+@pytest.mark.parametrize("n", [MAX_SPIN_SAMPLES + 1, 2**63])
+def test_a_sample_count_above_the_cap_is_rejected_before_the_draw(no_draw, n):
+    with pytest.raises(ValueError, match=f"^need from 1 to {MAX_SPIN_SAMPLES} samples, got {n}$"):
+        sample_phi(n, 1)
+    with pytest.raises(ValueError, match=f"^need from 1 to {MAX_SPIN_SAMPLES} samples, got {n}$"):
+        comparison_report(0.0, 1.0, n, 1)
+
+
+def test_the_cap_itself_reaches_the_draw(no_draw):
+    for draw in (lambda: sample_phi(MAX_SPIN_SAMPLES, 1), lambda: comparison_report(0.0, 1.0, MAX_SPIN_SAMPLES, 1)):
+        with pytest.raises(Drawn):
+            draw()
+
+
+@pytest.mark.parametrize("b", [math.nan, math.inf, -math.inf])
+def test_a_non_finite_second_angle_is_rejected_before_the_draw(no_draw, b):
+    with pytest.raises(InvariantViolation, match="^state vector contains non-finite entries$"):
+        comparison_report(0.3, b, 1_000, 3)
+    with pytest.raises(Drawn):  # a non-finite first angle still draws, and ends in DegenerateConditioning
+        comparison_report(b, 0.3, 1_000, 3)
 
 
 # ---------------------------------------------------------------------------
@@ -240,7 +276,10 @@ def test_plus_mask_is_the_cosine_sign_on_sampled_directions(seed):
 
 
 def whole_draw_report(a, b, n, seed):
-    """``comparison_report`` on the whole draw at once, the reference of the streamed counts."""
+    """``comparison_report`` on the whole draw at once, the reference of the streamed counts; a non-finite ``b``
+    is rejected before the draw."""
+    if math.isnan(b.angle if isinstance(b, Direction) else Direction(b).angle):
+        raise InvariantViolation("state vector contains non-finite entries")
     phi = sample_phi(n, seed)
     plus_a, plus_b = spin_component(a, phi) == 1, spin_component(b, phi) == 1
     count_a = int(np.count_nonzero(plus_a))

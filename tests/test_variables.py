@@ -102,6 +102,11 @@ def test_variable_rejects_wrong_vector_count():
         variable_from_spectrum("bad", [0.0], [[np.array([1.0, 0.0])]])
 
 
+def test_variable_rejects_more_values_than_groups():
+    with pytest.raises(DimensionMismatch, match="^2 values but 1 eigenvector groups$"):
+        variable_from_spectrum("bad", [0.0, 1.0], [np.eye(2)])
+
+
 def test_direct_construction_requires_increasing_values():
     v = diag_variable([1.0, 2.0])
     with pytest.raises(DuplicateValues):

@@ -37,6 +37,10 @@ next to it. The row for the whole round is the ratio of
 Why interleave: on a shared host a core's speed drifts for seconds at a
 time, so two ``bench/run.py`` runs of one tree can differ by a third. Ops
 that run back to back see the same drift, and their ratio does not.
+With fewer than 10 repeats the fastest timing of a 0.2 ms op is not yet
+settled (a ``bulk_numeric`` run at 5 repeats once read 0.81x on
+``latency_p50_ms`` where 15 repeats read 1.01x), so the script then says on
+stderr that its ratios are not to be cited.
 """
 
 from __future__ import annotations
@@ -164,6 +168,8 @@ def main() -> int:
     args = parser.parse_args()
     if args.reps < 1:
         parser.error("--reps must be at least 1")
+    if args.reps < 10:
+        print(f"ab_cli: --reps {args.reps} is below 10: the ratios read host drift and are not to be cited", file=sys.stderr)
 
     clis = [_import_tree(tree, f"qdecision_{name}") for tree, name in zip((args.parent, args.change), TREES)]
     sys.path += [str(ROOT / "bench")]

@@ -32,7 +32,12 @@ different trees see the same documents:
   ``bulk_numeric`` reconstructs at) for the same seeds in text, a negative
   ``--seed`` on both seeded demos, ``demo reconstruct --dim 33``, and
   ``--tolerances``. Cases at one dimension run back to back, so every seed
-  after the first reuses the cached ``ic_effect_basis`` of its dimension.
+  after the first reuses the cached ``ic_effect_basis`` of its dimension;
+- ``engine_error``: valid inputs that end in an engine error (exit 2):
+  ``demo spin --samples 1 --seed 1``, whose one sample has spin -1 along
+  the first direction, and, in the three formats, a ``sure_thing`` query
+  whose condition has an outcome of probability 0, which ``run_scenario``
+  names by its number and kind.
 
 Help and usage text is wrapped at ``COLUMNS=80``, so recordings made in
 different terminals compare. Every warning is shown, each time, on stderr.
@@ -84,6 +89,17 @@ RECONSTRUCT_SEEDS = (1, 7, 123)
 SPIN_DELTAS = ("0", "10", "45", "90", "135", "180", "359.9")
 SPIN_SEEDS = (1, 42, 2026)
 SPIN_SAMPLES_OUT_OF_RANGE = ("0", "-5", "10000001", "1" + "0" * 30)
+# a sure-thing condition whose value-0 eigenvector (0, 1) is orthogonal to the state (1, 0)
+NULL_CONDITION_DOCUMENT = json.dumps({
+    "context": "null condition",
+    "dimension": 2,
+    "state": {"vector": [[1.0, 0.0], [0.0, 0.0]]},
+    "variables": [
+        {"name": "c", "values": [0, 1], "basis_angle_degrees": 0.0},
+        {"name": "a", "values": [0, 1], "basis_angle_degrees": 40.0},
+    ],
+    "queries": [{"kind": "sure_thing", "condition": "c", "choice": ["a", 1], "threshold": 0.5}],
+})
 ARGPARSE_PATHS = {
     "help": ["--help"],
     "analyze-help": ["analyze", "--help"],
@@ -161,6 +177,8 @@ def _cases(workdir: str):
             argv = ["demo", "reconstruct", "--dim", str(dim), "--seed", str(seed), "--format", "text"]
             yield f"demo/reconstruct/dim{dim}/seed{seed}/text", argv
     yield "tolerances", ["--tolerances"]
+    yield "engine_error/demo-spin-samples1-seed1", ["demo", "spin", "--samples", "1", "--seed", "1"]
+    yield from analyze("engine_error/sure_thing-null-condition", NULL_CONDITION_DOCUMENT)
 
 
 def _run(cli, argv: list[str]) -> tuple[int | None, str, str]:
