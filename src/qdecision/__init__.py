@@ -36,6 +36,7 @@ from .errors import (
     InconsistentSamples,
     InsufficientSpan,
     InvalidEffect,
+    InvalidSampleCount,
     InvariantViolation,
     NoConvergence,
     NonOrthonormalBasis,

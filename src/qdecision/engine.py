@@ -13,9 +13,11 @@ from __future__ import annotations
 import functools
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
+from operator import attrgetter
 from types import MappingProxyType
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from . import tolerances as tol
 from .errors import (
@@ -24,6 +26,7 @@ from .errors import (
     InsufficientSpan,
     InvalidEffect,
     InvariantViolation,
+    NoConvergence,
     UnknownDataLabel,
     UnknownValue,
     ZeroProbabilityOutcome,
@@ -61,6 +64,9 @@ __all__ = [
 ]
 
 State = StateVector | DensityOperator
+_vdot = np.vdot._implementation  # np.vdot's own C function, without the array-function dispatch
+_EFFECT, _PROBABILITY = attrgetter("effect"), attrgetter("probability")
+_SIGN = _frozen(np.array([1.0, -1.0]))
 
 
 def _check_dims(state_dim: int, other_dim: int) -> None:
@@ -78,11 +84,13 @@ def _born(state: State, m: np.ndarray) -> float:
     """Born rule for an operator matrix: <psi|M|psi> or trace(rho M)."""
     if isinstance(state, StateVector):
         a = state.amplitudes
-        _check_dims(a.size, m.shape[0])
-        return float(np.vdot(a, m @ a).real)
+        if len(a) != len(m):
+            _check_dims(len(a), len(m))
+        return float(_vdot(a, m @ a).real)
     rho = state.matrix
-    _check_dims(rho.shape[0], m.shape[0])
-    return float(np.vdot(rho, m).real)  # trace(rho M), both Hermitian
+    if len(rho) != len(m):
+        _check_dims(len(rho), len(m))
+    return float(_vdot(rho, m).real)  # trace(rho M), both Hermitian
 
 
 def _chain(state: State, projectors: Sequence[Projector]) -> tuple[np.ndarray, float]:
@@ -154,7 +162,7 @@ class OutcomeDistribution:
 def outcome_distribution(state: State, v: DecisionVariable) -> OutcomeDistribution:
     """Born probabilities of every value of ``v`` in the given state."""
     _check_dims(state.dim, v.dim)
-    probs = [event_probability(state, p) for p in v.eigenprojectors]
+    probs = [_born(state, p.matrix) for p in v.eigenprojectors]  # projectors, so effects, by construction
     return OutcomeDistribution(v.values, tuple(probs), v._index)
 
 
@@ -262,20 +270,22 @@ def gpm_evaluate(state: State, f) -> float:
     return _born(state, (f if isinstance(f, Effect) else _as_effect(f)).matrix)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class GPMSample:
     """One observed effect probability; the effect may be given as a matrix, as to ``gpm_evaluate``."""
 
     effect: Effect
     probability: float
 
-    def __post_init__(self):
-        if not -tol.PROB_FLOOR <= self.probability <= 1.0 + tol.PROB_FLOOR:
-            raise InvariantViolation(
-                f"sample probability {self.probability!r} outside [0, 1]"
-            )
-        if not isinstance(self.effect, Effect):
-            object.__setattr__(self, "effect", _as_effect(self.effect))
+    def __init__(self, effect: Effect, probability: float):  # once per sample: the generated one's __post_init__ costs
+        if not -tol.PROB_FLOOR <= probability <= 1.0 + tol.PROB_FLOOR:
+            raise InvariantViolation(f"sample probability {probability!r} outside [0, 1]")
+        _set_effect(self, effect if isinstance(effect, Effect) else _as_effect(effect))
+        _set_probability(self, probability)
+
+
+# each slot's own setter, past the frozen __setattr__
+_set_effect, _set_probability = GPMSample.effect.__set__, GPMSample.probability.__set__
 
 
 @functools.lru_cache(maxsize=4)
@@ -319,11 +329,21 @@ def _hermitian_coords(mats: np.ndarray) -> np.ndarray:
     return design
 
 
-def _hermitian_from_coords(x: np.ndarray, r: int) -> np.ndarray:
-    out = np.diag(x[:r].astype(complex))
+@functools.lru_cache(maxsize=4)
+def _slots(r: int) -> np.ndarray:
+    """Float-view places of the diagonal re, then of each upper entry's re, its mirror's re, upper im and mirror im."""
     i, j = _upper(r)
-    out[i, j] = x[r::2] + 1j * x[r + 1::2]
-    out[j, i] = x[r::2] - 1j * x[r + 1::2]
+    up, lo = 2 * (i * r + j), 2 * (j * r + i)
+    return _frozen(np.concatenate([2 * (r + 1) * np.arange(r), up, lo, up + 1, lo + 1]))
+
+
+def _hermitian_from_coords(x: np.ndarray, r: int) -> np.ndarray:
+    """The matrix of coordinates ``x``, bit for bit ``re + 1j * im`` above the diagonal and ``re - 1j * im`` below.
+    That product adds t = im * 0 to the real part, so a zero real part may take t's sign; a zero imaginary one is +0."""
+    re, im = x[r::2], x[r + 1::2]
+    t = im * 0.0
+    out = np.zeros((r, r), dtype=complex)
+    out.view(np.float64).put(_slots(r), np.concatenate([x[:r], re + t, re - t, im + 0.0, 0.0 - im]))
     return out
 
 
@@ -351,9 +371,10 @@ def _ic_fit(mu: np.ndarray, r: int) -> tuple[np.ndarray, float]:
     """
     diag = mu[:r] + (1.0 - mu[:r].sum()) / r
     j, k = _upper(r)
-    mid, sign = (diag[j] + diag[k])[:, None] / 2.0, np.array([1.0, -1.0])
-    x = np.concatenate([diag, ((mu[r:].reshape(-1, 2) - mid) * sign).ravel()])
-    fitted = np.concatenate([diag, (mid + x[r:].reshape(-1, 2) * sign).ravel()])  # D x, by the family's forward map
+    mid = (diag[j] + diag[k])[:, None] / 2.0
+    d = mu[r:].reshape(-1, 2) - mid
+    x = np.concatenate([diag, (d * _SIGN).ravel()])
+    fitted = np.concatenate([diag, (mid + d).ravel()])  # D x, by the family's forward map: mid + x * sign, sign^2 = 1
     return _hermitian_from_coords(x, r), float(_norm(fitted - mu))
 
 
@@ -371,16 +392,17 @@ def reconstruct_density(samples: Sequence[GPMSample]) -> DensityReconstruction:
         InsufficientSpan: no samples, or ``cond(G) > GRAM_CONDITION_MAX`` (the
             effects do not span the Hermitian space, or too weakly to invert).
         InconsistentSamples: the residual exceeds ``NOISE_BOUND``.
+        NoConvergence: the eigensolver gives nan eigenvalues for the minimizer.
     """
     if not samples:
         raise InsufficientSpan("no samples given")
     r = samples[0].effect.dim
-    ic = len(samples) == r * r and all(s.effect is f for s, f in zip(samples, _ic_basis(r)))
+    ic = len(samples) == r * r and tuple(map(_EFFECT, samples)) == _ic_basis(r)  # by identity: effects define no ==
     if not ic:  # the shared family holds r x r effects by construction
         for s in samples:
             _check_dims(r, s.effect.dim)
 
-    mu = np.fromiter((s.probability for s in samples), float, len(samples))
+    mu = np.fromiter(map(_PROBABILITY, samples), float, len(samples))
     if ic:  # the eigenvalues of G span [1 / l, l], l = (r + 1 + sqrt((r + 1)^2 - 4)) / 2
         cond = float((r + 1 + np.sqrt((r + 1) ** 2 - 4.0)) / 2.0) ** 2
     else:
@@ -409,8 +431,11 @@ def reconstruct_density(samples: Sequence[GPMSample]) -> DensityReconstruction:
             f"least-squares residual {residual:.3e} exceeds noise bound {tol.NOISE_BOUND:.1e}"
         )
 
-    w, v = np.linalg.eigh(raw)
-    min_eig = float(w.min())
+    # np.linalg.eigh's own gufunc: it returns nan eigenvalues where LAPACK does not converge, and ascending ones else
+    w, v = _umath_linalg.eigh_lo(raw, signature="D->dD")
+    min_eig = float(w[0])
+    if min_eig != min_eig:
+        raise NoConvergence("eigensolver did not converge on the least-squares minimizer")
     clipped = min_eig < -tol.PSD_CLIP_TOL
     if min_eig < -tol.DENSITY_EIG_FLOOR:
         # clip below the density validity floor as well, but only eigenvalues

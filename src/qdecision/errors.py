@@ -33,7 +33,7 @@ class NotUnitary(InvariantViolation):
 
 
 class NoConvergence(EngineError):
-    """Eigensolver failed to meet its residual contract."""
+    """Eigensolver did not converge, or missed its residual contract."""
 
 
 class DegenerateSpan(EngineError):
@@ -74,6 +74,10 @@ class NotAPartition(EngineError):
 
 class DegenerateConditioning(EngineError):
     """Monte Carlo conditioning event received no samples."""
+
+
+class InvalidSampleCount(EngineError, ValueError):
+    """A sample count is outside 1 to ``MAX_SPIN_SAMPLES``; also a ``ValueError``, the type Python gives a bad count."""
 
 
 class ScenarioError(Exception):

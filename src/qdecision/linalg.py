@@ -314,7 +314,9 @@ def _span_projection(cols: np.ndarray) -> np.ndarray:
 
 def _vector_rows(vectors: Sequence[StateVector | np.ndarray] | np.ndarray) -> np.ndarray:
     """A list of vectors as a k x r complex array, one row per vector: a sequence of vectors, or a k x r array."""
-    if isinstance(vectors, np.ndarray) and vectors.ndim == 2:
+    if isinstance(vectors, np.ndarray):
+        if vectors.ndim != 2:
+            raise DimensionMismatch(f"a group is a list of vectors or a k x r array, got an array of shape {vectors.shape}")
         return vectors.astype(complex, copy=False)
     rows = [v.amplitudes if isinstance(v, StateVector) else np.asarray(v, dtype=complex).reshape(-1) for v in vectors]
     if len({row.size for row in rows}) > 1:
@@ -325,8 +327,9 @@ def _vector_rows(vectors: Sequence[StateVector | np.ndarray] | np.ndarray) -> np
 def projector_onto_span(vectors: Sequence[StateVector | np.ndarray] | np.ndarray) -> Projector:
     """Orthogonal projector onto the span of ``vectors``, given as one group of ``variable_from_spectrum`` is.
 
-    Raises ``DimensionMismatch`` for vectors of two lengths, ``InvariantViolation`` for a NaN or infinite entry, and
-    ``DegenerateSpan`` for no vectors or vectors linearly dependent within ``SPAN_RANK_TOL`` (smallest singular value).
+    Raises ``DimensionMismatch`` for vectors of two lengths or an array that is not k x r, ``InvariantViolation`` for a
+    NaN or infinite entry, and ``DegenerateSpan`` for no vectors or vectors linearly dependent within ``SPAN_RANK_TOL``
+    (smallest singular value).
     """
     cols = _vector_rows(vectors).T  # one vector per column
     if cols.shape[1] == 0:

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import tolerances as tol
 from .engine import transition_probability
-from .errors import DegenerateConditioning
+from .errors import DegenerateConditioning, InvalidSampleCount
 from .linalg import StateVector
 
 __all__ = [
@@ -106,7 +106,7 @@ def _cuts(a: float) -> list[int]:
 def _stream(n: int, seed: int) -> np.random.Generator:
     """The first child stream of ``SeedSequence(seed)``, which each draw of ``n`` samples comes from."""
     if not 1 <= n <= tol.MAX_SPIN_SAMPLES:
-        raise ValueError(f"need from 1 to {tol.MAX_SPIN_SAMPLES} samples, got {n}")
+        raise InvalidSampleCount(f"need from 1 to {tol.MAX_SPIN_SAMPLES} samples, got {n}")
     return np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
 
 

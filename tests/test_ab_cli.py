@@ -108,3 +108,30 @@ def test_engine_results_of_two_trees_are_equal_by_value_and_differ_by_one_bit():
     assert ab_cli._same(0.5, np.float64(0.5)) and not ab_cli._same(0.5, math.nextafter(0.5, 1.0))
     # any other result is compared by ==, not taken for a dataclass
     assert ab_cli._same(None, None) and ab_cli._same({"p": 1}, {"p": 1}) and not ab_cli._same(1, 2)
+
+
+def test_reconstructions_differing_only_in_a_zeros_sign_differ():
+    import numpy as np
+
+    from qdecision import DensityOperator, DensityReconstruction, StateVector
+
+    sys.path[:0] = [str(ROOT / "tools")]
+    try:
+        import ab_cli
+    finally:
+        del sys.path[0]
+    plus = np.array([[0.5, 0.0], [0.0, 0.5]], dtype=complex)
+    minus = plus.copy()
+    minus[0, 1] = complex(0.0, -0.0)
+    assert np.array_equal(plus, minus)  # equal by value, so == and np.array_equal cannot tell them apart
+
+    def rec(matrix, residual=0.0):
+        return DensityReconstruction(DensityOperator._trusted(matrix.copy()), residual, False, 0.5, 9.0)
+
+    assert ab_cli._same(rec(plus), rec(plus))
+    assert not ab_cli._same(rec(plus), rec(minus))
+    assert not ab_cli._same(rec(plus), rec(plus, residual=-0.0))
+    nan = rec(plus, residual=float("nan"))
+    assert ab_cli._same(nan, rec(plus, residual=float("nan")))  # nan equals itself bit for bit
+    psi = StateVector._trusted(np.array([1.0, 0.0], dtype=complex))
+    assert not ab_cli._same(psi, StateVector._trusted(np.array([1.0, complex(0.0, -0.0)])))

@@ -352,8 +352,10 @@ def test_projector_rejects_dependent_vectors():
         (np.eye(3)[:, :2], DegenerateSpan, "^3 vectors cannot be independent in dimension 2$"),
         ([np.eye(3)[0], np.eye(2)[1]], DimensionMismatch, "^eigenvectors have inconsistent dimensions$"),
         ([StateVector([1.0, 0.0]), [0.0, 0.0, 1.0]], DimensionMismatch, "^eigenvectors have inconsistent dimensions$"),
+        (np.array([1.0, 0.0]), DimensionMismatch, r"^a group is a list of vectors or a k x r array, got an array of shape \(2,\)$"),
+        (np.ones((1, 2, 2)), DimensionMismatch, r"^a group is a list of vectors or a k x r array, got an array of shape \(1, 2, 2\)$"),
     ],
-    ids=["empty", "empty_array", "too_many", "too_many_rows", "ragged", "ragged_states"],
+    ids=["empty", "empty_array", "too_many", "too_many_rows", "ragged", "ragged_states", "one_vector_array", "stack"],
 )
 def test_projector_onto_span_rejects_a_malformed_vector_list(vectors, error, message):
     with pytest.raises(error, match=message):

@@ -3,10 +3,15 @@
 ``linalg._span_projection`` runs the Householder QR on the two private gufuncs
 that ``np.linalg.qr`` calls, ``linalg._norm`` is ``np.linalg.norm``'s own
 arithmetic, and ``variables._spectral_sum`` skips its overflow guard when no
-value can overflow. Each must give exactly what the wrapped or guarded path
-gives. A numpy release that renames or retypes the gufuncs fails here by name.
+value can overflow. The tomography round trip calls ``np.vdot``'s C function
+without its dispatch and ``np.linalg.eigh``'s gufunc without its wrapper, and
+writes its minimizer through the matrix's float view. Each must give exactly
+what the wrapped or guarded path gives, compared by ``uint64`` view where a
+zero's sign could differ. A numpy release that renames or retypes the gufuncs
+fails here by name.
 """
 
+import dataclasses
 import warnings
 from unittest import mock
 
@@ -14,11 +19,23 @@ import numpy as np
 import pytest
 from numpy.linalg import _umath_linalg
 
-from qdecision import InvariantViolation, StateVector, expectation_of_function, variable_from_spectrum
-from qdecision import variables
+from qdecision import (
+    DensityOperator,
+    Effect,
+    GPMSample,
+    InvariantViolation,
+    NoConvergence,
+    StateVector,
+    expectation_of_function,
+    gpm_evaluate,
+    ic_effect_basis,
+    reconstruct_density,
+    variable_from_spectrum,
+)
+from qdecision import engine, variables
 from qdecision.linalg import _norm, _span_projection
 
-from conftest import random_unitary
+from conftest import random_density, random_hermitian, random_unitary
 
 hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")
@@ -137,3 +154,136 @@ def test_an_operator_that_overflows_is_rejected_without_a_warning():
         v = _basis_variable([0.0, 1.0])
         with pytest.raises(InvariantViolation, match="finite operator"):
             expectation_of_function(StateVector([1.0, 0.0]), v, lambda u: 1e308)
+
+
+# ---------------------------------------------------------------------------
+# the tomography round trip: vdot, eigh and the coordinate writer
+
+
+def bits(x) -> np.ndarray:
+    return np.asarray(x).reshape(-1).view(np.uint64)
+
+
+def test_the_eigh_gufunc_takes_complex_matrices():
+    assert "D->dD" in _umath_linalg.eigh_lo.types
+
+
+@pytest.mark.parametrize("r", range(2, 33))
+def test_engine_vdot_is_numpys_vdot(r):
+    rng = np.random.default_rng(5600 + r)
+    a = rng.normal(size=r) + 1j * rng.normal(size=r)
+    m, n = random_hermitian(r, rng), random_density(r, rng)
+    for x, y in ((a, m @ a), (n, m), (m, n), (a.real, a)):
+        assert np.array_equal(bits(engine._vdot(x, y)), bits(np.vdot(x, y))), r
+
+
+@pytest.mark.parametrize("r", range(2, 33))
+def test_the_eigh_gufunc_is_numpys_eigh(r):
+    rng = np.random.default_rng(5700 + r)
+    for a in (random_hermitian(r, rng), random_density(r, rng), np.eye(r, dtype=complex)):
+        w, v = _umath_linalg.eigh_lo(a, signature="D->dD")
+        want_w, want_v = np.linalg.eigh(a)
+        assert np.array_equal(bits(w), bits(want_w)) and np.array_equal(bits(v), bits(want_v)), r
+
+
+def frozen_from_coords(x: np.ndarray, r: int) -> np.ndarray:
+    """``engine._hermitian_from_coords`` before it wrote through the float view."""
+    out = np.diag(x[:r].astype(complex))
+    i, j = np.triu_indices(r, 1)
+    out[i, j] = x[r::2] + 1j * x[r + 1::2]
+    out[j, i] = x[r::2] - 1j * x[r + 1::2]
+    return out
+
+
+def frozen_ic_fit(mu: np.ndarray, r: int) -> tuple[np.ndarray, float]:
+    """``engine._ic_fit`` before it wrote through the float view and took D x from mid + d."""
+    diag = mu[:r] + (1.0 - mu[:r].sum()) / r
+    j, k = np.triu_indices(r, 1)
+    mid, sign = (diag[j] + diag[k])[:, None] / 2.0, np.array([1.0, -1.0])
+    x = np.concatenate([diag, ((mu[r:].reshape(-1, 2) - mid) * sign).ravel()])
+    fitted = np.concatenate([diag, (mid + x[r:].reshape(-1, 2) * sign).ravel()])
+    return frozen_from_coords(x, r), float(np.linalg.norm(fitted - mu))
+
+
+# zeros of both signs and values whose differences vanish, so that some coordinates are exactly zero
+_SPECIAL = st.sampled_from([0.0, -0.0, 0.5, 0.25, 1.0, -1e-12, 1e-300, -1e-300])
+
+
+@hypothesis.settings(max_examples=300, deadline=None)
+@hypothesis.given(data=st.data(), r=st.integers(2, 9))
+def test_the_coordinate_writer_is_the_old_one_bit_for_bit(data, r):
+    element = st.one_of(_SPECIAL, st.floats(-1e3, 1e3))
+    x = data.draw(hnp.arrays(float, r * r, elements=element))
+    assert np.array_equal(bits(engine._hermitian_from_coords(x, r)), bits(frozen_from_coords(x, r)))
+
+
+@hypothesis.settings(max_examples=300, deadline=None)
+@hypothesis.given(data=st.data(), r=st.integers(2, 9))
+def test_the_ic_fit_is_the_old_one_bit_for_bit(data, r):
+    element = st.one_of(_SPECIAL, st.sampled_from([1.0 / r, 0.5 / r]), st.floats(0.0, 1.0))
+    mu = data.draw(hnp.arrays(float, r * r, elements=element))
+    raw, residual = engine._ic_fit(mu, r)
+    want_raw, want_residual = frozen_ic_fit(mu, r)
+    assert np.array_equal(bits(raw), bits(want_raw)) and bits(residual) == bits(want_residual)
+
+
+@pytest.mark.parametrize("r", range(2, 9))
+def test_a_uniform_sample_has_exact_zero_coordinates_and_keeps_their_signs(r):
+    """mu = 1/r on every effect makes the Re and Im coordinates exact zeros (all of them when 1/r sums to 1 exactly),
+    and an imaginary part that is zero is +0 on both sides of the diagonal, where a write of -im gives -0 below."""
+    mu = np.full(r * r, 1.0 / r)
+    raw, residual = engine._ic_fit(mu, r)
+    want_raw, want_residual = frozen_ic_fit(mu, r)
+    assert np.array_equal(bits(raw), bits(want_raw)) and bits(residual) == bits(want_residual)
+    assert not np.signbit(raw.imag[raw.imag == 0.0]).any()
+    if r in (2, 4, 8):
+        assert not raw.imag.any()
+
+
+def test_a_nan_eigenvalue_raises_no_convergence(monkeypatch):
+    """The gufunc reports a LAPACK failure as nan eigenvalues, not as an exception."""
+    samples = [GPMSample(f, gpm_evaluate(DensityOperator(np.eye(3) / 3), f)) for f in ic_effect_basis(3)]
+    assert reconstruct_density(samples).min_eigenvalue > 0.0
+
+    def no_convergence(a, signature):
+        return np.full(a.shape[-1], np.nan), np.full(a.shape, np.nan, dtype=complex)
+
+    monkeypatch.setattr(engine._umath_linalg, "eigh_lo", no_convergence)
+    with pytest.raises(NoConvergence, match="^eigensolver did not converge"):
+        reconstruct_density(samples)
+
+
+# ---------------------------------------------------------------------------
+# the sample's own constructor
+
+
+def test_a_sample_stays_a_frozen_slotted_dataclass():
+    effect = ic_effect_basis(2)[0]
+    s = GPMSample(effect, 0.25)
+    assert GPMSample.__slots__ == ("effect", "probability") and not hasattr(s, "__dict__")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        s.probability = 0.5
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        s.effect = ic_effect_basis(2)[1]
+    assert s == GPMSample(effect, 0.25) and s != GPMSample(effect, 0.5)
+    assert GPMSample(probability=0.25, effect=effect) == s
+    assert repr(s) == f"GPMSample(effect={effect!r}, probability=0.25)"
+    assert dataclasses.replace(s, probability=0.5) == GPMSample(effect, 0.5)
+
+
+@pytest.mark.parametrize("p", [np.nan, -0.01, 1.01, np.inf, -np.inf])
+def test_a_sample_rejects_a_probability_outside_the_unit_interval(p):
+    with pytest.raises(InvariantViolation, match="outside \\[0, 1\\]$"):
+        GPMSample(ic_effect_basis(2)[0], p)
+
+
+def test_a_sample_checks_its_probability_before_its_effect():
+    with pytest.raises(InvariantViolation, match="^sample probability nan outside"):
+        GPMSample(np.diag([2.0, 0.0]), np.nan)
+
+
+def test_a_sample_coerces_a_raw_matrix_to_an_effect():
+    s = GPMSample(np.diag([1.0, 0.0]), 1.0)
+    assert type(s.effect) is Effect and np.array_equal(s.effect.matrix, np.diag([1.0, 0.0]).astype(complex))
+    with pytest.raises(InvariantViolation, match="not within \\[0, 1\\]"):
+        GPMSample(np.diag([2.0, 0.0]), 0.5)

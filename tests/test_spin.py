@@ -9,6 +9,8 @@ import pytest
 from qdecision import (
     DegenerateConditioning,
     Direction,
+    EngineError,
+    InvalidSampleCount,
     InvariantViolation,
     SpinComparison,
     classical_conditional,
@@ -72,6 +74,14 @@ def test_samples_come_from_the_first_spawned_stream():
 def test_sample_count_must_be_positive():
     with pytest.raises(ValueError):
         sample_phi(0, 1)
+
+
+@pytest.mark.parametrize("n", [0, -1, MAX_SPIN_SAMPLES + 1])
+def test_a_sample_count_out_of_range_is_an_engine_error_and_a_value_error(n):
+    assert issubclass(InvalidSampleCount, EngineError) and issubclass(InvalidSampleCount, ValueError)
+    for draw in (lambda: sample_phi(n, 1), lambda: comparison_report(0.0, 1.0, n, 1)):
+        with pytest.raises(InvalidSampleCount, match=f"^need from 1 to {MAX_SPIN_SAMPLES} samples, got {n}$"):
+            draw()
 
 
 class Drawn(Exception):

@@ -102,6 +102,14 @@ def test_variable_rejects_wrong_vector_count():
         variable_from_spectrum("bad", [0.0], [[np.array([1.0, 0.0])]])
 
 
+def test_a_group_given_as_one_vector_array_is_named():
+    """Each group is a list of vectors or a k x r array; a 1-d array is one vector, not a group of one-entry vectors."""
+    with pytest.raises(DimensionMismatch, match=r"^a group is a list of vectors or a k x r array, got an array of shape \(2,\)$"):
+        variable_from_spectrum("v", [0.0, 1.0], [np.array([1.0, 0.0]), np.array([0.0, 1.0])])
+    v = variable_from_spectrum("v", [0.0, 1.0], [np.array([[1.0, 0.0]]), [np.array([0.0, 1.0])]])
+    assert [p.rank for p in v.eigenprojectors] == [1, 1]
+
+
 def test_variable_rejects_more_values_than_groups():
     with pytest.raises(DimensionMismatch, match="^2 values but 1 eigenvector groups$"):
         variable_from_spectrum("bad", [0.0, 1.0], [np.eye(2)])

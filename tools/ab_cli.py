@@ -20,17 +20,18 @@ rounds hold the same ops in the same order.
 
 On every repeat the two trees' results must be equal: exit code, stdout
 and stderr for a CLI call; a number, or the compared fields of a report
-dataclass, by ``==``; a collapsed state's amplitudes bit for bit; for a
-reconstruction, ``rho.matrix`` bit for bit and its ``residual``,
-``clipped``, ``min_eigenvalue`` and ``condition_number``. On the first, the
-workload's own check must accept each op's result on both trees. At the
-first op where the trees differ, or whose check fails, the script prints
-the op and exits 1. Otherwise it prints the summed fastest latencies on
-each tree and their ratio, parent over change, so that above 1 is a
-speedup: per document kind and per report format for ``analyze_mix``; per
-``(op, d)`` tag for ``engine_calls`` and ``(op, r, noisy)`` tag for
-``bulk_numeric``, with the median latency of each tag's ops and its ratio
-next to it. The row for the whole round is the ratio of
+dataclass, by ``==``; a collapsed state's amplitudes, and a
+reconstruction's ``rho.matrix``, ``residual``, ``clipped``,
+``min_eigenvalue`` and ``condition_number``, bit for bit by their
+``uint64`` views, so a zero of the other sign differs and nan equals nan.
+On the first, the workload's own check must accept each op's result on
+both trees. At the first op where the trees differ, or whose check fails,
+the script prints the op and exits 1. Otherwise it prints the summed
+fastest latencies on each tree and their ratio, parent over change, so
+that above 1 is a speedup: per document kind and per report format for
+``analyze_mix``; per ``(op, d)`` tag for ``engine_calls`` and
+``(op, r, noisy)`` tag for ``bulk_numeric``, with the median latency of
+each tag's ops and its ratio next to it. The row for the whole round is the ratio of
 ``throughput_ops_s``, and for ``engine_calls`` and ``bulk_numeric`` also of
 ``latency_p50_ms``.
 
@@ -118,13 +119,21 @@ def _compared(report) -> tuple:
     return type(report).__name__, [getattr(report, f.name) for f in dataclasses.fields(report) if f.compare]
 
 
+def _same_bits(a, b) -> bool:
+    """Equal float64 or complex128 bits, compared as unsigned integers: -0.0 differs from 0.0, and nan equals nan."""
+    return np.array_equal(*(np.asarray(x, dtype=np.result_type(x, float)).view(np.uint64) for x in (a, b)))
+
+
 def _same(a, b) -> bool:
-    """Equal results: a collapsed state's amplitudes or a reconstruction bit for bit; a report dataclass of either
-    tree by its compared fields; anything else, a CLI call's (exit, stdout, stderr) or a number, by ``==``."""
+    """Equal results: a collapsed state's amplitudes, and a reconstruction's ``rho.matrix`` and four fields, bit for bit;
+    a report dataclass of either tree by its compared fields; anything else, a CLI call's (exit, stdout, stderr) or a
+    number, by ``==``."""
     if hasattr(a, "amplitudes"):
-        return np.array_equal(a.amplitudes, b.amplitudes)
+        return _same_bits(a.amplitudes, b.amplitudes)
     if hasattr(a, "rho"):
-        return np.array_equal(a.rho.matrix, b.rho.matrix) and all(getattr(a, k) == getattr(b, k) for k in RECONSTRUCTION_FIELDS)
+        return _same_bits(a.rho.matrix, b.rho.matrix) and all(
+            _same_bits(getattr(a, k), getattr(b, k)) for k in RECONSTRUCTION_FIELDS
+        )
     if dataclasses.is_dataclass(a):
         return _compared(a) == _compared(b)
     return a == b
