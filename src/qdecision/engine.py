@@ -11,6 +11,7 @@ transition probability is 1, never by componentwise comparison.
 from __future__ import annotations
 
 import functools
+import math
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 from operator import attrgetter
@@ -102,14 +103,20 @@ def _chain(state: State, projectors: Sequence[Projector]) -> tuple[np.ndarray, f
     if isinstance(state, StateVector):
         phi = state.amplitudes
         for p in projectors:
-            _check_dims(phi.size, p.dim)
-            phi = p.matrix @ phi
-        return phi, float(_norm(phi) ** 2)
+            m = p.matrix
+            if len(m) != len(phi):
+                _check_dims(len(phi), len(m))
+            phi = m @ phi
+        # float(_norm(phi) ** 2) in Python floats: math.sqrt is np.sqrt, and ** 2 calls libm pow on both (s * s can differ)
+        re, im = phi.real, phi.imag
+        return phi, math.sqrt(re.dot(re) + im.dot(im)) ** 2
     rho = state.matrix
     for p in projectors:
-        _check_dims(rho.shape[0], p.dim)
-        rho = p.matrix @ rho @ p.matrix
-    return rho, float(np.trace(rho).real)
+        m = p.matrix
+        if len(m) != len(rho):
+            _check_dims(len(rho), len(m))
+        rho = m @ rho @ m
+    return rho, float(rho.trace().real)
 
 
 def event_probability(state: State, projector: Effect) -> float:
@@ -133,7 +140,7 @@ def collapse_onto(state: State, projector: Projector) -> State:
             f"cannot condition on an outcome of probability {p:.3e}"
         )
     if isinstance(state, StateVector):
-        return StateVector._trusted(post / np.sqrt(p))
+        return StateVector._trusted(post / math.sqrt(p))
     # rounding in P rho P compounds with the input's own slack, so the
     # normalized result goes through the full density check
     return DensityOperator((post + post.conj().T) / (2.0 * p))
@@ -207,7 +214,7 @@ def expectation_of_function(state: State, v: DecisionVariable, f) -> float:
             raise InvariantViolation(f"value table has no entry for {v.values[images.index(None)]!r}")
     else:
         images = [float(f(u)) for u in v.values]
-    op = _spectral_sum(np.array(images), v.eigenprojectors)
+    op = _spectral_sum(images, v.eigenprojectors)
     if op is None:
         raise InvariantViolation(f"f({v.name}) must be finite and give a finite operator")
     return _born(state, op)

@@ -41,8 +41,11 @@ __all__ = [
 
 
 def as_complex_matrix(data, name: str = "matrix") -> np.ndarray:
-    """Copy ``data`` into a 2-d complex array, rejecting NaN/Inf entries."""
-    arr = np.array(data, dtype=complex)
+    """Copy ``data`` into a 2-d complex array, rejecting NaN/Inf entries and ints beyond the float range."""
+    try:
+        arr = np.array(data, dtype=complex)
+    except OverflowError:
+        raise InvariantViolation(f"{name} contains non-finite entries") from None
     if arr.ndim != 2:
         raise DimensionMismatch(f"{name} must be two-dimensional, got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):
@@ -89,7 +92,10 @@ class StateVector(_Immutable):
     """Unit complex vector; a pure state up to global phase."""
 
     def __init__(self, amplitudes):
-        arr = np.array(amplitudes, dtype=complex).reshape(-1)
+        try:
+            arr = np.array(amplitudes, dtype=complex).reshape(-1)
+        except OverflowError:  # an int beyond the float range
+            raise InvariantViolation("state vector contains non-finite entries") from None
         if arr.size == 0:
             raise DimensionMismatch("state vector cannot be empty")
         if not np.all(np.isfinite(arr)):

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tolerances as tol
-from .engine import State, event_probability, sequential_event_probability
+from .engine import State, _chain, event_probability, sequential_event_probability
 from .errors import NotAPartition, ZeroProbabilityOutcome
 from .linalg import Projector, StateVector
 from .variables import DecisionVariable
@@ -112,9 +112,7 @@ def total_probability_report(
     The partition is measured first: ``p_via_partition = sum_j ||P_A P_j psi||^2``.
     """
     p_direct = event_probability(psi, proj_a)
-    terms = tuple(
-        sequential_event_probability(psi, [p, proj_a]) for p in partition.eigenprojectors
-    )
+    terms = tuple(_chain(psi, (p, proj_a))[1] for p in partition.eigenprojectors)
     p_via = float(sum(terms))
     return TotalProbabilityReport(
         p_direct=p_direct,

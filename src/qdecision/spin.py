@@ -16,7 +16,7 @@ import numpy as np
 
 from . import tolerances as tol
 from .engine import transition_probability
-from .errors import DegenerateConditioning, InvalidSampleCount
+from .errors import DegenerateConditioning, InvalidSampleCount, InvariantViolation
 from .linalg import StateVector
 
 __all__ = [
@@ -50,12 +50,18 @@ class Direction:
     angle: float
 
     def __post_init__(self):
-        angle = float(self.angle) % TWO_PI  # a tiny negative angle rounds up to 2*pi itself
+        try:
+            angle = float(self.angle) % TWO_PI  # a tiny negative angle rounds up to 2*pi itself
+        except OverflowError:  # an int beyond the float range is as non-finite as +-inf
+            angle = math.nan
         object.__setattr__(self, "angle", 0.0 if angle == TWO_PI else angle)
 
     @classmethod
     def from_degrees(cls, degrees: float) -> "Direction":
-        return cls(math.radians(degrees))
+        try:
+            return cls(math.radians(degrees))
+        except OverflowError:
+            return cls(math.nan)
 
 
 def _angle(d) -> float:
@@ -72,9 +78,12 @@ def angular_separation(a, b) -> float:
 def spin_component(a, phi):
     """sign(cos(a - phi)) with the tie cos = 0 resolved to +1.
 
-    Accepts a scalar phi or an array of phi samples.
+    Accepts a scalar phi or an array of phi samples. A direction whose angle reads as nan has no spin.
     """
-    out = np.where(np.cos(_angle(a) - np.asarray(phi, dtype=float)) >= 0.0, 1, -1)
+    angle = _angle(a)
+    if angle != angle:
+        raise InvariantViolation(f"spin direction {a!r} is not finite")
+    out = np.where(np.cos(angle - np.asarray(phi, dtype=float)) >= 0.0, 1, -1)
     return int(out) if out.ndim == 0 else out
 
 
@@ -163,7 +172,7 @@ def comparison_report(a, b, n: int, seed: int) -> SpinComparison:
     of ``_BLOCK``: the counts of ``spin_component`` on ``sample_phi(n, seed)``, bit for bit.
     """
     a, b = _angle(a), _angle(b)
-    _spin_up_state(b)  # a nan b is no state: the error comes before the draw, not after it
+    quantum = quantum_conditional(a, b)  # a nan angle is no state: the error comes before the draw, not after it
     edges = sorted({0, *_cuts(a), *_cuts(b)})
     rng, bounds, below = _stream(n, seed), [k * _U for k in edges[1:]], [0] * len(edges)
     u, mask = np.empty(min(n, _BLOCK)), np.empty(min(n, _BLOCK), dtype=bool)
@@ -179,7 +188,6 @@ def comparison_report(a, b, n: int, seed: int) -> SpinComparison:
     if count_a == 0:
         raise DegenerateConditioning("no sample produced spin +1 along the first direction")
     analytic = classical_conditional_analytic(a, b)
-    quantum = quantum_conditional(a, b)
     return SpinComparison(
         classical_estimate=count_ab / count_a,
         classical_analytic=analytic,

@@ -48,9 +48,12 @@ __all__ = [
 ]
 
 
+_VALUE_FORMAT = f".{tol.VALUE_SIG_DIGITS}g"  # built once: a nested spec is rebuilt on every call
+
+
 def round_value(x: float) -> float:
     """Round to the significant digits used for value identification."""
-    return float(f"{float(x):.{tol.VALUE_SIG_DIGITS}g}")
+    return float(f"{float(x):{_VALUE_FORMAT}}")
 
 
 class UnitaryOperator(_Immutable):

@@ -135,3 +135,38 @@ def test_reconstructions_differing_only_in_a_zeros_sign_differ():
     assert ab_cli._same(nan, rec(plus, residual=float("nan")))  # nan equals itself bit for bit
     psi = StateVector._trusted(np.array([1.0, 0.0], dtype=complex))
     assert not ab_cli._same(psi, StateVector._trusted(np.array([1.0, complex(0.0, -0.0)])))
+
+
+def test_numbers_and_report_fields_are_compared_bit_for_bit():
+    import dataclasses
+    import math
+
+    import numpy as np
+
+    from qdecision.phenomena import ConjunctionReport, TotalProbabilityReport
+
+    sys.path[:0] = [str(ROOT / "tools")]
+    try:
+        import ab_cli
+    finally:
+        del sys.path[0]
+    nan = float("nan")
+    assert not ab_cli._same(0.0, -0.0) and not ab_cli._same(np.float64(0.0), -0.0)
+    assert ab_cli._same(nan, nan) and ab_cli._same(np.float64(nan), nan)
+    assert not ab_cli._same(1, 1.0)  # a float is never equal to an int, whatever its value
+
+    Other = dataclasses.make_dataclass("ConjunctionReport", [f.name for f in dataclasses.fields(ConjunctionReport)])
+    values = [0.25, 0.0, 0.125, 0.0, False, 0.125]
+    assert ab_cli._same(ConjunctionReport(*values), Other(*values))
+    assert not ab_cli._same(ConjunctionReport(*values), Other(*values[:3], -0.0, *values[4:]))
+    assert ab_cli._same(ConjunctionReport(*values[:3], nan, *values[4:]), Other(*values[:3], nan, *values[4:]))
+    assert not ab_cli._same(ConjunctionReport(*values), Other(*values[:4], True, values[5]))
+
+    # the floats in a tuple field too: one term's zero of the other sign
+    Total = dataclasses.make_dataclass("TotalProbabilityReport", [f.name for f in dataclasses.fields(TotalProbabilityReport)])
+    fields = [0.5, 0.5, 0.0, (0.0, 1.0), (0.5, 0.0)]
+    report = TotalProbabilityReport(*fields)
+    assert ab_cli._same(report, Total(*fields))
+    assert not ab_cli._same(report, Total(*fields[:4], (0.5, -0.0)))
+    assert not ab_cli._same(report, Total(*fields[:4], (0.5,)))
+    assert not ab_cli._same(report, Total(*fields[:4], (0.5, math.nextafter(0.0, 1.0))))

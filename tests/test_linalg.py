@@ -136,6 +136,20 @@ def test_state_vector_rejects_non_finite():
         StateVector([np.nan, 0.0])
 
 
+@pytest.mark.parametrize("make, name", [
+    (StateVector, "state vector"),
+    (lambda m: HermitianOperator([m, [0, 1]]), "HermitianOperator"),
+    (lambda m: Projector([m, [0, 0]]), "Projector"),
+    (lambda m: DensityOperator([m, [0, 0]]), "DensityOperator"),
+    (lambda m: Effect([m, [0, 0]]), "Effect"),
+    (lambda m: UnitaryOperator([m, [0, 1]]), "matrix"),
+])
+@pytest.mark.parametrize("big", [10**400, -(10**400)])
+def test_an_int_beyond_the_float_range_is_a_non_finite_entry(make, name, big):
+    with pytest.raises(InvariantViolation, match=f"^{name} contains non-finite entries$"):
+        make([big, 0])
+
+
 def test_state_vector_rejects_an_empty_vector():
     with pytest.raises(DimensionMismatch, match="^state vector cannot be empty$"):
         StateVector([])

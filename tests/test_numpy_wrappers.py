@@ -9,9 +9,14 @@ writes its minimizer through the matrix's float view. Each must give exactly
 what the wrapped or guarded path gives, compared by ``uint64`` view where a
 zero's sign could differ. A numpy release that renames or retypes the gufuncs
 fails here by name.
+
+The Born chain, collapse, value keys and the images of f(v) run on Python
+floats where numpy scalars stood: each is checked against the numpy-scalar
+expression it replaced, by ``uint64`` view.
 """
 
 import dataclasses
+import math
 import warnings
 from unittest import mock
 
@@ -33,9 +38,10 @@ from qdecision import (
     variable_from_spectrum,
 )
 from qdecision import engine, variables
+from qdecision import tolerances as tol
 from qdecision.linalg import _norm, _span_projection
 
-from conftest import random_density, random_hermitian, random_unitary
+from conftest import random_density, random_hermitian, random_maximal_variable, random_unitary
 
 hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")
@@ -287,3 +293,99 @@ def test_a_sample_coerces_a_raw_matrix_to_an_effect():
     assert type(s.effect) is Effect and np.array_equal(s.effect.matrix, np.diag([1.0, 0.0]).astype(complex))
     with pytest.raises(InvariantViolation, match="not within \\[0, 1\\]"):
         GPMSample(np.diag([2.0, 0.0]), 0.5)
+
+
+# ---------------------------------------------------------------------------
+# the Born chain, collapse, value keys and f(v) images on Python floats
+
+
+def frozen_chain(state, projectors):
+    """``engine._chain`` while it returned numpy scalars: ``_norm``'s np.sqrt and np.float64 ** 2, and ``np.trace``."""
+    if isinstance(state, StateVector):
+        phi = state.amplitudes
+        for p in projectors:
+            phi = p.matrix @ phi
+        return phi, float(_norm(phi) ** 2)
+    rho = state.matrix
+    for p in projectors:
+        rho = p.matrix @ rho @ p.matrix
+    return rho, float(np.trace(rho).real)
+
+
+def frozen_round_value(x) -> float:
+    """``variables.round_value`` while it built its nested format spec on every call."""
+    return float(f"{float(x):.{tol.VALUE_SIG_DIGITS}g}")
+
+
+def _random_variable(rng, d: int, aligned: bool):
+    """A variable of d values in 1 to d groups, on the standard basis or a random one."""
+    u = np.eye(d, dtype=complex) if aligned else random_unitary(d, rng)
+    cuts = np.sort(rng.choice(np.arange(1, d), size=int(rng.integers(0, d)), replace=False))
+    groups = np.split(u.T, cuts)
+    return variable_from_spectrum("v", list(range(len(groups))), groups)
+
+
+@hypothesis.settings(max_examples=150, deadline=None)
+@hypothesis.given(d=st.integers(2, 32), length=st.integers(1, 6), aligned=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_the_chain_and_collapse_are_the_numpy_scalar_ones_bit_for_bit(d, length, aligned, seed):
+    """Aligned variables and a basis state give exact zeros, so null chains and zeros of both signs come up too."""
+    rng = np.random.default_rng(seed)
+    pair = [_random_variable(rng, d, aligned).eigenprojectors for _ in range(2)]
+    chain = [pair[k % 2][int(rng.integers(len(pair[k % 2])))] for k in range(length)]
+    states = [StateVector(np.eye(d)[int(rng.integers(d))]), StateVector(random_unitary(d, rng)[:, 0]),
+              DensityOperator(random_density(d, rng))]
+    for state in states:
+        got, want = engine._chain(state, chain), frozen_chain(state, chain)
+        assert np.array_equal(bits(got[0]), bits(want[0])) and bits(got[1]) == bits(want[1]), (d, length, aligned, seed)
+        assert type(got[1]) is float
+        if isinstance(state, StateVector) and want[1] > tol.ZERO_PROB_TOL:
+            post, p = frozen_chain(state, chain[:1])
+            collapsed = engine.collapse_onto(state, chain[0]).amplitudes
+            assert np.array_equal(bits(collapsed), bits(post / np.sqrt(p))), (d, aligned, seed)
+
+
+def test_the_chain_probability_is_the_numpy_scalar_one_on_many_states():
+    """About one squared norm in a thousand rounds differently as s * s than as s ** 2, so many states are needed
+    to tell the two apart; the hypothesis test above sees too few."""
+    rng = np.random.default_rng(5750)
+    chain = random_maximal_variable(2, rng).eigenprojectors[:1]
+    amplitudes = rng.normal(size=(20_000, 2)) + 1j * rng.normal(size=(20_000, 2))
+    for a in amplitudes / np.linalg.norm(amplitudes, axis=1, keepdims=True):
+        state = StateVector._trusted(a)
+        assert bits(engine._chain(state, chain)[1]) == bits(frozen_chain(state, chain)[1]), a
+
+
+_ROUNDED = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072e-308, -1e-310, 1e308, -1e308, 1.7976931348623157e308,
+            math.inf, -math.inf, math.nan, 0.1, 1 / 3, -2.5, 0, 1, -7, 10**20, True, np.float64(0.1), np.int64(-3)]
+
+
+@pytest.mark.parametrize("x", _ROUNDED, ids=repr)
+def test_round_value_is_the_nested_spec_bit_for_bit(x):
+    assert bits(variables.round_value(x)) == bits(frozen_round_value(x))
+
+
+@pytest.mark.parametrize("m", [2, 3, 7, 32])
+def test_the_spectral_sum_of_a_list_is_that_of_the_array(m):
+    """The images ``expectation_of_function`` passes as a list, against the array it passed before: the finite
+    sums bit for bit, and None alike for nan, inf and 1e308 over many projectors."""
+    projectors = random_maximal_variable(m, np.random.default_rng(5900 + m)).eigenprojectors
+    finite = [list(np.random.default_rng(6000 + m).normal(size=m)), [0.0, -0.0] * (m // 2) + [-0.0] * (m % 2),
+              [4e307, -4e307] + [0.0] * (m - 2), [1e300 / m] * m]
+    infinite = [[1e308] * m, [math.nan] + [1.0] * (m - 1), [1.0] * (m - 1) + [-math.inf], [math.inf] * m]
+    for images, overflows in [(x, False) for x in finite] + [(x, True) for x in infinite]:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got, want = variables._spectral_sum(images, projectors), variables._spectral_sum(np.array(images), projectors)
+        if overflows:
+            assert got is None and want is None, images
+        else:
+            assert np.array_equal(bits(got), bits(want)), images
+
+
+def test_python_sqrt_and_pow_are_numpys_on_this_host():
+    """``_chain`` returns ``math.sqrt(s) ** 2`` where it returned ``np.sqrt(np.float64(s)) ** 2``: the same IEEE
+    square root, and libm ``pow`` on both sides. If a libm or numpy release parts them, reports may change."""
+    rng = np.random.default_rng(6100)
+    samples = np.concatenate([rng.random(50_000), rng.random(10_000) * 10.0 ** rng.integers(-300, 300, 10_000)])
+    parted = [s for s in samples.tolist() if bits(math.sqrt(s) ** 2) != bits(float(np.sqrt(np.float64(s)) ** 2))]
+    assert not parted, f"math.sqrt(s) ** 2 and np.sqrt(np.float64(s)) ** 2 differ on {len(parted)} values, first {parted[0]!r}"

@@ -110,12 +110,19 @@ def test_the_cap_itself_reaches_the_draw(no_draw):
             draw()
 
 
-@pytest.mark.parametrize("b", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("b", [math.nan, math.inf, -math.inf, 10**400, Direction(math.nan)])
 def test_a_non_finite_second_angle_is_rejected_before_the_draw(no_draw, b):
     with pytest.raises(InvariantViolation, match="^state vector contains non-finite entries$"):
         comparison_report(0.3, b, 1_000, 3)
-    with pytest.raises(Drawn):  # a non-finite first angle still draws, and ends in DegenerateConditioning
+    with pytest.raises(InvariantViolation, match="^state vector contains non-finite entries$"):  # and a first one too
         comparison_report(b, 0.3, 1_000, 3)
+
+
+@pytest.mark.parametrize("a", [math.nan, math.inf, -math.inf, 10**400, -(10**400), Direction(math.inf)])
+def test_a_non_finite_direction_has_no_spin(a):
+    for phi in (0.3, np.linspace(0.0, 6.0, 7)):
+        with pytest.raises(InvariantViolation, match="^spin direction .* is not finite$"):
+            spin_component(a, phi)
 
 
 # ---------------------------------------------------------------------------
@@ -286,9 +293,9 @@ def test_plus_mask_is_the_cosine_sign_on_sampled_directions(seed):
 
 
 def whole_draw_report(a, b, n, seed):
-    """``comparison_report`` on the whole draw at once, the reference of the streamed counts; a non-finite ``b``
+    """``comparison_report`` on the whole draw at once, the reference of the streamed counts; a non-finite angle
     is rejected before the draw."""
-    if math.isnan(b.angle if isinstance(b, Direction) else Direction(b).angle):
+    if any(math.isnan(d.angle if isinstance(d, Direction) else Direction(d).angle) for d in (a, b)):
         raise InvariantViolation("state vector contains non-finite entries")
     phi = sample_phi(n, seed)
     plus_a, plus_b = spin_component(a, phi) == 1, spin_component(b, phi) == 1

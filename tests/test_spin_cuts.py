@@ -175,6 +175,15 @@ def test_a_tiny_negative_direction_is_zero(make):
     assert make().angle == 0.0
 
 
+@pytest.mark.parametrize("big", [10**400, -(10**400)])
+def test_an_int_beyond_the_float_range_is_a_non_finite_direction(big):
+    for d in (Direction(big), Direction.from_degrees(big)):
+        assert math.isnan(d.angle)
+    assert outcome(big, 0.3, 1_000, 3, comparison_report) == outcome(math.inf, 0.3, 1_000, 3, comparison_report)
+    with pytest.raises(InvariantViolation):
+        quantum_conditional(0.3, big)
+
+
 def test_directions_below_zero_stay_below_two_pi():
     for x in [-(2.0**-e) for e in range(0, 1075)]:
         assert 0.0 <= Direction(x).angle < TWO_PI, x

@@ -19,11 +19,12 @@ and its preparation import it by name; the seed fixes the inputs, so the two
 rounds hold the same ops in the same order.
 
 On every repeat the two trees' results must be equal: exit code, stdout
-and stderr for a CLI call; a number, or the compared fields of a report
-dataclass, by ``==``; a collapsed state's amplitudes, and a
-reconstruction's ``rho.matrix``, ``residual``, ``clipped``,
-``min_eigenvalue`` and ``condition_number``, bit for bit by their
-``uint64`` views, so a zero of the other sign differs and nan equals nan.
+and stderr for a CLI call, by ``==``; a float, a collapsed state's
+amplitudes, and a reconstruction's ``rho.matrix``, ``residual``,
+``clipped``, ``min_eigenvalue`` and ``condition_number``, bit for bit by
+their ``uint64`` views, so a zero of the other sign differs and nan equals
+nan; a report dataclass by its compared fields, each float in them, in a
+tuple too, bit for bit and each int, bool or string by ``==``.
 On the first, the workload's own check must accept each op's result on
 both trees. At the first op where the trees differ, or whose check fails,
 the script prints the op and exits 1. Otherwise it prints the summed
@@ -116,7 +117,7 @@ def _rounds(name: str, seed: int, clis, workdir: str):
 def _compared(report) -> tuple:
     """A report dataclass's class name and compared fields. The two trees' classes are distinct, so ``==`` on the
     reports themselves is false even when every field is equal."""
-    return type(report).__name__, [getattr(report, f.name) for f in dataclasses.fields(report) if f.compare]
+    return type(report).__name__, tuple(getattr(report, f.name) for f in dataclasses.fields(report) if f.compare)
 
 
 def _same_bits(a, b) -> bool:
@@ -124,10 +125,19 @@ def _same_bits(a, b) -> bool:
     return np.array_equal(*(np.asarray(x, dtype=np.result_type(x, float)).view(np.uint64) for x in (a, b)))
 
 
+def _same_value(a, b) -> bool:
+    """Floats (``np.float64`` is one) bit for bit, tuples item by item, anything else by ``==``."""
+    if isinstance(a, float) or isinstance(b, float):
+        return isinstance(a, float) and isinstance(b, float) and _same_bits(a, b)
+    if isinstance(a, tuple) and isinstance(b, tuple):
+        return len(a) == len(b) and all(map(_same_value, a, b))
+    return a == b
+
+
 def _same(a, b) -> bool:
     """Equal results: a collapsed state's amplitudes, and a reconstruction's ``rho.matrix`` and four fields, bit for bit;
     a report dataclass of either tree by its compared fields; anything else, a CLI call's (exit, stdout, stderr) or a
-    number, by ``==``."""
+    number, by ``_same_value``."""
     if hasattr(a, "amplitudes"):
         return _same_bits(a.amplitudes, b.amplitudes)
     if hasattr(a, "rho"):
@@ -135,8 +145,8 @@ def _same(a, b) -> bool:
             _same_bits(getattr(a, k), getattr(b, k)) for k in RECONSTRUCTION_FIELDS
         )
     if dataclasses.is_dataclass(a):
-        return _compared(a) == _compared(b)
-    return a == b
+        return _same_value(_compared(a), _compared(b))
+    return _same_value(a, b)
 
 
 def _describe(result) -> str:
