@@ -37,6 +37,7 @@ from .errors import (
     InsufficientSpan,
     InvalidEffect,
     InvalidSampleCount,
+    InvalidSeed,
     InvariantViolation,
     NoConvergence,
     NonOrthonormalBasis,

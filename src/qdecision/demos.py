@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from ._version import __version__
-from .errors import DimensionMismatch
+from .errors import DimensionMismatch, InvalidSeed
 from .linalg import DensityOperator
 from .report import QueryResult, Report
 from .scenario import Query, Scenario, parse_scenario, run_scenario
@@ -89,6 +89,8 @@ def run_reconstruct_demo(dim: int = 3, seed: int = 7) -> Report:
     """Round-trip a seeded random density through the effect basis."""
     if dim < 2:  # before the draw: an empty density would fail its own check first
         raise DimensionMismatch(f"informational completeness needs dimension >= 2, got {dim}")
+    if seed < 0:
+        raise InvalidSeed(f"seed must be a non-negative integer, got {seed}")
     rng = np.random.default_rng(seed)
     m = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     raw = m @ m.conj().T

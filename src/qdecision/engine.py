@@ -39,8 +39,9 @@ from .linalg import (
     StateVector,
     _frozen,
     _Immutable,
+    _array,
     _norm,
-    matrix_of,
+    _real,
 )
 from .variables import DecisionVariable, _spectral_sum, round_value
 
@@ -208,12 +209,12 @@ def expectation_of_function(state: State, v: DecisionVariable, f) -> float:
     operator, raises ``InvariantViolation``.
     """
     if isinstance(f, Mapping):
-        table = {v._index.get(round_value(k)): float(val) for k, val in f.items()}  # value position -> image; None for no value
+        table = {v._index.get(round_value(k)): _real(val) for k, val in f.items()}  # value position -> image; None for no value
         images = [table.get(j) for j in range(len(v.values))]
         if None in images:
             raise InvariantViolation(f"value table has no entry for {v.values[images.index(None)]!r}")
     else:
-        images = [float(f(u)) for u in v.values]
+        images = [_real(f(u)) for u in v.values]
     op = _spectral_sum(images, v.eigenprojectors)
     if op is None:
         raise InvariantViolation(f"f({v.name}) must be finite and give a finite operator")
@@ -232,7 +233,7 @@ class LikelihoodTable(_Immutable):
         m = len(variable.values)
         table: dict[str, np.ndarray] = {}
         for label, row in entries.items():
-            arr = np.array(row, dtype=float)
+            arr = _array(row, float)
             if arr.size != m:
                 raise DimensionMismatch(
                     f"label {label!r} has {arr.size} entries, expected {m}"
@@ -267,7 +268,7 @@ def likelihood_effect(table: LikelihoodTable, z: str) -> Effect:
 
 def _as_effect(f) -> Effect:
     try:
-        return Effect(matrix_of(f))
+        return Effect(getattr(f, "matrix", f))
     except InvariantViolation as exc:
         raise InvalidEffect(str(exc)) from exc
 

@@ -80,6 +80,10 @@ class InvalidSampleCount(EngineError, ValueError):
     """A sample count is outside 1 to ``MAX_SPIN_SAMPLES``; also a ``ValueError``, the type Python gives a bad count."""
 
 
+class InvalidSeed(EngineError, ValueError):
+    """A seed is negative; also a ``ValueError``, the type numpy's generators raise for one."""
+
+
 class ScenarioError(Exception):
     """Base class for scenario document problems."""
 

@@ -34,31 +34,35 @@ __all__ = [
     "Effect",
     "SpectralDecomposition",
     "as_complex_matrix",
-    "matrix_of",
     "hermitian_eig",
     "projector_onto_span",
 ]
 
 
+def _real(x) -> float:
+    """``float(x)``, or nan for an int beyond the float range, so that the finite gate after the read rejects it."""
+    try:
+        return float(x)
+    except OverflowError:
+        return np.nan
+
+
+def _array(data, dtype=complex) -> np.ndarray:
+    """A new ``dtype`` array of ``data``, all nan when an entry is an int beyond the float range."""
+    try:
+        return np.array(data, dtype=dtype)
+    except OverflowError:
+        return np.full(np.shape(data), np.nan, dtype)
+
+
 def as_complex_matrix(data, name: str = "matrix") -> np.ndarray:
     """Copy ``data`` into a 2-d complex array, rejecting NaN/Inf entries and ints beyond the float range."""
-    try:
-        arr = np.array(data, dtype=complex)
-    except OverflowError:
-        raise InvariantViolation(f"{name} contains non-finite entries") from None
+    arr = _array(data)
     if arr.ndim != 2:
         raise DimensionMismatch(f"{name} must be two-dimensional, got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):
         raise InvariantViolation(f"{name} contains non-finite entries")
     return arr
-
-
-def matrix_of(m) -> np.ndarray:
-    """Unwrap an operator type (or coerce raw data) to its ndarray."""
-    inner = getattr(m, "matrix", None)
-    if isinstance(inner, np.ndarray):
-        return inner
-    return as_complex_matrix(m)
 
 
 def _norm(x: np.ndarray) -> np.floating:
@@ -92,10 +96,7 @@ class StateVector(_Immutable):
     """Unit complex vector; a pure state up to global phase."""
 
     def __init__(self, amplitudes):
-        try:
-            arr = np.array(amplitudes, dtype=complex).reshape(-1)
-        except OverflowError:  # an int beyond the float range
-            raise InvariantViolation("state vector contains non-finite entries") from None
+        arr = _array(amplitudes).reshape(-1)
         if arr.size == 0:
             raise DimensionMismatch("state vector cannot be empty")
         if not np.all(np.isfinite(arr)):
@@ -265,7 +266,7 @@ def hermitian_eig(a) -> SpectralDecomposition:
         NotHermitian: relative asymmetry above ``HERMITIAN_REL_TOL``.
         NoConvergence: the solver failed or missed its residual contract.
     """
-    arr = matrix_of(a)
+    arr = as_complex_matrix(getattr(a, "matrix", a))
     if arr.shape[0] != arr.shape[1]:
         raise DimensionMismatch(f"eigendecomposition requires a square matrix, got {arr.shape}")
     nrm = float(_norm(arr))
@@ -324,7 +325,7 @@ def _vector_rows(vectors: Sequence[StateVector | np.ndarray] | np.ndarray) -> np
         if vectors.ndim != 2:
             raise DimensionMismatch(f"a group is a list of vectors or a k x r array, got an array of shape {vectors.shape}")
         return vectors.astype(complex, copy=False)
-    rows = [v.amplitudes if isinstance(v, StateVector) else np.asarray(v, dtype=complex).reshape(-1) for v in vectors]
+    rows = [v.amplitudes if isinstance(v, StateVector) else _array(v).reshape(-1) for v in vectors]
     if len({row.size for row in rows}) > 1:
         raise DimensionMismatch("eigenvectors have inconsistent dimensions")
     return np.array(rows) if rows else np.empty((0, 0), dtype=complex)

@@ -29,16 +29,10 @@ def format_number(x: float) -> str:
     if x == 0.0:
         return "0." + "0" * tol.FLOAT_SIG_DIGITS
     mantissa, exponent = f"{x:.{tol.FLOAT_SIG_DIGITS - 1}e}".split("e")
-    negative = mantissa.startswith("-")
-    digits = mantissa.lstrip("-").replace(".", "")
-    e = int(exponent)
-    if e < 0:
-        body = "0." + "0" * (-e - 1) + digits
-    elif e >= tol.FLOAT_SIG_DIGITS:
-        body = digits + "0" * (e - tol.FLOAT_SIG_DIGITS + 1)
-    else:
-        body = digits[: e + 1] + "." + digits[e + 1 :]
-    return ("-" if negative else "") + body
+    e = int(exponent)  # after the rounding to FLOAT_SIG_DIGITS, which may carry into the next power of ten
+    if e >= tol.FLOAT_SIG_DIGITS:
+        return mantissa.replace(".", "") + "0" * (e - tol.FLOAT_SIG_DIGITS + 1)
+    return f"{x:#.{tol.FLOAT_SIG_DIGITS - 1 - e}f}"  # the same rounding at the same place; '#' keeps a final '.'
 
 
 def _render_value(v: Value) -> str:

@@ -172,12 +172,11 @@ def _complex_vector(node, location: str) -> np.ndarray:
 def _complex_matrix(node, location: str) -> np.ndarray:
     arr = _as_array(node, location)
     fast = _pair_array(arr, nested=True)
-    if fast is not None:
-        return fast
-    rows = [_complex_vector(row, f"{location}[{i}]") for i, row in enumerate(arr)]
-    if not rows or any(r.size != rows[0].size for r in rows):
+    if fast is None:  # the per-entry path names an entry at fault; rows that all pass are empty or ragged
+        for i, row in enumerate(arr):
+            _complex_vector(row, f"{location}[{i}]")
         _fail(location, "matrix rows are empty or ragged")
-    return np.vstack(rows)
+    return fast
 
 
 def _eigenvector_group(node, location: str, dimension: int) -> np.ndarray:

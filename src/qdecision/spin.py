@@ -16,8 +16,8 @@ import numpy as np
 
 from . import tolerances as tol
 from .engine import transition_probability
-from .errors import DegenerateConditioning, InvalidSampleCount, InvariantViolation
-from .linalg import StateVector
+from .errors import DegenerateConditioning, InvalidSampleCount, InvalidSeed, InvariantViolation
+from .linalg import StateVector, _real
 
 __all__ = [
     "Direction",
@@ -50,18 +50,12 @@ class Direction:
     angle: float
 
     def __post_init__(self):
-        try:
-            angle = float(self.angle) % TWO_PI  # a tiny negative angle rounds up to 2*pi itself
-        except OverflowError:  # an int beyond the float range is as non-finite as +-inf
-            angle = math.nan
+        angle = _real(self.angle) % TWO_PI  # a tiny negative angle rounds up to 2*pi itself
         object.__setattr__(self, "angle", 0.0 if angle == TWO_PI else angle)
 
     @classmethod
     def from_degrees(cls, degrees: float) -> "Direction":
-        try:
-            return cls(math.radians(degrees))
-        except OverflowError:
-            return cls(math.nan)
+        return cls(math.radians(_real(degrees)))
 
 
 def _angle(d) -> float:
@@ -116,6 +110,8 @@ def _stream(n: int, seed: int) -> np.random.Generator:
     """The first child stream of ``SeedSequence(seed)``, which each draw of ``n`` samples comes from."""
     if not 1 <= n <= tol.MAX_SPIN_SAMPLES:
         raise InvalidSampleCount(f"need from 1 to {tol.MAX_SPIN_SAMPLES} samples, got {n}")
+    if seed < 0:
+        raise InvalidSeed(f"seed must be a non-negative integer, got {seed}")
     return np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
 
 

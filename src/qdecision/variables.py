@@ -30,9 +30,10 @@ from .linalg import (
     _frozen,
     _Immutable,
     _norm,
+    _real,
     _span_projection,
     _vector_rows,
-    matrix_of,
+    as_complex_matrix,
 )
 
 __all__ = [
@@ -53,14 +54,14 @@ _VALUE_FORMAT = f".{tol.VALUE_SIG_DIGITS}g"  # built once: a nested spec is rebu
 
 def round_value(x: float) -> float:
     """Round to the significant digits used for value identification."""
-    return float(f"{float(x):{_VALUE_FORMAT}}")
+    return float(f"{x if type(x) is float else _real(x):{_VALUE_FORMAT}}")  # a float skips the call: every value lookup runs this
 
 
 class UnitaryOperator(_Immutable):
     """r x r matrix with W^dag W = I within tolerance."""
 
     def __init__(self, matrix):
-        arr = matrix_of(matrix).copy()
+        arr = as_complex_matrix(getattr(matrix, "matrix", matrix))
         if arr.shape[0] != arr.shape[1]:
             raise DimensionMismatch(f"unitary must be square, got {arr.shape}")
         dev = float(_norm(arr.conj().T @ arr - np.eye(arr.shape[0])))
@@ -94,7 +95,7 @@ class DecisionVariable(_Immutable):
     """
 
     def __init__(self, name: str, values: Sequence[float], projectors: Sequence[Projector]):
-        vals = [float(v) for v in values]
+        vals = [_real(v) for v in values]
         if len(vals) != len(projectors):
             raise DimensionMismatch(
                 f"{len(vals)} values but {len(projectors)} projectors"
@@ -188,7 +189,7 @@ def variable_from_spectrum(
         raise DimensionMismatch(
             f"{len(values)} values but {len(eigenbasis)} eigenvector groups"
         )
-    vals = [float(v) for v in values]
+    vals = [_real(v) for v in values]
     keys = [round_value(v) for v in vals]
     if len(set(keys)) != len(vals):
         raise DuplicateValues(f"values must be distinct: {vals}")

@@ -406,6 +406,8 @@ def test_likelihood_table_validation():
         LikelihoodTable(v, {"a": [1.2, 0.5], "b": [-0.2, 0.5]})
     with pytest.raises(DimensionMismatch):
         LikelihoodTable(v, {"a": [1.0]})
+    with pytest.raises(InvariantViolation, match="^likelihood table has no data labels$"):
+        LikelihoodTable(v, {})
 
 
 def test_unknown_data_label():

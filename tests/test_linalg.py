@@ -24,6 +24,7 @@ from qdecision import (
     projector_onto_span,
 )
 from qdecision import tolerances as tol
+from qdecision.linalg import as_complex_matrix
 from qdecision.variables import UnitaryOperator, variable_from_spectrum
 
 from conftest import random_hermitian, random_state, rng_for
@@ -153,6 +154,27 @@ def test_an_int_beyond_the_float_range_is_a_non_finite_entry(make, name, big):
 def test_state_vector_rejects_an_empty_vector():
     with pytest.raises(DimensionMismatch, match="^state vector cannot be empty$"):
         StateVector([])
+
+
+def test_as_complex_matrix_rejects_other_shapes_and_non_finite_entries():
+    for data in ([1.0, 0.0], 10**400, [[[1.0]]]):
+        with pytest.raises(DimensionMismatch, match="^m must be two-dimensional, got shape "):
+            as_complex_matrix(data, "m")
+    for bad in (np.nan, np.inf, 10**400):
+        with pytest.raises(InvariantViolation, match="^matrix contains non-finite entries$"):
+            as_complex_matrix([[1.0, bad], [0.0, 1.0]])
+
+
+def test_as_complex_matrix_copies_its_input():
+    data = np.eye(2)
+    arr = as_complex_matrix(data)
+    arr[0, 0] = 5.0
+    assert data[0, 0] == 1.0 and arr.dtype == complex
+
+
+def test_reprs_name_the_type_and_dimension():
+    assert repr(StateVector([0.0, 1.0, 0.0])) == "StateVector(dim=3)"
+    assert repr(Projector(np.diag([1.0, 0.0]))) == "Projector(dim=2)"
 
 
 @pytest.mark.parametrize(

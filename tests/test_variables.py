@@ -177,6 +177,10 @@ def test_spectral_resolution_invariant():
         assert np.linalg.norm(v.operator.matrix - resolved, "fro") <= 1e-10
 
 
+def test_variable_repr_names_its_values_and_dimension():
+    assert repr(diag_variable([0, 2.5])) == "DecisionVariable('d', values=(0.0, 2.5), dim=2)"
+
+
 def test_projector_for_unknown_value():
     v = diag_variable([1.0, 2.0])
     with pytest.raises(UnknownValue):
@@ -286,6 +290,11 @@ def test_conjugate_rejects_non_unitary():
         conjugate(v, np.array([[1.0, 0.1], [0.0, 1.0]]))
 
 
+def test_conjugate_rejects_a_unitary_of_another_dimension():
+    with pytest.raises(DimensionMismatch, match="^unitary dim 3 does not match variable dim 2$"):
+        conjugate(diag_variable([0.0, 1.0]), np.eye(3))
+
+
 def test_conjugate_preserves_maximality():
     rng = rng_for(36)
     eye = np.eye(3)
@@ -319,6 +328,12 @@ def test_conjugate_by_identity_is_one_to_one():
     rng = rng_for(38)
     v = random_maximal_variable(3, rng)
     assert is_one_to_one_related(v, conjugate(v, np.eye(3)))
+
+
+def test_variables_with_different_numbers_of_projectors_are_not_one_to_one():
+    eye = np.eye(3)
+    coarse = variable_from_spectrum("c", [0.0, 1.0], [[eye[0], eye[1]], [eye[2]]])
+    assert not is_one_to_one_related(diag_variable([0.0, 1.0, 2.0]), coarse)
 
 
 def test_one_to_one_requires_matching_dimensions():
