@@ -11,7 +11,8 @@ from __future__ import annotations
 import numpy as np
 
 from ._version import __version__
-from .errors import DimensionMismatch, InvalidSeed
+from .engine import ic_effect_basis
+from .errors import InvalidSeed
 from .linalg import DensityOperator
 from .report import QueryResult, Report
 from .scenario import Query, Scenario, parse_scenario, run_scenario
@@ -87,8 +88,7 @@ def run_spin_demo(delta_degrees: float = 60.0, samples: int = 1_000_000, seed: i
 
 def run_reconstruct_demo(dim: int = 3, seed: int = 7) -> Report:
     """Round-trip a seeded random density through the effect basis."""
-    if dim < 2:  # before the draw: an empty density would fail its own check first
-        raise DimensionMismatch(f"informational completeness needs dimension >= 2, got {dim}")
+    ic_effect_basis(dim)  # checks dim before the draw, and caches the family the query reads
     if seed < 0:
         raise InvalidSeed(f"seed must be a non-negative integer, got {seed}")
     rng = np.random.default_rng(seed)

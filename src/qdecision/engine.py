@@ -43,7 +43,7 @@ from .linalg import (
     _norm,
     _real,
 )
-from .variables import DecisionVariable, _spectral_sum, round_value
+from .variables import DecisionVariable, _position, _spectral_sum
 
 __all__ = [
     "OutcomeDistribution",
@@ -67,7 +67,7 @@ __all__ = [
 
 State = StateVector | DensityOperator
 _vdot = np.vdot._implementation  # np.vdot's own C function, without the array-function dispatch
-_EFFECT, _PROBABILITY = attrgetter("effect"), attrgetter("probability")
+_EFFECT, _PROBABILITY, _MATRIX = attrgetter("effect"), attrgetter("probability"), attrgetter("matrix")
 _SIGN = _frozen(np.array([1.0, -1.0]))
 
 
@@ -88,36 +88,65 @@ def _born(state: State, m: np.ndarray) -> float:
         a = state.amplitudes
         if len(a) != len(m):
             _check_dims(len(a), len(m))
-        return float(_vdot(a, m @ a).real)
+        return float(_vdot(a, m.dot(a)).real)  # ndarray.dot: the same zgemv call as @, without the ufunc's overhead
     rho = state.matrix
     if len(rho) != len(m):
         _check_dims(len(rho), len(m))
     return float(_vdot(rho, m).real)  # trace(rho M), both Hermitian
 
 
-def _chain(state: State, projectors: Sequence[Projector]) -> tuple[np.ndarray, float]:
+def _event(state: State, effect: Effect) -> tuple[np.ndarray, float]:
+    """The event's image, ``M psi`` or ``M rho M``, and its probability, bit for bit ``event_probability``'s."""
+    m = (effect if isinstance(effect, Effect) else _as_effect(effect)).matrix
+    x = state.amplitudes if isinstance(state, StateVector) else state.matrix
+    if len(x) != len(m):
+        _check_dims(len(x), len(m))
+    if x.ndim == 1:
+        phi = m.dot(x)
+        return phi, float(_vdot(x, phi).real)
+    return m @ x @ m, float(_vdot(x, m).real)
+
+
+def _chain(state: State | np.ndarray, projectors: Sequence[Projector]) -> tuple[np.ndarray, float]:
     """Unnormalized state after an ordered chain of events, and its probability.
 
     ``P_n ... P_1 psi`` with ``||.||^2`` for a vector; for a density the
-    Lüders update ``P_n ... P_1 rho P_1 ... P_n`` with its trace.
+    Lüders update ``P_n ... P_1 rho P_1 ... P_n`` with its trace. The chain
+    may also start from an image of ``_event``, a 1-d ``M psi`` or a 2-d ``M rho M``.
     """
-    if isinstance(state, StateVector):
-        phi = state.amplitudes
+    x = state.amplitudes if isinstance(state, StateVector) else getattr(state, "matrix", state)
+    if x.ndim == 1:
         for p in projectors:
             m = p.matrix
-            if len(m) != len(phi):
-                _check_dims(len(phi), len(m))
-            phi = m @ phi
-        # float(_norm(phi) ** 2) in Python floats: math.sqrt is np.sqrt, and ** 2 calls libm pow on both (s * s can differ)
-        re, im = phi.real, phi.imag
-        return phi, math.sqrt(re.dot(re) + im.dot(im)) ** 2
-    rho = state.matrix
+            if len(m) != len(x):
+                _check_dims(len(x), len(m))
+            x = m.dot(x)
+        # float(_norm(x) ** 2) in Python floats: math.sqrt is np.sqrt, and ** 2 calls libm pow on both (s * s can differ)
+        re, im = x.real, x.imag
+        return x, math.sqrt(re.dot(re) + im.dot(im)) ** 2
     for p in projectors:
         m = p.matrix
-        if len(m) != len(rho):
-            _check_dims(len(rho), len(m))
-        rho = m @ rho @ m
-    return rho, float(rho.trace().real)
+        if len(m) != len(x):
+            _check_dims(len(x), len(m))
+        x = m @ x @ m
+    return x, float(x.trace().real)
+
+
+def _after_each(state: State, firsts: Sequence[Projector], effect: Effect) -> list[float]:
+    """``_chain(state, (p, effect))[1]`` for each p of ``firsts``, bit for bit, in one loop per state kind."""
+    m = effect.matrix
+    x = state.amplitudes if isinstance(state, StateVector) else state.matrix
+    for k in (len(firsts[0].matrix), len(m)):  # the projectors of one variable share a dimension
+        if k != len(x):
+            _check_dims(len(x), k)
+    if x.ndim == 2:
+        return [float((m @ (q @ x @ q) @ m).trace().real) for q in map(_MATRIX, firsts)]
+    terms = []
+    for p in firsts:
+        phi = m.dot(p.matrix.dot(x))
+        re, im = phi.real, phi.imag  # the squared norm as _chain takes it
+        terms.append(math.sqrt(re.dot(re) + im.dot(im)) ** 2)
+    return terms
 
 
 def event_probability(state: State, projector: Effect) -> float:
@@ -161,10 +190,10 @@ class OutcomeDistribution:
     _index: Mapping[float, int] = field(repr=False, compare=False)  # the variable's rounded value keys
 
     def probability_of(self, value: float) -> float:
-        try:
-            return self.probabilities[self._index[round_value(value)]]
-        except KeyError:
-            raise UnknownValue(f"{value!r} is not among the outcome values") from None
+        j = _position(self._index, value)
+        if j is None:
+            raise UnknownValue(f"{value!r} is not among the outcome values")
+        return self.probabilities[j]
 
 
 def outcome_distribution(state: State, v: DecisionVariable) -> OutcomeDistribution:
@@ -209,7 +238,7 @@ def expectation_of_function(state: State, v: DecisionVariable, f) -> float:
     operator, raises ``InvariantViolation``.
     """
     if isinstance(f, Mapping):
-        table = {v._index.get(round_value(k)): _real(val) for k, val in f.items()}  # value position -> image; None for no value
+        table = {_position(v._index, k): _real(val) for k, val in f.items()}  # value position -> image; None for no value
         images = [table.get(j) for j in range(len(v.values))]
         if None in images:
             raise InvariantViolation(f"value table has no entry for {v.values[images.index(None)]!r}")
@@ -319,9 +348,12 @@ def ic_effect_basis(r: int) -> list[Effect]:
     Projectors onto e_j, onto (e_j + e_k)/sqrt(2) and onto (e_j + i e_k)/sqrt(2) for j < k, linearly
     independent as Hermitian matrices, so exact probabilities on them determine the density operator.
     Every call returns a new list of the same shared, read-only effects, cached for a few dimensions.
+    r runs from 2 to ``MAX_DIMENSION``.
     """
     if r < 2:
         raise DimensionMismatch(f"informational completeness needs dimension >= 2, got {r}")
+    if r > tol.MAX_DIMENSION:  # before the r^2 effects of r x r entries are built
+        raise DimensionMismatch(f"dimension must be at most {tol.MAX_DIMENSION}, got {r}")
     return list(_ic_basis(r))
 
 

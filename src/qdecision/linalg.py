@@ -48,11 +48,16 @@ def _real(x) -> float:
 
 
 def _array(data, dtype=complex) -> np.ndarray:
-    """A new ``dtype`` array of ``data``, all nan when an entry is an int beyond the float range."""
+    """A new ``dtype`` array of ``data``, all nan when an entry is an int beyond the float range; nested lists of
+    unequal lengths raise ``DimensionMismatch``."""
     try:
         return np.array(data, dtype=dtype)
     except OverflowError:
         return np.full(np.shape(data), np.nan, dtype)
+    except ValueError as exc:
+        if "inhomogeneous" not in str(exc):  # numpy's word for ragged nesting; a malformed string stays a ValueError
+            raise
+        raise DimensionMismatch("nested lists of unequal lengths do not form an array") from None
 
 
 def as_complex_matrix(data, name: str = "matrix") -> np.ndarray:

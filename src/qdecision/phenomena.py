@@ -16,9 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tolerances as tol
-from .engine import State, _chain, event_probability, sequential_event_probability
-from .errors import NotAPartition, ZeroProbabilityOutcome
-from .linalg import Projector, StateVector
+from .engine import State, _after_each, _chain, _event, event_probability
+from .errors import InvariantViolation, NotAPartition, ZeroProbabilityOutcome
+from .linalg import Projector, StateVector, _real
 from .variables import DecisionVariable
 
 __all__ = [
@@ -34,8 +34,10 @@ __all__ = [
 
 
 def planar_state(angle_degrees: float) -> StateVector:
-    """Real two-dimensional unit vector at the given angle."""
-    t = np.deg2rad(angle_degrees)
+    """Real two-dimensional unit vector at the given angle; a nan or infinite angle raises ``InvariantViolation``."""
+    t = np.deg2rad(_real(angle_degrees))
+    if not np.isfinite(t):  # before cos, which warns on inf
+        raise InvariantViolation(f"plane angle {angle_degrees!r} is not finite")
     return StateVector([np.cos(t), np.sin(t)])
 
 
@@ -45,7 +47,8 @@ def planar_projector(angle_degrees: float) -> Projector:
     return Projector(np.outer(v, v.conj()))
 
 
-@dataclass(frozen=True)
+# Each report's __init__ fills the instance dict in one write: the generated one sets each field past the frozen check.
+@dataclass(frozen=True, init=False)
 class ConjunctionReport:
     """Both orders of a two-event conjunction next to the marginals.
 
@@ -60,8 +63,12 @@ class ConjunctionReport:
     conjunction_flag: bool
     order_asymmetry: float
 
+    def __init__(self, p_a, p_b, p_a_then_b, p_b_then_a, conjunction_flag, order_asymmetry):
+        self.__dict__.update(p_a=p_a, p_b=p_b, p_a_then_b=p_a_then_b, p_b_then_a=p_b_then_a,
+                             conjunction_flag=conjunction_flag, order_asymmetry=order_asymmetry)
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, init=False)
 class TotalProbabilityReport:
     """Direct event probability against the partition-first route.
 
@@ -76,8 +83,12 @@ class TotalProbabilityReport:
     partition_values: tuple[float, ...]
     partition_terms: tuple[float, ...]
 
+    def __init__(self, p_direct, p_via_partition, interference, partition_values, partition_terms):
+        self.__dict__.update(p_direct=p_direct, p_via_partition=p_via_partition, interference=interference,
+                             partition_values=partition_values, partition_terms=partition_terms)
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, init=False)
 class SureThingReport:
     condition_values: tuple[float, float]
     conditionals: tuple[float, float]
@@ -85,13 +96,17 @@ class SureThingReport:
     violation_flag: bool
     interference: float
 
+    def __init__(self, condition_values, conditionals, p_unconditional, violation_flag, interference):
+        self.__dict__.update(condition_values=condition_values, conditionals=conditionals,
+                             p_unconditional=p_unconditional, violation_flag=violation_flag, interference=interference)
+
 
 def conjunction_report(psi: State, proj_a: Projector, proj_b: Projector) -> ConjunctionReport:
-    """Marginals and both sequential conjunctions of two events."""
-    p_a = event_probability(psi, proj_a)
-    p_b = event_probability(psi, proj_b)
-    p_ab = sequential_event_probability(psi, [proj_a, proj_b])
-    p_ba = sequential_event_probability(psi, [proj_b, proj_a])
+    """Marginals and both sequential conjunctions of two events, each projected state formed once."""
+    a, p_a = _event(psi, proj_a)
+    b, p_b = _event(psi, proj_b)
+    p_ab = _chain(a, (proj_b,))[1]
+    p_ba = _chain(b, (proj_a,))[1]
     return ConjunctionReport(
         p_a=p_a,
         p_b=p_b,
@@ -112,8 +127,8 @@ def total_probability_report(
     The partition is measured first: ``p_via_partition = sum_j ||P_A P_j psi||^2``.
     """
     p_direct = event_probability(psi, proj_a)
-    terms = tuple(_chain(psi, (p, proj_a))[1] for p in partition.eigenprojectors)
-    p_via = float(sum(terms))
+    terms = tuple(_after_each(psi, partition.eigenprojectors, proj_a))
+    p_via = sum(terms)
     return TotalProbabilityReport(
         p_direct=p_direct,
         p_via_partition=p_via,
@@ -139,21 +154,23 @@ def sure_thing_check(
     Each conditional is the Lüders-rule ratio ``||P_c P_j psi||^2 / ||P_j psi||^2``
     (``trace(P_c P_j rho P_j) / trace(P_j rho)`` for a density): a partition term
     of ``total_probability_report`` over p_j, which must exceed ``ZERO_PROB_TOL``.
+    Each projected state ``P_j psi`` is formed once, for both.
     """
     if len(condition.values) != 2:
         raise NotAPartition(
             f"sure-thing condition needs exactly two values, got {len(condition.values)}"
         )
-    p_conditions = [event_probability(psi, proj) for proj in condition.eigenprojectors]
-    for value, p_cond in zip(condition.values, p_conditions):
+    events = [_event(psi, proj) for proj in condition.eigenprojectors]
+    for value, (_, p_cond) in zip(condition.values, events):
         if p_cond <= tol.ZERO_PROB_TOL:
             raise ZeroProbabilityOutcome(f"condition outcome {value!r} has probability {p_cond:.3e}")
-    report = total_probability_report(psi, condition, proj_c)
-    conditionals = tuple(term / p for term, p in zip(report.partition_terms, p_conditions))
+    p_unconditional = event_probability(psi, proj_c)
+    terms = [_chain(image, (proj_c,))[1] for image, _ in events]
+    conditionals = tuple(term / p for term, (_, p) in zip(terms, events))
     return SureThingReport(
         condition_values=condition.values,
         conditionals=conditionals,
-        p_unconditional=report.p_direct,
-        violation_flag=min(conditionals) > threshold and report.p_direct <= threshold,
-        interference=report.interference,
+        p_unconditional=p_unconditional,
+        violation_flag=min(conditionals) > threshold and p_unconditional <= threshold,
+        interference=p_unconditional - sum(terms),
     )

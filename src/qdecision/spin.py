@@ -17,7 +17,7 @@ import numpy as np
 from . import tolerances as tol
 from .engine import transition_probability
 from .errors import DegenerateConditioning, InvalidSampleCount, InvalidSeed, InvariantViolation
-from .linalg import StateVector, _real
+from .linalg import StateVector, _array, _real
 
 __all__ = [
     "Direction",
@@ -72,12 +72,16 @@ def angular_separation(a, b) -> float:
 def spin_component(a, phi):
     """sign(cos(a - phi)) with the tie cos = 0 resolved to +1.
 
-    Accepts a scalar phi or an array of phi samples. A direction whose angle reads as nan has no spin.
+    Accepts a scalar phi or an array of phi samples. A direction whose angle reads as nan, or a phi that is nan,
+    infinite or an int beyond the float range, has no spin.
     """
     angle = _angle(a)
     if angle != angle:
         raise InvariantViolation(f"spin direction {a!r} is not finite")
-    out = np.where(np.cos(angle - np.asarray(phi, dtype=float)) >= 0.0, 1, -1)
+    phi = _array(phi, float)
+    if not np.isfinite(phi).all():
+        raise InvariantViolation("hidden direction phi is not finite")
+    out = np.where(np.cos(angle - phi) >= 0.0, 1, -1)
     return int(out) if out.ndim == 0 else out
 
 

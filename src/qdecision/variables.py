@@ -8,6 +8,7 @@ all expressed on that spectral data.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Callable, Sequence
 from contextlib import nullcontext
 
@@ -57,6 +58,13 @@ def round_value(x: float) -> float:
     return float(f"{x if type(x) is float else _real(x):{_VALUE_FORMAT}}")  # a float skips the call: every value lookup runs this
 
 
+def _position(index: dict[float, int], value: float) -> int | None:
+    """``index.get(round_value(value))`` on rounded keys. A float is probed as it is first: a rounded key rounds to
+    itself, so a float equal to one is found without the format."""
+    j = index.get(value) if type(value) is float else None
+    return index.get(round_value(value)) if j is None else j
+
+
 class UnitaryOperator(_Immutable):
     """r x r matrix with W^dag W = I within tolerance."""
 
@@ -77,7 +85,7 @@ class UnitaryOperator(_Immutable):
 def _spectral_sum(values: Sequence[float], projectors: Sequence[Projector]) -> np.ndarray | None:
     """``sum_j u_j P_j`` made exactly self-adjoint, or None when it is not finite: a NaN or infinite ``u_j`` is caught
     before any arithmetic, finite ones whose sum overflows after it, unless all m are below 1e300 / m and cannot overflow."""
-    if not np.isfinite(values).all():
+    if not all(map(math.isfinite, values)):
         return None
     bounded = max(map(abs, values)) < 1e300 / len(projectors)  # no entry of a projector exceeds 1 in size
     with nullcontext() if bounded else np.errstate(over="ignore", invalid="ignore"):
@@ -159,10 +167,10 @@ class DecisionVariable(_Immutable):
 
     def value_index(self, value: float) -> int:
         """Position of ``value`` among the values, matched at ``VALUE_SIG_DIGITS``."""
-        try:
-            return self._index[round_value(value)]
-        except KeyError:
-            raise UnknownValue(f"{value!r} is not a value of variable {self.name!r}") from None
+        j = _position(self._index, value)
+        if j is None:
+            raise UnknownValue(f"{value!r} is not a value of variable {self.name!r}")
+        return j
 
     def projector_for(self, value: float) -> Projector:
         return self.eigenprojectors[self.value_index(value)]

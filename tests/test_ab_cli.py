@@ -24,6 +24,7 @@ def test_a_tree_against_itself_prints_every_kind_and_the_round():
     for kind in ("medical", "explicit", "density", "d16", "malformed", "text", "csv", "structured"):
         assert any(line.startswith(kind + " ") for line in lines), kind
     assert "round: 360 ops, identical output on both trees, 1 repeats, seed 3" in lines
+    assert lines[-2].startswith("latency_p50_ms  parent ")
     assert lines[-1].startswith("throughput_ops_s  parent ")
 
 

@@ -3,29 +3,47 @@
 An int beyond the float range (10**400) at each numeric argument of the
 entry points that read a value, a vector or a table, and a negative seed at
 each seeded function, must raise an ``EngineError`` subclass (or a
-``TypeError``), never a bare ``OverflowError`` or numpy ``ValueError``.
+``TypeError``), never a bare ``OverflowError`` or numpy ``ValueError``. So
+must a dimension above ``MAX_DIMENSION``, nested lists of unequal lengths
+and an angle that is not finite, with numpy's ``RuntimeWarning`` an error.
 """
 
+import math
+import warnings
+
+import numpy as np
 import pytest
 
 from qdecision import (
     DecisionVariable,
+    DensityOperator,
+    DimensionMismatch,
+    Effect,
     EngineError,
+    HermitianOperator,
     InvalidSeed,
+    InvariantViolation,
     LikelihoodTable,
+    Projector,
     StateVector,
+    UnitaryOperator,
     apply_function,
     classical_conditional,
     collapse,
     comparison_report,
     expectation_of_function,
+    ic_effect_basis,
     outcome_distribution,
+    planar_projector,
+    planar_state,
     projector_onto_span,
     sample_phi,
     sequential_probability,
+    spin_component,
     variable_from_spectrum,
 )
 from qdecision.demos import run_reconstruct_demo, run_spin_demo
+from qdecision.tolerances import MAX_DIMENSION
 
 PSI = StateVector([1.0, 0.0])
 VAR = variable_from_spectrum("v", [0, 1], [[[1, 0]], [[0, 1]]])
@@ -55,6 +73,29 @@ SEEDED = {
 }
 
 
+DIMENSIONED = {
+    "ic_effect_basis": ic_effect_basis,
+    "run_reconstruct_demo": lambda r: run_reconstruct_demo(r, 1),
+}
+
+RAGGED = {
+    "StateVector": lambda: StateVector([[1, 0], [1]]),
+    **{
+        cls.__name__: (lambda cls=cls: cls([[1, 0], [1]]))
+        for cls in (HermitianOperator, Effect, Projector, DensityOperator, UnitaryOperator)
+    },
+    "projector_onto_span": lambda: projector_onto_span([[1, 0], [[1], 0]]),
+    "variable_from_spectrum groups": lambda: variable_from_spectrum("v", [0, 1], [[[1, [0]]], [[0, 1]]]),
+}
+
+ANGLES = {
+    "spin_component phi": lambda x: spin_component(0.3, x),
+    "spin_component phi array": lambda x: spin_component(0.3, [x, 0.0]),
+    "planar_state": planar_state,
+    "planar_projector": planar_projector,
+}
+
+
 @pytest.mark.parametrize("call", BEYOND_FLOAT.values(), ids=BEYOND_FLOAT)
 @pytest.mark.parametrize("big", [10**400, -(10**400)], ids=["plus", "minus"])
 def test_an_int_beyond_the_float_range_is_an_engine_error(call, big):
@@ -66,3 +107,38 @@ def test_an_int_beyond_the_float_range_is_an_engine_error(call, big):
 def test_a_negative_seed_is_an_engine_error(call):
     with pytest.raises(InvalidSeed, match="^seed must be a non-negative integer, got -1$"):
         call(-1)
+
+
+@pytest.mark.parametrize("call", DIMENSIONED.values(), ids=DIMENSIONED)
+@pytest.mark.parametrize("r", [MAX_DIMENSION + 1, 10**400], ids=["max+1", "beyond_float"])
+def test_a_dimension_above_the_bound_is_refused_before_any_allocation(call, r):
+    with pytest.raises(DimensionMismatch, match=f"^dimension must be at most {MAX_DIMENSION}, got {r}$"):
+        call(r)
+
+
+@pytest.mark.parametrize("call", RAGGED.values(), ids=RAGGED)
+def test_nested_lists_of_unequal_lengths_are_a_dimension_mismatch(call):
+    with pytest.raises(DimensionMismatch, match="^nested lists of unequal lengths do not form an array$"):
+        call()
+
+
+def test_a_malformed_string_is_still_numpys_value_error():
+    with pytest.raises(ValueError, match="malformed string"):
+        StateVector(["1", "x"])
+
+
+@pytest.mark.parametrize("call", ANGLES.values(), ids=ANGLES)
+@pytest.mark.parametrize("x", [math.inf, -math.inf, math.nan, 10**400, -(10**400)], ids=["inf", "-inf", "nan", "+big", "-big"])
+def test_an_angle_that_is_not_finite_is_refused_before_cos(call, x):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(InvariantViolation, match="is not finite$"):
+            call(x)
+
+
+@pytest.mark.parametrize("phi", [0.3, np.float64(0.3), 1, np.array(0.3), [0.3, 1.9]], ids=repr)
+def test_a_finite_phi_still_gives_its_spin(phi):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        got = spin_component(0.3, phi)
+    assert np.array_equal(got, np.where(np.cos(0.3 - np.asarray(phi, dtype=float)) >= 0.0, 1, -1))

@@ -12,7 +12,8 @@ fails here by name.
 
 The Born chain, collapse, value keys and the images of f(v) run on Python
 floats where numpy scalars stood: each is checked against the numpy-scalar
-expression it replaced, by ``uint64`` view.
+expression it replaced, by ``uint64`` view. A matrix times a vector in the
+Born rule and the chain is ``ndarray.dot``, checked against ``@`` the same way.
 """
 
 import dataclasses
@@ -389,3 +390,16 @@ def test_python_sqrt_and_pow_are_numpys_on_this_host():
     samples = np.concatenate([rng.random(50_000), rng.random(10_000) * 10.0 ** rng.integers(-300, 300, 10_000)])
     parted = [s for s in samples.tolist() if bits(math.sqrt(s) ** 2) != bits(float(np.sqrt(np.float64(s)) ** 2))]
     assert not parted, f"math.sqrt(s) ** 2 and np.sqrt(np.float64(s)) ** 2 differ on {len(parted)} values, first {parted[0]!r}"
+
+
+@pytest.mark.parametrize("d", [2, 3, 8, 16, 17, 32])
+def test_matrix_times_vector_by_dot_is_matmul_bit_for_bit(d):
+    """``_born``, ``_event`` and the vector chain multiply by ``ndarray.dot``: the zgemv call ``@`` makes, without the
+    ufunc machinery around it. A numpy or BLAS release that parts the two fails here."""
+    rng = np.random.default_rng(6200 + d)
+    for _ in range(200):
+        m = engine._frozen(random_maximal_variable(d, rng).eigenprojectors[0].matrix.copy())
+        for a in (random_unitary(d, rng)[:, 0], np.eye(d, dtype=complex)[int(rng.integers(d))]):
+            a = engine._frozen(a.copy())
+            assert np.array_equal(bits(m.dot(a)), bits(m @ a)), d
+            assert np.array_equal(bits(m.dot(m.dot(a))), bits(m @ (m @ a))), d
