@@ -12,7 +12,7 @@ import numpy as np
 
 from ._version import __version__
 from .engine import ic_effect_basis
-from .errors import InvalidSeed
+from .errors import InvalidSeed, _shown
 from .linalg import DensityOperator
 from .report import QueryResult, Report
 from .scenario import Query, Scenario, parse_scenario, run_scenario
@@ -90,7 +90,7 @@ def run_reconstruct_demo(dim: int = 3, seed: int = 7) -> Report:
     """Round-trip a seeded random density through the effect basis."""
     ic_effect_basis(dim)  # checks dim before the draw, and caches the family the query reads
     if seed < 0:
-        raise InvalidSeed(f"seed must be a non-negative integer, got {seed}")
+        raise InvalidSeed(f"seed must be a non-negative integer, got {_shown(seed, str)}")
     rng = np.random.default_rng(seed)
     m = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     raw = m @ m.conj().T

@@ -31,6 +31,7 @@ from .errors import (
     UnknownDataLabel,
     UnknownValue,
     ZeroProbabilityOutcome,
+    _shown,
 )
 from .linalg import (
     DensityOperator,
@@ -192,7 +193,7 @@ class OutcomeDistribution:
     def probability_of(self, value: float) -> float:
         j = _position(self._index, value)
         if j is None:
-            raise UnknownValue(f"{value!r} is not among the outcome values")
+            raise UnknownValue(f"{_shown(value)} is not among the outcome values")
         return self.probabilities[j]
 
 
@@ -316,7 +317,7 @@ class GPMSample:
 
     def __init__(self, effect: Effect, probability: float):  # once per sample: the generated one's __post_init__ costs
         if not -tol.PROB_FLOOR <= probability <= 1.0 + tol.PROB_FLOOR:
-            raise InvariantViolation(f"sample probability {probability!r} outside [0, 1]")
+            raise InvariantViolation(f"sample probability {_shown(probability)} outside [0, 1]")
         _set_effect(self, effect if isinstance(effect, Effect) else _as_effect(effect))
         _set_probability(self, probability)
 
@@ -351,9 +352,9 @@ def ic_effect_basis(r: int) -> list[Effect]:
     r runs from 2 to ``MAX_DIMENSION``.
     """
     if r < 2:
-        raise DimensionMismatch(f"informational completeness needs dimension >= 2, got {r}")
+        raise DimensionMismatch(f"informational completeness needs dimension >= 2, got {_shown(r, str)}")
     if r > tol.MAX_DIMENSION:  # before the r^2 effects of r x r entries are built
-        raise DimensionMismatch(f"dimension must be at most {tol.MAX_DIMENSION}, got {r}")
+        raise DimensionMismatch(f"dimension must be at most {tol.MAX_DIMENSION}, got {_shown(r, str)}")
     return list(_ic_basis(r))
 
 

@@ -8,6 +8,14 @@ scenario document (exit code 1).
 from __future__ import annotations
 
 
+def _shown(x, show=repr) -> str:
+    """``show(x)`` for a message; an int beyond Python's int-to-string digit limit, which ``show`` refuses, by its size."""
+    try:
+        return show(x)
+    except ValueError:  # only an int's digit limit: a number's repr raises nothing else
+        return f"{'a negative' if x < 0 else 'an'} int of {x.bit_length()} bits"
+
+
 class EngineError(Exception):
     """Base class for all computational failures."""
 

@@ -65,7 +65,7 @@ def as_complex_matrix(data, name: str = "matrix") -> np.ndarray:
     arr = _array(data)
     if arr.ndim != 2:
         raise DimensionMismatch(f"{name} must be two-dimensional, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise InvariantViolation(f"{name} contains non-finite entries")
     return arr
 
@@ -104,7 +104,7 @@ class StateVector(_Immutable):
         arr = _array(amplitudes).reshape(-1)
         if arr.size == 0:
             raise DimensionMismatch("state vector cannot be empty")
-        if not np.all(np.isfinite(arr)):
+        if not np.isfinite(arr).all():
             raise InvariantViolation("state vector contains non-finite entries")
         nrm = float(_norm(arr))
         if not (abs(nrm - 1.0) <= tol.UNIT_NORM_TOL):
@@ -189,7 +189,7 @@ class Projector(Effect):
             raise InvariantViolation(
                 f"projector violates idempotence: ||P@P - P||_F = {idem_dev:.3e} > {tol.PROJECTOR_IDEM_TOL:.1e}"
             )
-        tr = float(np.trace(m).real)
+        tr = float(m.trace().real)
         rank = round(tr)
         if rank < 1 or not (abs(tr - rank) <= tol.PROJECTOR_TRACE_TOL):
             raise InvariantViolation(
@@ -197,19 +197,13 @@ class Projector(Effect):
             )
         self.rank = rank
 
-    @classmethod
-    def _trusted(cls, matrix: np.ndarray, rank: int) -> "Projector":
-        self = super()._trusted(matrix)
-        self.rank = rank
-        return self
-
 
 class DensityOperator(HermitianOperator):
     """Positive semidefinite, trace-one operator; a possibly mixed state."""
 
     def __init__(self, matrix):
         super().__init__(matrix)
-        tr = float(np.trace(self.matrix).real)
+        tr = float(self.matrix.trace().real)
         if not (abs(tr - 1.0) <= tol.DENSITY_TRACE_TOL):
             raise InvariantViolation(f"density operator trace {tr!r} differs from 1")
         lo = float(np.linalg.eigvalsh(self.matrix).min())
@@ -321,7 +315,9 @@ def _span_projection(cols: np.ndarray) -> np.ndarray:
     a = cols.astype(complex)  # qr_r_raw overwrites this copy with the reflectors
     q = _umath_linalg.qr_reduced(a, _umath_linalg.qr_r_raw(a, signature="D->D"), signature="DD->D")
     p = q @ q.conj().swapaxes(-1, -2)
-    return (p + p.conj().swapaxes(-1, -2)) / 2.0
+    p += p.conj().swapaxes(-1, -2)  # conj() copies, so the sum reads no entry it has written
+    p /= 2.0
+    return p
 
 
 def _vector_rows(vectors: Sequence[StateVector | np.ndarray] | np.ndarray) -> np.ndarray:

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import tolerances as tol
 from .engine import State, _after_each, _chain, _event, event_probability
-from .errors import InvariantViolation, NotAPartition, ZeroProbabilityOutcome
+from .errors import InvariantViolation, NotAPartition, ZeroProbabilityOutcome, _shown
 from .linalg import Projector, StateVector, _real
 from .variables import DecisionVariable
 
@@ -37,7 +37,7 @@ def planar_state(angle_degrees: float) -> StateVector:
     """Real two-dimensional unit vector at the given angle; a nan or infinite angle raises ``InvariantViolation``."""
     t = np.deg2rad(_real(angle_degrees))
     if not np.isfinite(t):  # before cos, which warns on inf
-        raise InvariantViolation(f"plane angle {angle_degrees!r} is not finite")
+        raise InvariantViolation(f"plane angle {_shown(angle_degrees)} is not finite")
     return StateVector([np.cos(t), np.sin(t)])
 
 

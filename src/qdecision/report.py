@@ -23,12 +23,18 @@ REPORT_FORMATS = ("text", "csv", "structured")
 Value = float | int | bool | str
 
 
+_SIGNIFICANT = f"#.{tol.FLOAT_SIG_DIGITS}g"  # built once: a nested spec is rebuilt on every call
+
+
 def format_number(x: float) -> str:
     """Positional decimal representation with ``FLOAT_SIG_DIGITS`` significant digits."""
     x = float(x)
     if x == 0.0:
         return "0." + "0" * tol.FLOAT_SIG_DIGITS
-    mantissa, exponent = f"{x:.{tol.FLOAT_SIG_DIGITS - 1}e}".split("e")
+    s = f"{x:{_SIGNIFICANT}}"  # positional, '#' keeping its zeros, for a rounded decimal exponent in [-4, N)
+    if "e" not in s and "n" not in s:  # neither an exponent outside that range nor inf or nan
+        return s
+    mantissa, exponent = s.split("e")  # as ".11e" gives them; inf and nan hold no 'e' and raise here
     e = int(exponent)  # after the rounding to FLOAT_SIG_DIGITS, which may carry into the next power of ten
     if e >= tol.FLOAT_SIG_DIGITS:
         return mantissa.replace(".", "") + "0" * (e - tol.FLOAT_SIG_DIGITS + 1)

@@ -30,6 +30,7 @@ query boundaries.
 from __future__ import annotations
 
 import json
+import math
 import sys
 from dataclasses import dataclass, field
 from itertools import chain
@@ -232,10 +233,10 @@ def _parse_variable(node, index: int, dimension: int) -> DecisionVariable:
                 loc + ".basis_angle_degrees",
                 "the angle shorthand needs dimension 2 and exactly two values",
             )
-        alpha = np.deg2rad(_as_number(obj["basis_angle_degrees"], loc + ".basis_angle_degrees"))
-        if not np.isfinite(alpha):  # no cos or sin of an infinite angle: NaN axes fail the basis check
-            alpha = np.nan
-        c, s = np.cos(alpha), np.sin(alpha)
+        alpha = math.radians(_as_number(obj["basis_angle_degrees"], loc + ".basis_angle_degrees"))
+        if not math.isfinite(alpha):  # no cos or sin of an infinite angle: NaN axes fail the basis check
+            alpha = math.nan
+        c, s = math.cos(alpha), math.sin(alpha)  # numpy's deg2rad, cos and sin to the bit, without the scalar ufuncs
         lo_hi = np.array([[-s, c], [c, s]], dtype=complex)
         eigenbasis = [lo_hi[1:], lo_hi[:1]] if values[1] < values[0] else [lo_hi[:1], lo_hi[1:]]
     else:

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import tolerances as tol
 from .engine import transition_probability
-from .errors import DegenerateConditioning, InvalidSampleCount, InvalidSeed, InvariantViolation
+from .errors import DegenerateConditioning, InvalidSampleCount, InvalidSeed, InvariantViolation, _shown
 from .linalg import StateVector, _array, _real
 
 __all__ = [
@@ -77,7 +77,7 @@ def spin_component(a, phi):
     """
     angle = _angle(a)
     if angle != angle:
-        raise InvariantViolation(f"spin direction {a!r} is not finite")
+        raise InvariantViolation(f"spin direction {_shown(a)} is not finite")
     phi = _array(phi, float)
     if not np.isfinite(phi).all():
         raise InvariantViolation("hidden direction phi is not finite")
@@ -113,9 +113,9 @@ def _cuts(a: float) -> list[int]:
 def _stream(n: int, seed: int) -> np.random.Generator:
     """The first child stream of ``SeedSequence(seed)``, which each draw of ``n`` samples comes from."""
     if not 1 <= n <= tol.MAX_SPIN_SAMPLES:
-        raise InvalidSampleCount(f"need from 1 to {tol.MAX_SPIN_SAMPLES} samples, got {n}")
+        raise InvalidSampleCount(f"need from 1 to {tol.MAX_SPIN_SAMPLES} samples, got {_shown(n, str)}")
     if seed < 0:
-        raise InvalidSeed(f"seed must be a non-negative integer, got {seed}")
+        raise InvalidSeed(f"seed must be a non-negative integer, got {_shown(seed, str)}")
     return np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
 
 

@@ -8,6 +8,7 @@ all expressed on that spectral data.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections.abc import Callable, Sequence
 from contextlib import nullcontext
@@ -23,6 +24,7 @@ from .errors import (
     NonOrthonormalBasis,
     NotUnitary,
     UnknownValue,
+    _shown,
 )
 from .linalg import (
     HermitianOperator,
@@ -56,6 +58,12 @@ _VALUE_FORMAT = f".{tol.VALUE_SIG_DIGITS}g"  # built once: a nested spec is rebu
 def round_value(x: float) -> float:
     """Round to the significant digits used for value identification."""
     return float(f"{x if type(x) is float else _real(x):{_VALUE_FORMAT}}")  # a float skips the call: every value lookup runs this
+
+
+@functools.lru_cache(maxsize=4)
+def _eye(r: int) -> np.ndarray:
+    """``np.eye(r)``, built once per dimension as an array no caller can make writeable, like ``engine._upper``."""
+    return _frozen(np.eye(r))
 
 
 def _position(index: dict[float, int], value: float) -> int | None:
@@ -123,7 +131,7 @@ class DecisionVariable(_Immutable):
                 f"projector ranks sum to {sum(p.rank for p in projectors)}, expected {r}"
             )
         total = sum(p.matrix for p in projectors)
-        if not (float(_norm(total - np.eye(r))) <= tol.ORTHONORMALITY_TOL):
+        if not (float(_norm(total - _eye(r))) <= tol.ORTHONORMALITY_TOL):
             raise NonOrthonormalBasis(
                 f"eigenprojectors of {name!r} do not resolve the identity"
             )
@@ -137,39 +145,39 @@ class DecisionVariable(_Immutable):
 
         self._assign(name, vals, projectors, index)
 
-    @classmethod
-    def _trusted(
-        cls, name: str, values: list[float], projectors: list[Projector], index: dict[float, int]
-    ) -> "DecisionVariable":
-        """Variable from sorted distinct values, each rounded value's position in ``index``, and
-        eigenprojectors the engine built from a checked orthonormal basis; checks only the values."""
-        self = cls.__new__(cls)
-        self._assign(name, values, projectors, index)
-        return self
-
     def _assign(self, name: str, vals: list[float], projectors: Sequence[Projector], index: dict[float, int]) -> None:
-        op = _spectral_sum(vals, projectors)
+        """Set every attribute in one write past _Immutable's per-attribute check. The operator is left to its first
+        read when every |u_j| < 1e300 / m, below which ``_spectral_sum`` cannot fail; otherwise it is gated here."""
+        vars(self).update(name=str(name), values=tuple(vals), _index=index, eigenprojectors=tuple(projectors))
+        if not (all(map(math.isfinite, vals)) and max(map(abs, vals)) < 1e300 / len(projectors)):
+            self.operator  # from the bound up the sum may overflow, so it is built and gated now
+
+    @property
+    def operator(self) -> HermitianOperator:
+        """The self-adjoint ``sum_j u_j P_j``, built on its first read unless the constructor built it."""
+        op = vars(self).get("_operator")
         if op is None:
-            raise InvariantViolation(
-                f"variable {name!r} values must be finite and give a finite operator: {vals}"
-            )
-        vars(self).update(  # one write past _Immutable's per-attribute check
-            name=str(name),
-            values=tuple(vals),
-            _index=index,
-            eigenprojectors=tuple(projectors),
-            operator=HermitianOperator._trusted(op),
-        )
+            op = _spectral_sum(self.values, self.eigenprojectors)
+            if op is None:
+                raise InvariantViolation(
+                    f"variable {self.name!r} values must be finite and give a finite operator: {list(self.values)}"
+                )
+            op = vars(self)["_operator"] = HermitianOperator._trusted(op)
+        return op
+
+    @operator.setter
+    def operator(self, value) -> None:  # refused before the first read too, when the instance dict has no operator
+        raise AttributeError(f"{type(self).__name__}.operator is immutable")
 
     @property
     def dim(self) -> int:
-        return self.operator.dim
+        return self.eigenprojectors[0].dim
 
     def value_index(self, value: float) -> int:
         """Position of ``value`` among the values, matched at ``VALUE_SIG_DIGITS``."""
         j = _position(self._index, value)
         if j is None:
-            raise UnknownValue(f"{value!r} is not a value of variable {self.name!r}")
+            raise UnknownValue(f"{_shown(value)} is not a value of variable {self.name!r}")
         return j
 
     def projector_for(self, value: float) -> Projector:
@@ -194,9 +202,7 @@ def variable_from_spectrum(
     The groups of each size are projected in one stacked QR.
     """
     if len(values) != len(eigenbasis):
-        raise DimensionMismatch(
-            f"{len(values)} values but {len(eigenbasis)} eigenvector groups"
-        )
+        raise DimensionMismatch(f"{len(values)} values but {len(eigenbasis)} eigenvector groups")
     vals = [_real(v) for v in values]
     keys = [round_value(v) for v in vals]
     if len(set(keys)) != len(vals):
@@ -209,29 +215,31 @@ def variable_from_spectrum(
     r = filled[0].shape[1]
     if any(g.shape[1] != r for g in filled):
         raise DimensionMismatch("eigenvectors have inconsistent dimensions")
-    basis = np.vstack(filled)  # one eigenvector per row
+    basis = np.concatenate(filled)  # one eigenvector per row
     if len(basis) != r:
-        raise DimensionMismatch(
-            f"total eigenvector count {len(basis)} must equal the dimension {r}"
-        )
-    # a NaN or infinite entry leaves the Gram deviation undefined, so it is not computed
-    gram_dev = float(_norm(basis.conj() @ basis.T - np.eye(r))) if np.isfinite(basis).all() else np.nan
+        raise DimensionMismatch(f"total eigenvector count {len(basis)} must equal the dimension {r}")
+    # a NaN or infinite entry leaves the Gram deviation undefined, so it is not computed; else it is _norm's, in floats
+    d = (basis.conj() @ basis.T - _eye(r)).ravel() if np.isfinite(basis).all() else None
+    gram_dev = math.nan if d is None else math.sqrt(float(d.real.dot(d.real)) + float(d.imag.dot(d.imag)))
     if not (gram_dev <= tol.ORTHONORMALITY_TOL):
-        raise NonOrthonormalBasis(
-            f"eigenbasis is not orthonormal: ||V^dag V - I||_F = {gram_dev:.3e}"
-        )
+        raise NonOrthonormalBasis(f"eigenbasis is not orthonormal: ||V^dag V - I||_F = {gram_dev:.3e}")
     if len(filled) != len(groups):
         raise DegenerateSpan("cannot project onto the span of an empty list")
 
     matrices = {}
-    for k in {len(g) for g in groups}:
+    sizes = {len(g) for g in groups}
+    for k in sizes:
         members = [j for j, g in enumerate(groups) if len(g) == k]
-        batch = np.concatenate([groups[j] for j in members]).reshape(len(members), k, r)
-        stack = _span_projection(batch.swapaxes(-1, -2))
-        matrices.update(zip(members, stack))
+        batch = basis if len(sizes) == 1 else np.concatenate([groups[j] for j in members])  # checked rows, in order
+        stack = _span_projection(batch.reshape(len(members), k, r).swapaxes(-1, -2))
+        matrices.update(zip(members, _frozen(stack)))  # one freeze per stack; each row is a read-only view of it
     order = sorted(range(len(vals)), key=lambda j: vals[j])
-    projectors = [Projector._trusted(matrices[j], len(groups[j])) for j in order]
-    return DecisionVariable._trusted(name, [vals[j] for j in order], projectors, {keys[j]: i for i, j in enumerate(order)})
+    projectors = [Projector.__new__(Projector) for _ in order]
+    for p, j in zip(projectors, order):  # one unchecked write each, past _Immutable's per-attribute check
+        vars(p).update(matrix=matrices[j], rank=len(groups[j]))
+    v = DecisionVariable.__new__(DecisionVariable)  # the basis check stands for every invariant but the values'
+    v._assign(name, [vals[j] for j in order], projectors, {keys[j]: i for i, j in enumerate(order)})
+    return v
 
 
 def is_maximal(v: DecisionVariable) -> bool:

@@ -6,6 +6,8 @@ each seeded function, must raise an ``EngineError`` subclass (or a
 ``TypeError``), never a bare ``OverflowError`` or numpy ``ValueError``. So
 must a dimension above ``MAX_DIMENSION``, nested lists of unequal lengths
 and an angle that is not finite, with numpy's ``RuntimeWarning`` an error.
+An int beyond Python's 4 300-digit int-to-string limit (10**5000) is one too,
+and a message that names it gives its size in bits.
 """
 
 import math
@@ -19,14 +21,17 @@ from qdecision import (
     DensityOperator,
     DimensionMismatch,
     Effect,
+    GPMSample,
     EngineError,
     HermitianOperator,
+    InvalidSampleCount,
     InvalidSeed,
     InvariantViolation,
     LikelihoodTable,
     Projector,
     StateVector,
     UnitaryOperator,
+    UnknownValue,
     apply_function,
     classical_conditional,
     collapse,
@@ -45,6 +50,7 @@ from qdecision import (
 from qdecision.demos import run_reconstruct_demo, run_spin_demo
 from qdecision.tolerances import MAX_DIMENSION
 
+BEYOND_DIGITS = 10**5000  # 16 610 bits; str() of it raises ValueError
 PSI = StateVector([1.0, 0.0])
 VAR = variable_from_spectrum("v", [0, 1], [[[1, 0]], [[0, 1]]])
 
@@ -88,6 +94,19 @@ RAGGED = {
     "variable_from_spectrum groups": lambda: variable_from_spectrum("v", [0, 1], [[[1, [0]]], [[0, 1]]]),
 }
 
+NAMED_IN_THE_MESSAGE = {
+    "ic_effect_basis": (ic_effect_basis, DimensionMismatch),
+    "run_reconstruct_demo dim": (lambda n: run_reconstruct_demo(n, 1), DimensionMismatch),
+    "value_index": (VAR.value_index, UnknownValue),
+    "probability_of": (lambda n: outcome_distribution(PSI, VAR).probability_of(n), UnknownValue),
+    "planar_state": (planar_state, InvariantViolation),
+    "spin_component direction": (lambda n: spin_component(n, 0.3), InvariantViolation),
+    "sample_phi count": (lambda n: sample_phi(n, 1), InvalidSampleCount),
+    "sample_phi seed": (lambda n: sample_phi(10, -abs(n)), InvalidSeed),
+    "run_reconstruct_demo seed": (lambda n: run_reconstruct_demo(3, -abs(n)), InvalidSeed),
+    "GPMSample probability": (lambda n: GPMSample(ic_effect_basis(2)[0], n), InvariantViolation),
+}
+
 ANGLES = {
     "spin_component phi": lambda x: spin_component(0.3, x),
     "spin_component phi array": lambda x: spin_component(0.3, [x, 0.0]),
@@ -97,7 +116,7 @@ ANGLES = {
 
 
 @pytest.mark.parametrize("call", BEYOND_FLOAT.values(), ids=BEYOND_FLOAT)
-@pytest.mark.parametrize("big", [10**400, -(10**400)], ids=["plus", "minus"])
+@pytest.mark.parametrize("big", [10**400, -(10**400), BEYOND_DIGITS], ids=["plus", "minus", "beyond_digits"])
 def test_an_int_beyond_the_float_range_is_an_engine_error(call, big):
     with pytest.raises((EngineError, TypeError)):
         call(big)
@@ -116,6 +135,13 @@ def test_a_dimension_above_the_bound_is_refused_before_any_allocation(call, r):
         call(r)
 
 
+@pytest.mark.parametrize("call, error", NAMED_IN_THE_MESSAGE.values(), ids=NAMED_IN_THE_MESSAGE)
+@pytest.mark.parametrize("sign", [1, -1], ids=["plus", "minus"])
+def test_a_message_gives_an_int_beyond_the_digit_limit_by_its_size(call, error, sign):
+    with pytest.raises(error, match=r"\b(an|a negative) int of 16610 bits\b"):
+        call(sign * BEYOND_DIGITS)
+
+
 @pytest.mark.parametrize("call", RAGGED.values(), ids=RAGGED)
 def test_nested_lists_of_unequal_lengths_are_a_dimension_mismatch(call):
     with pytest.raises(DimensionMismatch, match="^nested lists of unequal lengths do not form an array$"):
@@ -128,7 +154,9 @@ def test_a_malformed_string_is_still_numpys_value_error():
 
 
 @pytest.mark.parametrize("call", ANGLES.values(), ids=ANGLES)
-@pytest.mark.parametrize("x", [math.inf, -math.inf, math.nan, 10**400, -(10**400)], ids=["inf", "-inf", "nan", "+big", "-big"])
+@pytest.mark.parametrize(
+    "x", [math.inf, -math.inf, math.nan, 10**400, -(10**400), BEYOND_DIGITS], ids=["inf", "-inf", "nan", "+big", "-big", "+digits"]
+)
 def test_an_angle_that_is_not_finite_is_refused_before_cos(call, x):
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)

@@ -93,7 +93,7 @@ _FROZEN_ARRAYS = {
     "HermitianOperator": lambda: HermitianOperator(np.eye(2)).matrix,
     "HermitianOperator._trusted": lambda: HermitianOperator._trusted(np.eye(2, dtype=complex)).matrix,
     "Projector": lambda: Projector(np.diag([1.0, 0.0])).matrix,
-    "Projector._trusted": lambda: Projector._trusted(np.diag([1.0, 0.0j]), 1).matrix,
+    "variable_from_spectrum projector": lambda: _variable().eigenprojectors[0].matrix,
     "DensityOperator": lambda: DensityOperator(np.eye(2) / 2.0).matrix,
     "DensityOperator._trusted": lambda: DensityOperator._trusted(np.eye(2, dtype=complex) / 2.0).matrix,
     "Effect": lambda: Effect(np.eye(2) / 2.0).matrix,

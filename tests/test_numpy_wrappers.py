@@ -14,6 +14,11 @@ The Born chain, collapse, value keys and the images of f(v) run on Python
 floats where numpy scalars stood: each is checked against the numpy-scalar
 expression it replaced, by ``uint64`` view. A matrix times a vector in the
 Born rule and the chain is ``ndarray.dot``, checked against ``@`` the same way.
+
+A report number is formatted once with ``#.12g`` where it was formatted twice,
+and the ``basis_angle_degrees`` shorthand computes with ``math`` where it called
+numpy's scalar ``deg2rad``, ``cos`` and ``sin``: each is checked against the
+code it replaced.
 """
 
 import dataclasses
@@ -38,7 +43,7 @@ from qdecision import (
     reconstruct_density,
     variable_from_spectrum,
 )
-from qdecision import engine, variables
+from qdecision import engine, report, variables
 from qdecision import tolerances as tol
 from qdecision.linalg import _norm, _span_projection
 
@@ -403,3 +408,75 @@ def test_matrix_times_vector_by_dot_is_matmul_bit_for_bit(d):
             a = engine._frozen(a.copy())
             assert np.array_equal(bits(m.dot(a)), bits(m @ a)), d
             assert np.array_equal(bits(m.dot(m.dot(a))), bits(m @ (m @ a))), d
+
+
+# ---------------------------------------------------------------------------
+# report numbers formatted once, and the angle shorthand on math
+
+
+def two_format_number(x) -> str:
+    """``report.format_number`` while it formatted every number twice: ``.11e`` for the exponent after rounding to
+    12 digits, then ``f`` at the place that exponent gives."""
+    x = float(x)
+    if x == 0.0:
+        return "0." + "0" * tol.FLOAT_SIG_DIGITS
+    mantissa, exponent = f"{x:.{tol.FLOAT_SIG_DIGITS - 1}e}".split("e")
+    e = int(exponent)
+    if e >= tol.FLOAT_SIG_DIGITS:
+        return mantissa.replace(".", "") + "0" * (e - tol.FLOAT_SIG_DIGITS + 1)
+    return f"{x:#.{tol.FLOAT_SIG_DIGITS - 1 - e}f}"
+
+
+# where the rounded exponent crosses -4 or 12, the two ends of the one-format path, and its neighbours
+_FORMAT_EDGES = [9.9999999999995e-05, 1e-4, 999999999999.5, 1e12, 9.99999999999949e-05, 999999999999.4999,
+                 99999.9999999995, 0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
+                 -1.7976931348623157e308, 0.1, 1 / 3, -2.5, 1e-5, -1e-4, -999999999999.5, 123456789012.34, 0.5,
+                 1, -7, 10**20, True, np.float64(0.1), np.int64(-3)]
+_FORMAT_EDGES += [math.nextafter(x, t) for x in _FORMAT_EDGES[:7] for t in (-math.inf, math.inf)]
+
+
+@pytest.mark.parametrize("x", _FORMAT_EDGES, ids=repr)
+def test_format_number_is_the_two_format_one_at_its_edges(x):
+    assert report.format_number(x) == two_format_number(x)
+
+
+@hypothesis.settings(max_examples=1000, deadline=None)
+@hypothesis.given(x=st.floats(allow_nan=False, allow_infinity=False))
+def test_format_number_is_the_two_format_one(x):
+    assert report.format_number(x) == two_format_number(x)
+
+
+def test_format_number_is_the_two_format_one_on_many_doubles():
+    """Random bit patterns, which reach every exponent, and random values near each power of ten in 1e-6 to 1e14."""
+    rng = np.random.default_rng(6300)
+    patterns = rng.integers(0, 2**64, 50_000, dtype=np.uint64).view(np.float64)
+    near = (1.0 + rng.normal(scale=1e-11, size=50_000)) * 10.0 ** rng.integers(-6, 15, 50_000)
+    values = [x for x in np.concatenate([patterns, near, -near]).tolist() if math.isfinite(x)]
+    parted = [x for x in values if report.format_number(x) != two_format_number(x)]
+    assert not parted, f"{len(parted)} of {len(values)} numbers format differently, first {parted[0]!r}"
+
+
+@pytest.mark.parametrize("x", [math.inf, -math.inf, math.nan], ids=repr)
+def test_format_number_of_a_non_finite_number_still_raises(x):
+    """No report holds one: the parent raised ``ValueError`` unpacking the exponent of 'inf', and still does."""
+    for fmt in (report.format_number, two_format_number):
+        with pytest.raises(ValueError, match="not enough values to unpack"):
+            fmt(x)
+
+
+def test_math_angles_are_numpys_scalar_ones_on_a_grid():
+    """``math.radians``, ``cos`` and ``sin`` against ``np.deg2rad`` of the same Python float and numpy's scalar
+    ``cos`` and ``sin`` of that, by ``uint64`` view: every 0.01 degree in [-720, 720), random angles of every size
+    and the two that are not finite, as the shorthand sets them to nan. A libm or numpy release that parts them
+    fails here."""
+    rng = np.random.default_rng(6400)
+    degrees = (np.arange(-72_000, 72_000) / 100).tolist()
+    degrees += (rng.random(5_000) * 10.0 ** rng.integers(-300, 300, 5_000) * rng.choice([-1.0, 1.0], 5_000)).tolist()
+    degrees += [1e300, -1.7976931348623157e308, 5e-324, -0.0, math.nan]
+    parted = []
+    for x in degrees:
+        a, t = math.radians(x), np.deg2rad(x)
+        if bits([a, math.cos(a), math.sin(a)]).tolist() != bits([t, np.cos(t), np.sin(t)]).tolist():
+            parted.append(x)
+    assert not parted, f"math and numpy part on {len(parted)} angles, first {parted[0]!r}"
+

@@ -1,5 +1,7 @@
 """Decision variables: construction, maximality, functions, conjugation."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -21,6 +23,7 @@ from qdecision import (
     projector_onto_span,
     variable_from_spectrum,
 )
+from qdecision.variables import _spectral_sum
 
 from conftest import distinct_values, random_maximal_variable, random_unitary, rng_for
 
@@ -185,6 +188,44 @@ def test_projector_for_unknown_value():
     v = diag_variable([1.0, 2.0])
     with pytest.raises(UnknownValue):
         v.projector_for(3.0)
+
+
+# ---------------------------------------------------------------------------
+# the operator, built on its first read where it cannot fail
+
+
+def _spread_variables(m: int, top: float) -> list[DecisionVariable]:
+    """A variable of m values spread over [-top, top] from its spectrum, and the same through the checked constructor."""
+    u = random_unitary(m, rng_for(4100 + m))
+    v = variable_from_spectrum("v", list(np.linspace(-top, top, m)), [[u[:, j]] for j in range(m)])
+    return [v, DecisionVariable("w", v.values, v.eigenprojectors)]
+
+
+@pytest.mark.parametrize("m", [2, 3, 7])
+@pytest.mark.parametrize("side", ["below", "at", "above"])
+def test_the_operator_is_the_eager_spectral_sum_on_both_sides_of_the_bound(m, side):
+    """Below 1e300 / m the operator waits for its first read; from the bound up it is built and gated at once."""
+    bound = 1e300 / m
+    top = {"below": math.nextafter(bound, 0.0), "at": bound, "above": math.nextafter(bound, math.inf)}[side]
+    for v in _spread_variables(m, top):
+        assert v.dim == m and repr(v)  # neither reads the operator
+        assert ("_operator" in vars(v)) == (side != "below")
+        assert np.array_equal(v.operator.matrix, _spectral_sum(v.values, v.eigenprojectors))
+        assert v.operator is v.operator
+
+
+@pytest.mark.parametrize("read_first", [False, True], ids=["before-first-read", "after-first-read"])
+def test_the_operator_cannot_be_rebound_or_deleted(read_first):
+    v = pauli_x_variable()
+    if read_first:
+        before = v.operator
+    for rebind in (lambda: setattr(v, "operator", "x"), lambda: delattr(v, "operator")):
+        with pytest.raises(AttributeError, match="^DecisionVariable.operator is immutable$"):
+            rebind()
+    assert ("_operator" in vars(v)) == read_first  # a refused write builds nothing
+    assert np.array_equal(v.operator.matrix, _spectral_sum(v.values, v.eigenprojectors))
+    if read_first:
+        assert v.operator is before
 
 
 # ---------------------------------------------------------------------------
