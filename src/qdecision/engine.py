@@ -122,7 +122,7 @@ def _chain(state: State | np.ndarray, projectors: Sequence[Projector]) -> tuple[
             if len(m) != len(x):
                 _check_dims(len(x), len(m))
             x = m.dot(x)
-        # float(_norm(x) ** 2) in Python floats: math.sqrt is np.sqrt, and ** 2 calls libm pow on both (s * s can differ)
+        # _norm(x) ** 2 without the call, in its floats: math.sqrt is np.sqrt, and ** 2 calls libm pow (s * s can differ)
         re, im = x.real, x.imag
         return x, math.sqrt(re.dot(re) + im.dot(im)) ** 2
     for p in projectors:
@@ -416,7 +416,7 @@ def _ic_fit(mu: np.ndarray, r: int) -> tuple[np.ndarray, float]:
     d = mu[r:].reshape(-1, 2) - mid
     x = np.concatenate([diag, (d * _SIGN).ravel()])
     fitted = np.concatenate([diag, (mid + d).ravel()])  # D x, by the family's forward map: mid + x * sign, sign^2 = 1
-    return _hermitian_from_coords(x, r), float(_norm(fitted - mu))
+    return _hermitian_from_coords(x, r), _norm(fitted - mu)
 
 
 def reconstruct_density(samples: Sequence[GPMSample]) -> DensityReconstruction:
@@ -466,7 +466,7 @@ def reconstruct_density(samples: Sequence[GPMSample]) -> DensityReconstruction:
         raw = _hermitian_from_coords(x0 + ((1.0 - x0[:r].sum()) / g[:r].sum()) * g, r)
         # a second copy of the effects: holding the first stack or using the design instead raised peak RSS
         fitted = np.reshape(mats, (len(mats), -1)) @ raw.T.ravel()  # trace(raw F_i)
-        residual = float(_norm(fitted.real - mu))
+        residual = _norm(fitted.real - mu)
     if not (residual <= tol.NOISE_BOUND):
         raise InconsistentSamples(
             f"least-squares residual {residual:.3e} exceeds noise bound {tol.NOISE_BOUND:.1e}"

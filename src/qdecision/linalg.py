@@ -10,6 +10,7 @@ inputs, go through the private ``_trusted`` constructors instead.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -70,12 +71,12 @@ def as_complex_matrix(data, name: str = "matrix") -> np.ndarray:
     return arr
 
 
-def _norm(x: np.ndarray) -> np.floating:
-    """``np.linalg.norm(x)``, a vector's 2-norm or a matrix's Frobenius norm, by numpy's own arithmetic without its dispatch."""
+def _norm(x: np.ndarray) -> float:
+    """``float(np.linalg.norm(x))``, a vector's 2-norm or a matrix's Frobenius norm: numpy's dots, summed and rooted in floats."""
     x = x.ravel(order="K")
     if x.dtype.kind == "c":
-        return np.sqrt(x.real.dot(x.real) + x.imag.dot(x.imag))
-    return np.sqrt(x.dot(x))
+        return math.sqrt(float(x.real.dot(x.real)) + float(x.imag.dot(x.imag)))
+    return math.sqrt(float(x.dot(x)))
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:
@@ -106,7 +107,7 @@ class StateVector(_Immutable):
             raise DimensionMismatch("state vector cannot be empty")
         if not np.isfinite(arr).all():
             raise InvariantViolation("state vector contains non-finite entries")
-        nrm = float(_norm(arr))
+        nrm = _norm(arr)
         if not (abs(nrm - 1.0) <= tol.UNIT_NORM_TOL):
             raise InvariantViolation(
                 f"state vector violates the unit-norm invariant: ||psi|| = {nrm!r}"
@@ -172,9 +173,7 @@ class Effect(HermitianOperator):
         super().__init__(matrix)
         w = np.linalg.eigvalsh(self.matrix)
         if w.size and not (w[0] >= -tol.EFFECT_EIG_TOL and w[-1] <= 1.0 + tol.EFFECT_EIG_TOL):
-            raise InvalidEffect(
-                f"effect spectrum [{w[0]:.3e}, {w[-1]:.3e}] is not within [0, 1]"
-            )
+            raise InvalidEffect(f"effect spectrum [{w[0]:.3e}, {w[-1]:.3e}] is not within [0, 1]")
 
 
 class Projector(Effect):
@@ -184,7 +183,7 @@ class Projector(Effect):
     def __init__(self, matrix):
         HermitianOperator.__init__(self, matrix)
         m = self.matrix
-        idem_dev = float(_norm(m @ m - m))
+        idem_dev = _norm(m @ m - m)
         if not (idem_dev <= tol.PROJECTOR_IDEM_TOL):
             raise InvariantViolation(
                 f"projector violates idempotence: ||P@P - P||_F = {idem_dev:.3e} > {tol.PROJECTOR_IDEM_TOL:.1e}"
@@ -196,6 +195,13 @@ class Projector(Effect):
                 f"projector trace {tr!r} is not a positive integer rank within {tol.PROJECTOR_TRACE_TOL:.1e}"
             )
         self.rank = rank
+
+    @classmethod
+    def _trusted(cls, matrix: np.ndarray, rank: int) -> "Projector":
+        """Wrap a read-only projector matrix of ``rank`` the engine built; checks nothing, and writes both at once."""
+        self = cls.__new__(cls)
+        vars(self).update(matrix=matrix, rank=rank)
+        return self
 
 
 class DensityOperator(HermitianOperator):
@@ -268,8 +274,8 @@ def hermitian_eig(a) -> SpectralDecomposition:
     arr = as_complex_matrix(getattr(a, "matrix", a))
     if arr.shape[0] != arr.shape[1]:
         raise DimensionMismatch(f"eigendecomposition requires a square matrix, got {arr.shape}")
-    nrm = float(_norm(arr))
-    asym = float(_norm(arr - arr.conj().T))
+    nrm = _norm(arr)
+    asym = _norm(arr - arr.conj().T)
     if asym > tol.HERMITIAN_REL_TOL * max(nrm, np.finfo(float).tiny):
         raise NotHermitian(
             f"matrix is not Hermitian: ||A - A^dag||_F = {asym:.3e} vs ||A||_F = {nrm:.3e}"
@@ -298,7 +304,7 @@ def hermitian_eig(a) -> SpectralDecomposition:
             v[:, g] = v[:, order]
             w[g] = w[order]
 
-    residual = float(_norm(arr - (v * w) @ v.conj().T))
+    residual = _norm(arr - (v * w) @ v.conj().T)
     if residual > tol.EIG_RESIDUAL_TOL * max(1.0, nrm):
         raise NoConvergence(
             f"eigendecomposition residual {residual:.3e} exceeds contract"

@@ -80,7 +80,7 @@ class UnitaryOperator(_Immutable):
         arr = as_complex_matrix(getattr(matrix, "matrix", matrix))
         if arr.shape[0] != arr.shape[1]:
             raise DimensionMismatch(f"unitary must be square, got {arr.shape}")
-        dev = float(_norm(arr.conj().T @ arr - np.eye(arr.shape[0])))
+        dev = _norm(arr.conj().T @ arr - np.eye(arr.shape[0]))
         if not (dev <= tol.UNITARY_TOL):
             raise NotUnitary(f"||W^dag W - I||_F = {dev:.3e} > {tol.UNITARY_TOL:.1e}")
         self.matrix = _frozen(arr)
@@ -90,12 +90,17 @@ class UnitaryOperator(_Immutable):
         return self.matrix.shape[0]
 
 
+def _bounded(values: Sequence[float], m: int) -> bool:
+    """Every ``u_j`` finite and below 1e300 / m in size, so ``sum_j u_j P_j`` cannot overflow: no projector entry exceeds 1."""
+    return all(map(math.isfinite, values)) and max(map(abs, values)) < 1e300 / m
+
+
 def _spectral_sum(values: Sequence[float], projectors: Sequence[Projector]) -> np.ndarray | None:
     """``sum_j u_j P_j`` made exactly self-adjoint, or None when it is not finite: a NaN or infinite ``u_j`` is caught
-    before any arithmetic, finite ones whose sum overflows after it, unless all m are below 1e300 / m and cannot overflow."""
-    if not all(map(math.isfinite, values)):
+    before any arithmetic, finite ones whose sum overflows after it, unless they are ``_bounded`` and cannot overflow."""
+    bounded = _bounded(values, len(projectors))
+    if not (bounded or all(map(math.isfinite, values))):
         return None
-    bounded = max(map(abs, values)) < 1e300 / len(projectors)  # no entry of a projector exceeds 1 in size
     with nullcontext() if bounded else np.errstate(over="ignore", invalid="ignore"):
         op = sum(u * p.matrix for u, p in zip(values, projectors))
         op = (op + op.conj().T) / 2.0
@@ -113,9 +118,7 @@ class DecisionVariable(_Immutable):
     def __init__(self, name: str, values: Sequence[float], projectors: Sequence[Projector]):
         vals = [_real(v) for v in values]
         if len(vals) != len(projectors):
-            raise DimensionMismatch(
-                f"{len(vals)} values but {len(projectors)} projectors"
-            )
+            raise DimensionMismatch(f"{len(vals)} values but {len(projectors)} projectors")
         index = {round_value(u): j for j, u in enumerate(vals)}
         if len(index) != len(vals):
             raise DuplicateValues(f"variable {name!r} has repeated values: {vals}")
@@ -127,47 +130,40 @@ class DecisionVariable(_Immutable):
             raise DimensionMismatch(f"projector dimensions disagree: {sorted(dims)}")
         r = dims.pop()
         if sum(p.rank for p in projectors) != r:
-            raise DimensionMismatch(
-                f"projector ranks sum to {sum(p.rank for p in projectors)}, expected {r}"
-            )
+            raise DimensionMismatch(f"projector ranks sum to {sum(p.rank for p in projectors)}, expected {r}")
         total = sum(p.matrix for p in projectors)
-        if not (float(_norm(total - _eye(r))) <= tol.ORTHONORMALITY_TOL):
-            raise NonOrthonormalBasis(
-                f"eigenprojectors of {name!r} do not resolve the identity"
-            )
+        if not (_norm(total - _eye(r)) <= tol.ORTHONORMALITY_TOL):
+            raise NonOrthonormalBasis(f"eigenprojectors of {name!r} do not resolve the identity")
         for i in range(len(projectors)):
             for j in range(i + 1, len(projectors)):
-                cross = float(_norm(projectors[i].matrix @ projectors[j].matrix))
+                cross = _norm(projectors[i].matrix @ projectors[j].matrix)
                 if not (cross <= tol.ORTHONORMALITY_TOL):
-                    raise NonOrthonormalBasis(
-                        f"eigenprojectors {i} and {j} of {name!r} are not orthogonal"
-                    )
+                    raise NonOrthonormalBasis(f"eigenprojectors {i} and {j} of {name!r} are not orthogonal")
 
         self._assign(name, vals, projectors, index)
 
     def _assign(self, name: str, vals: list[float], projectors: Sequence[Projector], index: dict[float, int]) -> None:
         """Set every attribute in one write past _Immutable's per-attribute check. The operator is left to its first
-        read when every |u_j| < 1e300 / m, below which ``_spectral_sum`` cannot fail; otherwise it is gated here."""
+        read when the values are ``_bounded``, where ``_spectral_sum`` cannot fail; otherwise it is gated here."""
         vars(self).update(name=str(name), values=tuple(vals), _index=index, eigenprojectors=tuple(projectors))
-        if not (all(map(math.isfinite, vals)) and max(map(abs, vals)) < 1e300 / len(projectors)):
-            self.operator  # from the bound up the sum may overflow, so it is built and gated now
+        if not _bounded(vals, len(projectors)):
+            self.operator  # the sum may overflow, so it is built and gated now
 
-    @property
+    @functools.cached_property
     def operator(self) -> HermitianOperator:
-        """The self-adjoint ``sum_j u_j P_j``, built on its first read unless the constructor built it."""
-        op = vars(self).get("_operator")
+        """The self-adjoint ``sum_j u_j P_j``, built on its first read unless the constructor built it; later reads
+        find it in the instance dict, where _Immutable refuses to rebind or delete it."""
+        op = _spectral_sum(self.values, self.eigenprojectors)
         if op is None:
-            op = _spectral_sum(self.values, self.eigenprojectors)
-            if op is None:
-                raise InvariantViolation(
-                    f"variable {self.name!r} values must be finite and give a finite operator: {list(self.values)}"
-                )
-            op = vars(self)["_operator"] = HermitianOperator._trusted(op)
-        return op
+            raise InvariantViolation(
+                f"variable {self.name!r} values must be finite and give a finite operator: {list(self.values)}"
+            )
+        return HermitianOperator._trusted(op)
 
-    @operator.setter
-    def operator(self, value) -> None:  # refused before the first read too, when the instance dict has no operator
-        raise AttributeError(f"{type(self).__name__}.operator is immutable")
+    def __setattr__(self, name: str, value) -> None:
+        if name == "operator":  # absent from the instance dict until its first read, so _Immutable would let it through
+            raise AttributeError(f"{type(self).__name__}.operator is immutable")
+        super().__setattr__(name, value)
 
     @property
     def dim(self) -> int:
@@ -218,25 +214,21 @@ def variable_from_spectrum(
     basis = np.concatenate(filled)  # one eigenvector per row
     if len(basis) != r:
         raise DimensionMismatch(f"total eigenvector count {len(basis)} must equal the dimension {r}")
-    # a NaN or infinite entry leaves the Gram deviation undefined, so it is not computed; else it is _norm's, in floats
-    d = (basis.conj() @ basis.T - _eye(r)).ravel() if np.isfinite(basis).all() else None
-    gram_dev = math.nan if d is None else math.sqrt(float(d.real.dot(d.real)) + float(d.imag.dot(d.imag)))
+    # a NaN or infinite entry leaves the Gram deviation undefined, so it is not computed
+    gram_dev = _norm(basis.conj() @ basis.T - _eye(r)) if np.isfinite(basis).all() else math.nan
     if not (gram_dev <= tol.ORTHONORMALITY_TOL):
         raise NonOrthonormalBasis(f"eigenbasis is not orthonormal: ||V^dag V - I||_F = {gram_dev:.3e}")
     if len(filled) != len(groups):
         raise DegenerateSpan("cannot project onto the span of an empty list")
 
     matrices = {}
-    sizes = {len(g) for g in groups}
-    for k in sizes:
+    for k in {len(g) for g in groups}:
         members = [j for j, g in enumerate(groups) if len(g) == k]
-        batch = basis if len(sizes) == 1 else np.concatenate([groups[j] for j in members])  # checked rows, in order
-        stack = _span_projection(batch.reshape(len(members), k, r).swapaxes(-1, -2))
+        batch = np.concatenate([groups[j] for j in members]).reshape(len(members), k, r)
+        stack = _span_projection(batch.swapaxes(-1, -2))
         matrices.update(zip(members, _frozen(stack)))  # one freeze per stack; each row is a read-only view of it
     order = sorted(range(len(vals)), key=lambda j: vals[j])
-    projectors = [Projector.__new__(Projector) for _ in order]
-    for p, j in zip(projectors, order):  # one unchecked write each, past _Immutable's per-attribute check
-        vars(p).update(matrix=matrices[j], rank=len(groups[j]))
+    projectors = [Projector._trusted(matrices[j], len(groups[j])) for j in order]
     v = DecisionVariable.__new__(DecisionVariable)  # the basis check stands for every invariant but the values'
     v._assign(name, [vals[j] for j in order], projectors, {keys[j]: i for i, j in enumerate(order)})
     return v
@@ -293,7 +285,7 @@ def is_one_to_one_related(v1: DecisionVariable, v2: DecisionVariable) -> bool:
     unused = list(v2.eigenprojectors)
     for p in v1.eigenprojectors:
         for k, q in enumerate(unused):
-            if float(_norm(p.matrix - q.matrix)) <= tol.PROJECTOR_MATCH_TOL:
+            if _norm(p.matrix - q.matrix) <= tol.PROJECTOR_MATCH_TOL:
                 del unused[k]
                 break
         else:

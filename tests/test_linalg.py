@@ -24,7 +24,7 @@ from qdecision import (
     projector_onto_span,
 )
 from qdecision import tolerances as tol
-from qdecision.linalg import as_complex_matrix
+from qdecision.linalg import _frozen, as_complex_matrix
 from qdecision.variables import UnitaryOperator, variable_from_spectrum
 
 from conftest import random_hermitian, random_state, rng_for
@@ -93,6 +93,7 @@ _FROZEN_ARRAYS = {
     "HermitianOperator": lambda: HermitianOperator(np.eye(2)).matrix,
     "HermitianOperator._trusted": lambda: HermitianOperator._trusted(np.eye(2, dtype=complex)).matrix,
     "Projector": lambda: Projector(np.diag([1.0, 0.0])).matrix,
+    "Projector._trusted": lambda: Projector._trusted(_frozen(np.diag([1.0, 0.0j])), 1).matrix,
     "variable_from_spectrum projector": lambda: _variable().eigenprojectors[0].matrix,
     "DensityOperator": lambda: DensityOperator(np.eye(2) / 2.0).matrix,
     "DensityOperator._trusted": lambda: DensityOperator._trusted(np.eye(2, dtype=complex) / 2.0).matrix,

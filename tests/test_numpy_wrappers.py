@@ -110,7 +110,7 @@ def test_norm_is_numpys_norm(data, dtype, transpose):
         x = x.T  # entries in memory order, not index order
     with np.errstate(over="ignore"):
         want = np.linalg.norm(x)
-        assert _norm(x) == want
+        assert _norm(x) == want and type(_norm(x)) is float  # a Python float: its callers compare and print it
         if x.ndim == 2:
             assert _norm(x) == np.linalg.norm(x, "fro") == want
 

@@ -209,7 +209,7 @@ def test_the_operator_is_the_eager_spectral_sum_on_both_sides_of_the_bound(m, si
     top = {"below": math.nextafter(bound, 0.0), "at": bound, "above": math.nextafter(bound, math.inf)}[side]
     for v in _spread_variables(m, top):
         assert v.dim == m and repr(v)  # neither reads the operator
-        assert ("_operator" in vars(v)) == (side != "below")
+        assert ("operator" in vars(v)) == (side != "below")
         assert np.array_equal(v.operator.matrix, _spectral_sum(v.values, v.eigenprojectors))
         assert v.operator is v.operator
 
@@ -222,7 +222,7 @@ def test_the_operator_cannot_be_rebound_or_deleted(read_first):
     for rebind in (lambda: setattr(v, "operator", "x"), lambda: delattr(v, "operator")):
         with pytest.raises(AttributeError, match="^DecisionVariable.operator is immutable$"):
             rebind()
-    assert ("_operator" in vars(v)) == read_first  # a refused write builds nothing
+    assert ("operator" in vars(v)) == read_first  # a refused write builds nothing
     assert np.array_equal(v.operator.matrix, _spectral_sum(v.values, v.eigenprojectors))
     if read_first:
         assert v.operator is before
