@@ -68,7 +68,7 @@ __all__ = [
 
 State = StateVector | DensityOperator
 _vdot = np.vdot._implementation  # np.vdot's own C function, without the array-function dispatch
-_EFFECT, _PROBABILITY, _MATRIX = attrgetter("effect"), attrgetter("probability"), attrgetter("matrix")
+_EFFECT, _PROBABILITY = attrgetter("effect"), attrgetter("probability")
 _SIGN = _frozen(np.array([1.0, -1.0]))
 
 
@@ -133,23 +133,6 @@ def _chain(state: State | np.ndarray, projectors: Sequence[Projector]) -> tuple[
     return x, float(x.trace().real)
 
 
-def _after_each(state: State, firsts: Sequence[Projector], effect: Effect) -> list[float]:
-    """``_chain(state, (p, effect))[1]`` for each p of ``firsts``, bit for bit, in one loop per state kind."""
-    m = effect.matrix
-    x = state.amplitudes if isinstance(state, StateVector) else state.matrix
-    for k in (len(firsts[0].matrix), len(m)):  # the projectors of one variable share a dimension
-        if k != len(x):
-            _check_dims(len(x), k)
-    if x.ndim == 2:
-        return [float((m @ (q @ x @ q) @ m).trace().real) for q in map(_MATRIX, firsts)]
-    terms = []
-    for p in firsts:
-        phi = m.dot(p.matrix.dot(x))
-        re, im = phi.real, phi.imag  # the squared norm as _chain takes it
-        terms.append(math.sqrt(re.dot(re) + im.dot(im)) ** 2)
-    return terms
-
-
 def event_probability(state: State, projector: Effect) -> float:
     """Probability of an event: an effect (a projector is one), or a matrix checked as an effect, as ``gpm_evaluate`` does.
 
@@ -199,7 +182,6 @@ class OutcomeDistribution:
 
 def outcome_distribution(state: State, v: DecisionVariable) -> OutcomeDistribution:
     """Born probabilities of every value of ``v`` in the given state."""
-    _check_dims(state.dim, v.dim)
     probs = [_born(state, p.matrix) for p in v.eigenprojectors]  # projectors, so effects, by construction
     return OutcomeDistribution(v.values, tuple(probs), v._index)
 
@@ -265,15 +247,13 @@ class LikelihoodTable(_Immutable):
         for label, row in entries.items():
             arr = _array(row, float)
             if arr.size != m:
-                raise DimensionMismatch(
-                    f"label {label!r} has {arr.size} entries, expected {m}"
-                )
+                raise DimensionMismatch(f"label {_shown(label)} has {arr.size} entries, expected {m}")
             if float(arr.min()) < 0.0 or float(arr.max()) > 1.0:
-                raise InvariantViolation(
-                    f"label {label!r} has likelihoods outside [0, 1]"
-                )
-            arr.setflags(write=False)
-            table[str(label)] = arr
+                raise InvariantViolation(f"label {_shown(label)} has likelihoods outside [0, 1]")
+            try:
+                table[str(label)] = _frozen(arr)
+            except ValueError:  # only from str: an int beyond Python's int-to-string digit limit
+                raise InvariantViolation(f"label {_shown(label)} has no string form") from None
         if not table:
             raise InvariantViolation("likelihood table has no data labels")
         col_sums = np.sum(list(table.values()), axis=0)
@@ -281,17 +261,16 @@ class LikelihoodTable(_Immutable):
             raise InvariantViolation(
                 f"likelihoods must sum to 1 over labels for every value, got {col_sums}"
             )
-        self.variable = variable
-        self.entries = MappingProxyType(table)
+        vars(self).update(variable=variable, entries=MappingProxyType(table))
 
 
 def likelihood_effect(table: LikelihoodTable, z: str) -> Effect:
     """Evidence from observing ``z``, packaged as the effect sum_j p(z|u_j) P_j."""
     try:
         row = table.entries[str(z)]
-    except KeyError:
+    except (KeyError, ValueError):  # str(z) raises ValueError for an int beyond the digit limit, never a label
         raise UnknownDataLabel(
-            f"{z!r} is not a data label of the table (labels: {list(table.entries)})"
+            f"{_shown(z)} is not a data label of the table (labels: {list(table.entries)})"
         ) from None
     return Effect(_spectral_sum(row, table.variable.eigenprojectors))
 

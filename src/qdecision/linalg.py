@@ -80,19 +80,18 @@ def _norm(x: np.ndarray) -> float:
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:
-    """A read-only view of ``arr`` that cannot be made writeable again: ``arr`` and its memory's owner are frozen."""
+    """A read-only view of ``arr``: ``arr`` and its memory's owner are frozen, so the view refuses ``setflags(write=True)``.
+    The owner, reachable as ``.base``, can still be made writeable (ROADMAP, smaller items; its copy waits for direction 8)."""
     (arr if arr.base is None else arr.base).setflags(write=False)
     arr.setflags(write=False)
     return arr.view()
 
 
 class _Immutable:
-    """Refuses to rebind or delete an attribute once it is set."""
+    """Refuses every attribute write and delete: each constructor writes its attributes once into the instance dict."""
 
     def __setattr__(self, name: str, value) -> None:
-        if name in self.__dict__:
-            raise AttributeError(f"{type(self).__name__}.{name} is immutable")
-        object.__setattr__(self, name, value)
+        raise AttributeError(f"{type(self).__name__}.{name} is immutable")
 
     def __delattr__(self, name: str) -> None:
         raise AttributeError(f"{type(self).__name__}.{name} is immutable")
@@ -112,13 +111,13 @@ class StateVector(_Immutable):
             raise InvariantViolation(
                 f"state vector violates the unit-norm invariant: ||psi|| = {nrm!r}"
             )
-        self.amplitudes = _frozen(arr)
+        vars(self)["amplitudes"] = _frozen(arr)
 
     @classmethod
     def _trusted(cls, amplitudes: np.ndarray) -> "StateVector":
         """Wrap a finite vector the engine normalized itself; checks nothing."""
         self = cls.__new__(cls)
-        self.amplitudes = _frozen(amplitudes)
+        vars(self)["amplitudes"] = _frozen(amplitudes)
         return self
 
     @property
@@ -148,14 +147,14 @@ class HermitianOperator(_Immutable):
                 f"{type(self).__name__} is not self-adjoint: "
                 f"max |A - A^dag| entry = {dev:.3e} > {tol.HERMITIAN_ENTRY_TOL:.1e}"
             )
-        self.matrix = _frozen(arr)
+        vars(self)["matrix"] = _frozen(arr)
 
     @classmethod
     def _trusted(cls, matrix: np.ndarray):
         """Wrap a finite matrix the engine built to be exactly self-adjoint
         and to meet the invariants of ``cls``; checks nothing."""
         self = cls.__new__(cls)
-        self.matrix = _frozen(matrix)
+        vars(self)["matrix"] = _frozen(matrix)
         return self
 
     @property
@@ -194,7 +193,7 @@ class Projector(Effect):
             raise InvariantViolation(
                 f"projector trace {tr!r} is not a positive integer rank within {tol.PROJECTOR_TRACE_TOL:.1e}"
             )
-        self.rank = rank
+        vars(self)["rank"] = rank
 
     @classmethod
     def _trusted(cls, matrix: np.ndarray, rank: int) -> "Projector":

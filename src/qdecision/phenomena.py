@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tolerances as tol
-from .engine import State, _after_each, _chain, _event, event_probability
+from .engine import State, _chain, _event, event_probability
 from .errors import InvariantViolation, NotAPartition, ZeroProbabilityOutcome, _shown
 from .linalg import Projector, StateVector, _real
 from .variables import DecisionVariable
@@ -127,7 +127,7 @@ def total_probability_report(
     The partition is measured first: ``p_via_partition = sum_j ||P_A P_j psi||^2``.
     """
     p_direct = event_probability(psi, proj_a)
-    terms = tuple(_after_each(psi, partition.eigenprojectors, proj_a))
+    terms = tuple(_chain(psi, (p, proj_a))[1] for p in partition.eigenprojectors)
     p_via = sum(terms)
     return TotalProbabilityReport(
         p_direct=p_direct,

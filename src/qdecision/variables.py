@@ -83,7 +83,7 @@ class UnitaryOperator(_Immutable):
         dev = _norm(arr.conj().T @ arr - np.eye(arr.shape[0]))
         if not (dev <= tol.UNITARY_TOL):
             raise NotUnitary(f"||W^dag W - I||_F = {dev:.3e} > {tol.UNITARY_TOL:.1e}")
-        self.matrix = _frozen(arr)
+        vars(self)["matrix"] = _frozen(arr)
 
     @property
     def dim(self) -> int:
@@ -143,8 +143,8 @@ class DecisionVariable(_Immutable):
         self._assign(name, vals, projectors, index)
 
     def _assign(self, name: str, vals: list[float], projectors: Sequence[Projector], index: dict[float, int]) -> None:
-        """Set every attribute in one write past _Immutable's per-attribute check. The operator is left to its first
-        read when the values are ``_bounded``, where ``_spectral_sum`` cannot fail; otherwise it is gated here."""
+        """Set every attribute in one write to the instance dict. The operator is left to its first read when the
+        values are ``_bounded``, where ``_spectral_sum`` cannot fail; otherwise it is gated here."""
         vars(self).update(name=str(name), values=tuple(vals), _index=index, eigenprojectors=tuple(projectors))
         if not _bounded(vals, len(projectors)):
             self.operator  # the sum may overflow, so it is built and gated now
@@ -152,18 +152,13 @@ class DecisionVariable(_Immutable):
     @functools.cached_property
     def operator(self) -> HermitianOperator:
         """The self-adjoint ``sum_j u_j P_j``, built on its first read unless the constructor built it; later reads
-        find it in the instance dict, where _Immutable refuses to rebind or delete it."""
+        find it in the instance dict. _Immutable refuses to write or delete it, before its first read too."""
         op = _spectral_sum(self.values, self.eigenprojectors)
         if op is None:
             raise InvariantViolation(
                 f"variable {self.name!r} values must be finite and give a finite operator: {list(self.values)}"
             )
         return HermitianOperator._trusted(op)
-
-    def __setattr__(self, name: str, value) -> None:
-        if name == "operator":  # absent from the instance dict until its first read, so _Immutable would let it through
-            raise AttributeError(f"{type(self).__name__}.operator is immutable")
-        super().__setattr__(name, value)
 
     @property
     def dim(self) -> int:

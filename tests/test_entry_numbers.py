@@ -31,6 +31,7 @@ from qdecision import (
     Projector,
     StateVector,
     UnitaryOperator,
+    UnknownDataLabel,
     UnknownValue,
     apply_function,
     classical_conditional,
@@ -38,6 +39,7 @@ from qdecision import (
     comparison_report,
     expectation_of_function,
     ic_effect_basis,
+    likelihood_effect,
     outcome_distribution,
     planar_projector,
     planar_state,
@@ -105,6 +107,10 @@ NAMED_IN_THE_MESSAGE = {
     "sample_phi seed": (lambda n: sample_phi(10, -abs(n)), InvalidSeed),
     "run_reconstruct_demo seed": (lambda n: run_reconstruct_demo(3, -abs(n)), InvalidSeed),
     "GPMSample probability": (lambda n: GPMSample(ic_effect_basis(2)[0], n), InvariantViolation),
+    "LikelihoodTable label": (lambda n: LikelihoodTable(VAR, {n: [1, 1]}), InvariantViolation),
+    "LikelihoodTable label row length": (lambda n: LikelihoodTable(VAR, {n: [1]}), DimensionMismatch),
+    "LikelihoodTable label range": (lambda n: LikelihoodTable(VAR, {n: [2, -1]}), InvariantViolation),
+    "likelihood_effect label": (lambda n: likelihood_effect(LikelihoodTable(VAR, {"z": [1, 1]}), n), UnknownDataLabel),
 }
 
 ANGLES = {

@@ -34,38 +34,49 @@ from conftest import random_hermitian, random_state, rng_for
 # immutability
 
 
-def test_validated_values_refuse_attribute_rebinding():
-    psi = StateVector([1.0, 0.0])
-    proj = Projector(np.diag([1.0, 0.0]))
-    for obj, name in ((psi, "amplitudes"), (proj, "matrix"), (proj, "rank")):
-        before = getattr(obj, name)
-        with pytest.raises(AttributeError):
-            setattr(obj, name, before)
-        with pytest.raises(AttributeError):
-            delattr(obj, name)
-        assert getattr(obj, name) is before
-
-
 def _variable():
     return variable_from_spectrum("v", [0.0, 1.0], [[[1.0, 0.0]], [[0.0, 1.0]]])
 
 
+_VARIABLE_ATTRIBUTES = ("name", "values", "_index", "eigenprojectors", "operator")
 _IMMUTABLE_ATTRIBUTES = {
-    "DecisionVariable": (_variable, ("name", "values", "_index", "eigenprojectors", "operator")),
-    "DecisionVariable-checked": (lambda: DecisionVariable("v", [0.0, 1.0], _variable().eigenprojectors), ("values",)),
+    "StateVector": (lambda: StateVector([1.0, 0.0]), ("amplitudes",)),
+    "StateVector._trusted": (lambda: StateVector._trusted(np.array([1.0, 0.0j])), ("amplitudes",)),
+    "HermitianOperator": (lambda: HermitianOperator(np.eye(2)), ("matrix",)),
+    "HermitianOperator._trusted": (lambda: HermitianOperator._trusted(np.eye(2, dtype=complex)), ("matrix",)),
+    "Effect": (lambda: Effect(np.eye(2) / 2.0), ("matrix",)),
+    "Effect._trusted": (lambda: Effect._trusted(np.eye(2, dtype=complex) / 2.0), ("matrix",)),
+    "Projector": (lambda: Projector(np.diag([1.0, 0.0])), ("matrix", "rank")),
+    "Projector._trusted": (lambda: Projector._trusted(_frozen(np.diag([1.0, 0.0j])), 1), ("matrix", "rank")),
+    "DensityOperator": (lambda: DensityOperator(np.eye(2) / 2.0), ("matrix",)),
+    "DensityOperator._trusted": (lambda: DensityOperator._trusted(np.eye(2, dtype=complex) / 2.0), ("matrix",)),
     "UnitaryOperator": (lambda: UnitaryOperator(np.eye(2)), ("matrix",)),
+    "DecisionVariable": (_variable, _VARIABLE_ATTRIBUTES),
+    "DecisionVariable-checked": (lambda: DecisionVariable("v", [0.0, 1.0], _variable().eigenprojectors), _VARIABLE_ATTRIBUTES),
     "LikelihoodTable": (lambda: LikelihoodTable(_variable(), {"z": [1.0, 1.0]}), ("variable", "entries")),
 }
 
 
 @pytest.mark.parametrize("make, names", _IMMUTABLE_ATTRIBUTES.values(), ids=_IMMUTABLE_ATTRIBUTES.keys())
-def test_variables_and_tables_refuse_attribute_rebinding(make, names):
+def test_validated_values_refuse_every_attribute_write(make, names):
+    """Every write and delete is refused: each attribute the constructor set, a new name, and the lazy
+    ``operator`` both before its first read (when it is not in the instance dict yet) and after it."""
     obj = make()
-    for name in names:
+
+    def refused(name):
+        return pytest.raises(AttributeError, match=f"^{type(obj).__name__}\\.{name} is immutable$")
+
+    for name in ("new_name", *names):  # before any read
+        with refused(name):
+            setattr(obj, name, None)
+        with refused(name):
+            delattr(obj, name)
+    assert "new_name" not in vars(obj) and "operator" not in vars(obj)  # a refused write builds nothing
+    for name in names:  # after its first read
         before = getattr(obj, name)
-        with pytest.raises(AttributeError, match="immutable"):
+        with refused(name):
             setattr(obj, name, before)
-        with pytest.raises(AttributeError, match="immutable"):
+        with refused(name):
             delattr(obj, name)
         assert getattr(obj, name) is before
 
@@ -101,6 +112,7 @@ _FROZEN_ARRAYS = {
     "Effect._trusted": lambda: Effect._trusted(np.eye(2, dtype=complex) / 2.0).matrix,
     "UnitaryOperator": lambda: UnitaryOperator(np.eye(2)).matrix,
     "DecisionVariable.operator": lambda: _variable().operator.matrix,
+    "LikelihoodTable row": lambda: LikelihoodTable(_variable(), {"z": [1.0, 1.0]}).entries["z"],
 }
 
 

@@ -11,13 +11,19 @@ from qdecision import (
     InvariantViolation,
     Projector,
     ScenarioValidationError,
+    collapse,
     collapse_onto,
     conjunction_report,
+    event_probability,
+    expectation,
+    expectation_of_function,
+    outcome_distribution,
     parse_scenario,
     planar_projector,
     planar_state,
     projector_onto_span,
     sequential_event_probability,
+    sequential_probability,
     sure_thing_check,
     total_probability_report,
     variable_from_spectrum,
@@ -69,17 +75,32 @@ def test_density_collapse_that_breaks_positivity_is_an_engine_error():
         collapse_onto(rho, tail)
 
 
+_D2 = variable_from_spectrum("b", [0.0, 1.0], [[np.array([1.0, 0.0])], [np.array([0.0, 1.0])]])
+_D3 = variable_from_spectrum("c", [0.0, 1.0], [[np.array([1.0, 0.0, 0.0])], np.eye(3)[1:]])
+
+# each entry point on a d = 3 state with a d = 2 operand
+_MISMATCHED = {
+    "outcome_distribution": lambda s: outcome_distribution(s, _D2),
+    "expectation": lambda s: expectation(s, _D2),
+    "expectation_of_function": lambda s: expectation_of_function(s, _D2, abs),
+    "event_probability": lambda s: event_probability(s, planar_projector(40.0)),
+    "collapse": lambda s: collapse(s, _D2, 1.0),
+    "sequential_probability": lambda s: sequential_probability(s, [(_D3, 1.0), (_D2, 1.0)]),
+    "sequential_event_probability": lambda s: sequential_event_probability(s, [Projector(np.eye(3)), planar_projector(40.0)]),
+    "conjunction_report": lambda s: conjunction_report(s, planar_projector(40.0), planar_projector(70.0)),
+    "sure_thing_check": lambda s: sure_thing_check(s, _D2, planar_projector(40.0)),
+    "total_probability_report partition": lambda s: total_probability_report(s, _D2, Projector(np.eye(3))),
+    "total_probability_report target": lambda s: total_probability_report(s, _D3, planar_projector(40.0)),
+}
+
+
+@pytest.mark.parametrize("call", _MISMATCHED.values(), ids=_MISMATCHED)
 @pytest.mark.parametrize("mixed", [False, True])
-def test_phenomena_reject_mismatched_dimensions(mixed):
+def test_phenomena_reject_mismatched_dimensions(mixed, call):
+    """Every entry point, engine and phenomena alike, names the state's dimension first, for both state kinds."""
     psi = random_state(3, rng_for(302))
-    state = DensityOperator.from_state(psi) if mixed else psi
-    partition = variable_from_spectrum("b", [0.0, 1.0], [[np.array([1.0, 0.0])], [np.array([0.0, 1.0])]])
-    with pytest.raises(DimensionMismatch):
-        conjunction_report(state, planar_projector(40.0), planar_projector(70.0))
-    with pytest.raises(DimensionMismatch):
-        total_probability_report(state, partition, Projector(np.eye(3)))
-    with pytest.raises(DimensionMismatch):
-        sequential_event_probability(state, [Projector(np.eye(3)), planar_projector(40.0)])
+    with pytest.raises(DimensionMismatch, match="^dimensions differ: 3 vs 2$"):
+        call(DensityOperator.from_state(psi) if mixed else psi)
 
 
 def test_density_document_runs_every_chain_query(tmp_path, capsys):
