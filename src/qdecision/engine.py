@@ -251,9 +251,13 @@ class LikelihoodTable(_Immutable):
             if float(arr.min()) < 0.0 or float(arr.max()) > 1.0:
                 raise InvariantViolation(f"label {_shown(label)} has likelihoods outside [0, 1]")
             try:
-                table[str(label)] = _frozen(arr)
-            except ValueError:  # only from str: an int beyond Python's int-to-string digit limit
+                key = str(label)
+            except ValueError:  # only an int beyond Python's int-to-string digit limit
                 raise InvariantViolation(f"label {_shown(label)} has no string form") from None
+            if key in table:  # rows are keyed by string form, so one would silently replace the other
+                first = next(x for x in entries if str(x) == key)
+                raise InvariantViolation(f"labels {_shown(first)} and {_shown(label)} share the string form {key!r}")
+            table[key] = _frozen(arr)
         if not table:
             raise InvariantViolation("likelihood table has no data labels")
         col_sums = np.sum(list(table.values()), axis=0)
@@ -313,13 +317,21 @@ def _upper(r: int) -> tuple[np.ndarray, np.ndarray]:
 
 @functools.lru_cache(maxsize=4)
 def _ic_basis(r: int) -> tuple[Effect, ...]:
-    """The effects of ``ic_effect_basis(r)``, built once per dimension as views of one read-only stack."""
+    """The effects of ``ic_effect_basis(r)``, built once per dimension as windows of 2r - 1 read-only buffers.
+    Effect (j, j + d) is effect (0, d) moved j places down the diagonal, so each shift d and phase has one buffer,
+    (r - d - 1)(r + 1) zeros and then the (0, d) matrix, and effect (j, j + d) is its C-contiguous r x r window that
+    starts j(r + 1) entries before that matrix. At r = 32 they hold 1.5 MB; a dense r^2 x r x r stack holds 16.8 MB.
+    Each buffer's memory is ``bytes``, so neither a window nor its owner can be made writeable."""
     eye = np.eye(r, dtype=complex)
+    pairs = (eye[0] + np.array([1.0, 1.0j])[:, None] * eye[1:, None]) / np.sqrt(2.0)  # (e_0 + c e_d) / sqrt(2)
+    vectors = np.concatenate([eye[:1], pairs.reshape(-1, r)])
+    shifted = []  # shift 0, then shift d >= 1 at 2d - 1 (phase 1) and 2d (phase i); effect (j, j + d) at [j]
+    for q, m in enumerate(vectors[:, :, None] * vectors.conj()[:, None, :]):
+        pad = (r - (q + 1) // 2 - 1) * (r + 1)
+        buf = np.frombuffer(np.concatenate([np.zeros(pad, complex), m.ravel()]).tobytes(), complex)
+        shifted.append([Effect._trusted(buf[pad - j * (r + 1):][: r * r].reshape(r, r)) for j in range(r - (q + 1) // 2)])
     j, k = _upper(r)
-    pairs = (eye[j][:, None] + np.array([1.0, 1.0j])[:, None] * eye[k][:, None]) / np.sqrt(2.0)
-    vectors = np.concatenate([eye, pairs.reshape(-1, r)])
-    mats = vectors[:, :, None] * vectors.conj()[:, None, :]
-    return tuple(Effect._trusted(m) for m in mats)
+    return (*shifted[0], *(shifted[2 * (b - a) - 1 + p][a] for a, b in zip(j.tolist(), k.tolist()) for p in (0, 1)))
 
 
 def ic_effect_basis(r: int) -> list[Effect]:

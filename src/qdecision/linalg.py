@@ -81,7 +81,8 @@ def _norm(x: np.ndarray) -> float:
 
 def _frozen(arr: np.ndarray) -> np.ndarray:
     """A read-only view of ``arr``: ``arr`` and its memory's owner are frozen, so the view refuses ``setflags(write=True)``.
-    The owner, reachable as ``.base``, can still be made writeable (ROADMAP, smaller items; its copy waits for direction 8)."""
+    An owner numpy allocated, reachable as ``.base``, can still be made writeable; one backed by ``bytes`` (the IC
+    effects' buffers) cannot. So every value but the IC effects still has an owner a caller could re-enable."""
     (arr if arr.base is None else arr.base).setflags(write=False)
     arr.setflags(write=False)
     return arr.view()

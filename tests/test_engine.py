@@ -410,6 +410,14 @@ def test_likelihood_table_validation():
         LikelihoodTable(v, {})
 
 
+@pytest.mark.parametrize("row", [[1.0, 1.0], [0.5, 0.5]])
+def test_labels_with_one_string_form_are_refused_by_name(row):
+    """Rows are keyed by ``str(label)``: 1 and '1' would share one row, and the sum check would read only one of them."""
+    v = planar_variable("v", [0.0, 1.0], [0.0, 90.0])
+    with pytest.raises(InvariantViolation, match=r"^labels 1 and '1' share the string form '1'$"):
+        LikelihoodTable(v, {1: row, "1": row})
+
+
 def test_unknown_data_label():
     v = planar_variable("v", [0.0, 1.0], [0.0, 90.0])
     table = LikelihoodTable(v, {"a": [1.0, 0.3], "b": [0.0, 0.7]})

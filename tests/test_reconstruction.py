@@ -16,7 +16,7 @@ from qdecision import engine
 from qdecision import tolerances as tol
 from qdecision.engine import _hermitian_coords, _hermitian_from_coords
 
-from conftest import random_density, random_hermitian, random_unitary, rng_for
+from conftest import random_density, random_hermitian, random_state, random_unitary, rng_for
 
 # the exact-input round-trip bound these tests hold reconstruction to
 RECONSTRUCTION_TOL = 1e-8
@@ -399,6 +399,43 @@ def test_shared_effects_refuse_attribute_rebinding():
         del family[1].matrix
     for f, m in zip(ic_effect_basis(2), loop_ic_effect_basis(2)):
         assert np.array_equal(f.matrix, m)
+
+
+def dense_ic_effect_basis(r):
+    """The family as one r^2 x r x r stack, in ``ic_effect_basis`` order: the layout the shared buffers replaced."""
+    eye = np.eye(r, dtype=complex)
+    j, k = np.triu_indices(r, 1)
+    pairs = (eye[j][:, None] + np.array([1.0, 1.0j])[:, None] * eye[k][:, None]) / np.sqrt(2.0)
+    vectors = np.concatenate([eye, pairs.reshape(-1, r)])
+    return vectors[:, :, None] * vectors.conj()[:, None, :]
+
+
+@pytest.mark.parametrize("r", range(2, 33))
+def test_ic_windows_hold_the_dense_stack_bits_and_evaluate_as_copies(r):
+    """Each effect is a window of a shared buffer; a window at any address gives a copy's Born bits."""
+    rng = rng_for(2000 + r)
+    states = [random_state(r, rng), DensityOperator(random_density(r, rng))]
+    bits = lambda x: np.float64(x).view(np.uint64)
+    for f, m in zip(ic_effect_basis(r), dense_ic_effect_basis(r), strict=True):
+        assert np.array_equal(f.matrix.view(np.uint64), m.view(np.uint64))
+        assert f.matrix.flags.c_contiguous and not f.matrix.flags.writeable
+        copy = Effect._trusted(f.matrix.copy())
+        for s in states:
+            assert bits(gpm_evaluate(s, f)) == bits(gpm_evaluate(s, copy))
+
+
+def test_ic_family_at_32_holds_at_most_2_mb():
+    owners = {id(f.matrix.base): f.matrix.base for f in ic_effect_basis(32)}
+    assert sum(b.nbytes for b in owners.values()) <= 2_000_000
+
+
+@pytest.mark.parametrize("r", [2, 3, 32])
+def test_no_ic_effect_memory_can_be_made_writeable(r):
+    """Neither a window nor the buffer that owns it turns writeable, so no write can change a later probability."""
+    for f in ic_effect_basis(r):
+        for a in (f.matrix, f.matrix.base):
+            with pytest.raises(ValueError):
+                a.setflags(write=True)
 
 
 # ---------------------------------------------------------------------------
