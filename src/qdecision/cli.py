@@ -6,6 +6,10 @@
     qdecision demo reconstruct [--dim 3 --seed 7]
     qdecision --tolerances
 
+``main`` reads the ``analyze`` line above without argparse when FILE comes first
+and each ``--seed`` is decimal digits; every other command line, help text and
+usage error goes through argparse.
+
 Exit codes: 0 success, 1 scenario validation/syntax error or usage error
 (such as ``--dim x``), 2 engine error.
 """
@@ -89,9 +93,32 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _analyze_defaults() -> dict:
+    """What argparse builds for ``analyze FILE``, read once: the one source of ``_analyze_args``'s defaults."""
+    return vars(build_parser().parse_args(["analyze", "FILE"]))
+
+
+def _analyze_args(argv: list[str]) -> argparse.Namespace | None:
+    """``build_parser().parse_args(argv)`` for ``analyze FILE`` (FILE not an option) then ``--format F`` and ``--seed N``
+    pairs, the last of each winning, N decimal digits too few for int()'s digit limit to apply; None for every other
+    command line, which is left to argparse."""
+    if len(argv) % 2 or argv[:1] != ["analyze"] or argv[1].startswith("-"):
+        return None
+    args = {**_analyze_defaults(), "file": argv[1]}
+    for flag, value in zip(argv[2::2], argv[3::2]):
+        if flag == "--format" and value in REPORT_FORMATS:
+            args["format"] = value
+        elif flag == "--seed" and value.isdecimal() and len(value) < sys.int_info.str_digits_check_threshold:
+            args["seed"] = int(value)
+        else:
+            return None
+    return argparse.Namespace(**args)
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _analyze_args(sys.argv[1:] if argv is None else argv) or parser.parse_args(argv)
     out, err = sys.stdout, sys.stderr
 
     if args.tolerances:

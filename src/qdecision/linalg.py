@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
+from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
@@ -79,6 +80,13 @@ def _norm(x: np.ndarray) -> float:
     return math.sqrt(float(x.dot(x)))
 
 
+def _unwarned(arr: np.ndarray):
+    """A null context that gives True when no entry of ``arr`` is NaN or above 1e60 in size, so no product or norm of
+    them overflows; else numpy's overflow and invalid-value warnings off, so a check on them fails on its value unwarned."""
+    moderate = abs(arr.ravel().view(float)).max(initial=0.0) <= 1e60
+    return nullcontext(True) if moderate else np.errstate(over="ignore", invalid="ignore")
+
+
 def _frozen(arr: np.ndarray) -> np.ndarray:
     """A read-only view of ``arr``: ``arr`` and its memory's owner are frozen, so the view refuses ``setflags(write=True)``.
     An owner numpy allocated, reachable as ``.base``, can still be made writeable; one backed by ``bytes`` (the IC
@@ -105,9 +113,10 @@ class StateVector(_Immutable):
         arr = _array(amplitudes).reshape(-1)
         if arr.size == 0:
             raise DimensionMismatch("state vector cannot be empty")
-        if not np.isfinite(arr).all():
-            raise InvariantViolation("state vector contains non-finite entries")
-        nrm = _norm(arr)
+        with _unwarned(arr) as moderate:
+            if not (moderate or np.isfinite(arr).all()):
+                raise InvariantViolation("state vector contains non-finite entries")
+            nrm = _norm(arr)
         if not (abs(nrm - 1.0) <= tol.UNIT_NORM_TOL):
             raise InvariantViolation(
                 f"state vector violates the unit-norm invariant: ||psi|| = {nrm!r}"
@@ -183,7 +192,8 @@ class Projector(Effect):
     def __init__(self, matrix):
         HermitianOperator.__init__(self, matrix)
         m = self.matrix
-        idem_dev = _norm(m @ m - m)
+        with _unwarned(m):
+            idem_dev = _norm(m @ m - m)
         if not (idem_dev <= tol.PROJECTOR_IDEM_TOL):
             raise InvariantViolation(
                 f"projector violates idempotence: ||P@P - P||_F = {idem_dev:.3e} > {tol.PROJECTOR_IDEM_TOL:.1e}"

@@ -35,6 +35,7 @@ from .linalg import (
     _norm,
     _real,
     _span_projection,
+    _unwarned,
     _vector_rows,
     as_complex_matrix,
 )
@@ -80,7 +81,8 @@ class UnitaryOperator(_Immutable):
         arr = as_complex_matrix(getattr(matrix, "matrix", matrix))
         if arr.shape[0] != arr.shape[1]:
             raise DimensionMismatch(f"unitary must be square, got {arr.shape}")
-        dev = _norm(arr.conj().T @ arr - np.eye(arr.shape[0]))
+        with _unwarned(arr):
+            dev = _norm(arr.conj().T @ arr - np.eye(arr.shape[0]))
         if not (dev <= tol.UNITARY_TOL):
             raise NotUnitary(f"||W^dag W - I||_F = {dev:.3e} > {tol.UNITARY_TOL:.1e}")
         vars(self)["matrix"] = _frozen(arr)
@@ -209,8 +211,8 @@ def variable_from_spectrum(
     basis = np.concatenate(filled)  # one eigenvector per row
     if len(basis) != r:
         raise DimensionMismatch(f"total eigenvector count {len(basis)} must equal the dimension {r}")
-    # a NaN or infinite entry leaves the Gram deviation undefined, so it is not computed
-    gram_dev = _norm(basis.conj() @ basis.T - _eye(r)) if np.isfinite(basis).all() else math.nan
+    with _unwarned(basis) as moderate:  # a NaN or infinite entry leaves the Gram deviation undefined: not computed
+        gram_dev = _norm(basis.conj() @ basis.T - _eye(r)) if moderate or np.isfinite(basis).all() else math.nan
     if not (gram_dev <= tol.ORTHONORMALITY_TOL):
         raise NonOrthonormalBasis(f"eigenbasis is not orthonormal: ||V^dag V - I||_F = {gram_dev:.3e}")
     if len(filled) != len(groups):

@@ -283,6 +283,11 @@ def test_one_parser_serves_every_call_like_a_fresh_process(medical_file, tmp_pat
         ["demo", "reconstruct", "--dim", "x"],
         ["analyze", medical_file, "--format", "csv"],
         ["--tolerances"],
+        # spellings the analyze reader leaves to argparse
+        ["analyze", medical_file, "--format=csv"],
+        ["analyze", medical_file, "--form", "csv"],
+        ["analyze", "--format", "csv", medical_file],
+        ["analyze", medical_file, "--seed", "²"],
     ]
     monkeypatch.setenv("COLUMNS", "80")  # help and usage text wrap at the terminal width
     first = [_run_in_process(argv) for argv in argvs]
@@ -296,3 +301,21 @@ def test_one_parser_serves_every_call_like_a_fresh_process(medical_file, tmp_pat
             env={**os.environ, "COLUMNS": "80"},
         )
         assert (proc.returncode, proc.stdout, proc.stderr) == expected, argv
+
+
+@pytest.mark.parametrize("where", ["state", "eigenvector"])
+def test_an_entry_of_1e308_is_one_scenario_error_line(where, tmp_path):
+    doc = {
+        "dimension": 2,
+        "state": {"vector": [[1.0, 0.0], [0.0, 0.0]]},
+        "variables": [{"name": "v", "values": [0, 1], "eigenvectors": [[[[1.0, 0.0], [0.0, 0.0]]], [[[0.0, 0.0], [1.0, 0.0]]]]}],
+        "queries": [{"kind": "distribution", "variable": "v"}],
+    }
+    entry = doc["state"]["vector"] if where == "state" else doc["variables"][0]["eigenvectors"][0][0]
+    entry[0][0] = 1e308
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    # a fresh process keeps Python's default warning filters, which print a RuntimeWarning with its source line
+    proc = subprocess.run([sys.executable, "-m", "qdecision.cli", "analyze", str(path)], capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr.startswith("scenario error: ") and proc.stderr.count("\n") == 1, proc.stderr

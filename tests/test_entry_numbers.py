@@ -6,6 +6,8 @@ each seeded function, must raise an ``EngineError`` subclass (or a
 ``TypeError``), never a bare ``OverflowError`` or numpy ``ValueError``. So
 must a dimension above ``MAX_DIMENSION``, nested lists of unequal lengths
 and an angle that is not finite, with numpy's ``RuntimeWarning`` an error.
+An entry of 1e308, finite but past what a product or norm can square, ends
+in the constructor's own error and message with no ``RuntimeWarning`` first.
 An int beyond Python's 4 300-digit int-to-string limit (10**5000) is one too,
 and a message that names it gives its size in bits.
 """
@@ -28,6 +30,8 @@ from qdecision import (
     InvalidSeed,
     InvariantViolation,
     LikelihoodTable,
+    NonOrthonormalBasis,
+    NotUnitary,
     Projector,
     StateVector,
     UnitaryOperator,
@@ -120,6 +124,39 @@ ANGLES = {
     "planar_projector": planar_projector,
 }
 
+HUGE_ENTRY = {
+    "StateVector": (
+        lambda: StateVector([1e308, 0]),
+        InvariantViolation,
+        "state vector violates the unit-norm invariant: ||psi|| = inf",
+    ),
+    "Projector": (
+        lambda: Projector([[1e308, 0], [0, 0]]),
+        InvariantViolation,
+        "projector violates idempotence: ||P@P - P||_F = nan > 1.0e-10",
+    ),
+    "UnitaryOperator": (
+        lambda: UnitaryOperator([[1e308, 0], [0, 1]]),
+        NotUnitary,
+        "||W^dag W - I||_F = nan > 1.0e-10",
+    ),
+    "variable_from_spectrum": (
+        lambda: variable_from_spectrum("v", [0, 1], [[[1e308, 0]], [[0, 1]]]),
+        NonOrthonormalBasis,
+        "eigenbasis is not orthonormal: ||V^dag V - I||_F = nan",
+    ),
+    "variable_from_spectrum 1e100": (
+        lambda: variable_from_spectrum("v", [0, 1], [[[1e100, 0]], [[0, 1]]]),
+        NonOrthonormalBasis,
+        "eigenbasis is not orthonormal: ||V^dag V - I||_F = inf",
+    ),
+    "StateVector 1e154": (
+        lambda: StateVector([1e154, 0]),
+        InvariantViolation,
+        "state vector violates the unit-norm invariant: ||psi|| = 1e+154",
+    ),
+}
+
 
 @pytest.mark.parametrize("call", BEYOND_FLOAT.values(), ids=BEYOND_FLOAT)
 @pytest.mark.parametrize("big", [10**400, -(10**400), BEYOND_DIGITS], ids=["plus", "minus", "beyond_digits"])
@@ -176,3 +213,12 @@ def test_a_finite_phi_still_gives_its_spin(phi):
         warnings.simplefilter("error", RuntimeWarning)
         got = spin_component(0.3, phi)
     assert np.array_equal(got, np.where(np.cos(0.3 - np.asarray(phi, dtype=float)) >= 0.0, 1, -1))
+
+
+@pytest.mark.parametrize("call, error, message", HUGE_ENTRY.values(), ids=HUGE_ENTRY)
+def test_an_entry_of_1e308_is_the_constructors_error_with_no_runtime_warning(call, error, message):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(error) as exc:
+            call()
+    assert str(exc.value) == message
