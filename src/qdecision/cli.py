@@ -129,19 +129,6 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_OK
 
     try:
-        for flag in ("--angle-a", "--angle-b", "--delta-degrees"):
-            angle = getattr(args, flag[2:].replace("-", "_"), 0.0)
-            if not math.isfinite(angle):
-                raise ScenarioValidationError(flag, f"angle must be a finite number of degrees, got {angle!r}")
-        if args.command == "demo" and getattr(args, "seed", 0) < 0:
-            raise ScenarioValidationError("--seed", f"seed must be a non-negative integer, got {args.seed}")
-        if getattr(args, "dim", 2) < 2:
-            raise ScenarioValidationError("--dim", f"dimension must be an integer >= 2, got {args.dim}")
-        if getattr(args, "dim", 0) > tol.MAX_DIMENSION:
-            raise ScenarioValidationError("--dim", f"dimension must be at most {tol.MAX_DIMENSION}, got {args.dim}")
-        if not 1 <= getattr(args, "samples", 1) <= tol.MAX_SPIN_SAMPLES:
-            bound = f"sample count must be an integer from 1 to {tol.MAX_SPIN_SAMPLES}"
-            raise ScenarioValidationError("--samples", f"{bound}, got {args.samples}")
         if args.command == "analyze":
             try:
                 with open(args.file, encoding="utf-8") as fh:
@@ -149,12 +136,26 @@ def main(argv: list[str] | None = None) -> int:
             except (OSError, UnicodeDecodeError) as exc:
                 raise ScenarioError(f"cannot read {args.file!r}: {exc}") from exc
             report = run_scenario(parse_scenario(text), seed=args.seed)
-        elif args.demo_name == "medical":
-            report = run_medical_demo(args.angle_a, args.angle_b)
-        elif args.demo_name == "spin":
-            report = run_spin_demo(args.delta_degrees, args.samples, args.seed)
         else:
-            report = run_reconstruct_demo(args.dim, args.seed)
+            for flag in ("--angle-a", "--angle-b", "--delta-degrees"):  # each demo has only some of these flags
+                angle = getattr(args, flag[2:].replace("-", "_"), 0.0)
+                if not math.isfinite(angle):
+                    raise ScenarioValidationError(flag, f"angle must be a finite number of degrees, got {angle!r}")
+            if getattr(args, "seed", 0) < 0:
+                raise ScenarioValidationError("--seed", f"seed must be a non-negative integer, got {args.seed}")
+            if getattr(args, "dim", 2) < 2:
+                raise ScenarioValidationError("--dim", f"dimension must be an integer >= 2, got {args.dim}")
+            if getattr(args, "dim", 0) > tol.MAX_DIMENSION:
+                raise ScenarioValidationError("--dim", f"dimension must be at most {tol.MAX_DIMENSION}, got {args.dim}")
+            if not 1 <= getattr(args, "samples", 1) <= tol.MAX_SPIN_SAMPLES:
+                bound = f"sample count must be an integer from 1 to {tol.MAX_SPIN_SAMPLES}"
+                raise ScenarioValidationError("--samples", f"{bound}, got {args.samples}")
+            if args.demo_name == "medical":
+                report = run_medical_demo(args.angle_a, args.angle_b)
+            elif args.demo_name == "spin":
+                report = run_spin_demo(args.delta_degrees, args.samples, args.seed)
+            else:
+                report = run_reconstruct_demo(args.dim, args.seed)
     except ScenarioError as exc:
         err.write(f"scenario error: {exc}\n")
         return EXIT_VALIDATION

@@ -18,7 +18,6 @@ from operator import attrgetter
 from types import MappingProxyType
 
 import numpy as np
-from numpy.linalg import _umath_linalg
 
 from . import tolerances as tol
 from .errors import (
@@ -41,8 +40,11 @@ from .linalg import (
     _frozen,
     _Immutable,
     _array,
+    _check_dims,
+    _eigh_lo,
     _norm,
     _real,
+    _vdot,
 )
 from .variables import DecisionVariable, _position, _spectral_sum
 
@@ -67,14 +69,8 @@ __all__ = [
 ]
 
 State = StateVector | DensityOperator
-_vdot = np.vdot._implementation  # np.vdot's own C function, without the array-function dispatch
 _EFFECT, _PROBABILITY = attrgetter("effect"), attrgetter("probability")
 _SIGN = _frozen(np.array([1.0, -1.0]))
-
-
-def _check_dims(state_dim: int, other_dim: int) -> None:
-    if state_dim != other_dim:
-        raise DimensionMismatch(f"dimensions differ: {state_dim} vs {other_dim}")
 
 
 def transition_probability(from_state: StateVector, to_state: StateVector) -> float:
@@ -315,7 +311,7 @@ def _upper(r: int) -> tuple[np.ndarray, np.ndarray]:
     return tuple(_frozen(a) for a in np.triu_indices(r, 1))
 
 
-@functools.lru_cache(maxsize=4)
+@functools.cache  # every dimension, so a family a caller holds is always the one reconstruct_density recognises
 def _ic_basis(r: int) -> tuple[Effect, ...]:
     """The effects of ``ic_effect_basis(r)``, built once per dimension as windows of 2r - 1 read-only buffers.
     Effect (j, j + d) is effect (0, d) moved j places down the diagonal, so each shift d and phase has one buffer,
@@ -339,7 +335,7 @@ def ic_effect_basis(r: int) -> list[Effect]:
 
     Projectors onto e_j, onto (e_j + e_k)/sqrt(2) and onto (e_j + i e_k)/sqrt(2) for j < k, linearly
     independent as Hermitian matrices, so exact probabilities on them determine the density operator.
-    Every call returns a new list of the same shared, read-only effects, cached for a few dimensions.
+    Every call returns a new list of the same shared, read-only effects, built once per dimension.
     r runs from 2 to ``MAX_DIMENSION``.
     """
     if r < 2:
@@ -429,7 +425,8 @@ def reconstruct_density(samples: Sequence[GPMSample]) -> DensityReconstruction:
     if not samples:
         raise InsufficientSpan("no samples given")
     r = samples[0].effect.dim
-    ic = len(samples) == r * r and tuple(map(_EFFECT, samples)) == _ic_basis(r)  # by identity: effects define no ==
+    # by identity, as effects define no ==; no family exists beyond MAX_DIMENSION, so none is built there to compare
+    ic = r <= tol.MAX_DIMENSION and len(samples) == r * r and tuple(map(_EFFECT, samples)) == _ic_basis(r)
     if not ic:  # the shared family holds r x r effects by construction
         for s in samples:
             _check_dims(r, s.effect.dim)
@@ -463,8 +460,7 @@ def reconstruct_density(samples: Sequence[GPMSample]) -> DensityReconstruction:
             f"least-squares residual {residual:.3e} exceeds noise bound {tol.NOISE_BOUND:.1e}"
         )
 
-    # np.linalg.eigh's own gufunc: it returns nan eigenvalues where LAPACK does not converge, and ascending ones else
-    w, v = _umath_linalg.eigh_lo(raw, signature="D->dD")
+    w, v = _eigh_lo(raw, signature="D->dD")  # nan eigenvalues where LAPACK does not converge, else ascending ones
     min_eig = float(w[0])
     if min_eig != min_eig:
         raise NoConvergence("eigensolver did not converge on the least-squares minimizer")

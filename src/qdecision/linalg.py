@@ -40,6 +40,10 @@ __all__ = [
     "projector_onto_span",
 ]
 
+# numpy's private entry points, named in this module only; _span_projection calls the two gufuncs np.linalg.qr calls
+_vdot = np.vdot._implementation  # np.vdot's C function, without its array-function dispatch
+_eigh_lo = _umath_linalg.eigh_lo  # np.linalg.eigh's gufunc: nan eigenvalues where LAPACK does not converge
+
 
 def _real(x) -> float:
     """``float(x)``, or nan for an int beyond the float range, so that the finite gate after the read rejects it."""
@@ -78,6 +82,11 @@ def _norm(x: np.ndarray) -> float:
     if x.dtype.kind == "c":
         return math.sqrt(float(x.real.dot(x.real)) + float(x.imag.dot(x.imag)))
     return math.sqrt(float(x.dot(x)))
+
+
+def _check_dims(a: int, b: int) -> None:
+    if a != b:
+        raise DimensionMismatch(f"dimensions differ: {a} vs {b}")
 
 
 def _unwarned(arr: np.ndarray):
@@ -136,8 +145,7 @@ class StateVector(_Immutable):
 
     def inner(self, other: "StateVector") -> complex:
         """Hermitian inner product <self|other>."""
-        if self.dim != other.dim:
-            raise DimensionMismatch(f"dimensions differ: {self.dim} vs {other.dim}")
+        _check_dims(self.dim, other.dim)
         return complex(np.vdot(self.amplitudes, other.amplitudes))
 
     def __repr__(self) -> str:
@@ -151,7 +159,8 @@ class HermitianOperator(_Immutable):
         arr = as_complex_matrix(matrix, type(self).__name__)
         if arr.shape[0] != arr.shape[1]:
             raise DimensionMismatch(f"{type(self).__name__} must be square, got {arr.shape}")
-        dev = float(np.abs(arr - arr.conj().T).max()) if arr.size else 0.0
+        with _unwarned(arr):
+            dev = float(np.abs(arr - arr.conj().T).max()) if arr.size else 0.0
         if not (dev <= tol.HERMITIAN_ENTRY_TOL):
             raise NotHermitian(
                 f"{type(self).__name__} is not self-adjoint: "
@@ -219,7 +228,8 @@ class DensityOperator(HermitianOperator):
 
     def __init__(self, matrix):
         super().__init__(matrix)
-        tr = float(self.matrix.trace().real)
+        with _unwarned(self.matrix):
+            tr = float(self.matrix.trace().real)
         if not (abs(tr - 1.0) <= tol.DENSITY_TRACE_TOL):
             raise InvariantViolation(f"density operator trace {tr!r} differs from 1")
         lo = float(np.linalg.eigvalsh(self.matrix).min())
@@ -352,19 +362,21 @@ def projector_onto_span(vectors: Sequence[StateVector | np.ndarray] | np.ndarray
     """Orthogonal projector onto the span of ``vectors``, given as one group of ``variable_from_spectrum`` is.
 
     Raises ``DimensionMismatch`` for vectors of two lengths or an array that is not k x r, ``InvariantViolation`` for a
-    NaN or infinite entry, and ``DegenerateSpan`` for no vectors or vectors linearly dependent within ``SPAN_RANK_TOL``
-    (smallest singular value).
+    NaN or infinite entry or entries too large for a finite projector, and ``DegenerateSpan`` for no vectors or vectors
+    linearly dependent within ``SPAN_RANK_TOL`` (smallest singular value).
     """
     cols = _vector_rows(vectors).T  # one vector per column
     if cols.shape[1] == 0:
         raise DegenerateSpan("cannot project onto the span of an empty list")
     if cols.shape[1] > cols.shape[0]:
         raise DegenerateSpan(f"{cols.shape[1]} vectors cannot be independent in dimension {cols.shape[0]}")
-    if not np.isfinite(cols).all():
-        raise InvariantViolation("vectors to project onto contain non-finite entries")
-    sing = np.linalg.svd(cols, compute_uv=False)
-    if sing.min() <= tol.SPAN_RANK_TOL:
-        raise DegenerateSpan(
-            f"vectors are linearly dependent: smallest singular value {sing.min():.3e}"
-        )
-    return Projector(_span_projection(cols))
+    with _unwarned(cols) as moderate:
+        if not (moderate or np.isfinite(cols).all()):
+            raise InvariantViolation("vectors to project onto contain non-finite entries")
+        sing = np.linalg.svd(cols, compute_uv=False)
+        if sing.min() <= tol.SPAN_RANK_TOL:
+            raise DegenerateSpan(f"vectors are linearly dependent: smallest singular value {sing.min():.3e}")
+        p = _span_projection(cols)
+        if not (moderate or np.isfinite(p).all()):
+            raise InvariantViolation("vectors to project onto are too large to give a finite projector")
+    return Projector(p)

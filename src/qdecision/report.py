@@ -18,8 +18,6 @@ from ._version import __version__
 
 __all__ = ["QueryResult", "Report", "format_number", "emit_report", "emit_tolerances", "REPORT_FORMATS"]
 
-REPORT_FORMATS = ("text", "csv", "structured")
-
 Value = float | int | bool | str
 
 
@@ -166,12 +164,12 @@ def _tolerance_rows(fmt: str) -> str:
     return f'  "tolerances": {_json_object(rows, " " * 4)},\n'
 
 
+_EMITTERS = {"text": _emit_text, "csv": _emit_csv, "structured": _emit_structured}
+REPORT_FORMATS = tuple(_EMITTERS)
+
+
 def emit_report(report: Report, fmt: str = "text") -> str:
     """Serialize a report as text, csv or structured (JSON) output."""
-    if fmt == "text":
-        return _emit_text(report)
-    if fmt == "csv":
-        return _emit_csv(report)
-    if fmt == "structured":
-        return _emit_structured(report)
-    raise ValueError(f"unknown report format {fmt!r} (choose from {REPORT_FORMATS})")
+    if fmt not in REPORT_FORMATS:  # a tuple compares by ==, so an unhashable format is refused like any other
+        raise ValueError(f"unknown report format {fmt!r} (choose from {REPORT_FORMATS})")
+    return _EMITTERS[fmt](report)

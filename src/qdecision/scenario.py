@@ -195,22 +195,19 @@ def _parse_state(node, dimension: int) -> StateVector | DensityOperator:
     obj = _as_object(node, "state")
     keys = set(obj)
     if keys == {"vector"}:
-        amplitudes = _complex_vector(obj["vector"], "state.vector")
-        if amplitudes.size != dimension:
-            _fail("state.vector", f"has {amplitudes.size} amplitudes, dimension is {dimension}")
-        try:
-            return StateVector(amplitudes)
-        except EngineError as exc:
-            _fail("state.vector", str(exc))
-    if keys == {"density"}:
-        matrix = _complex_matrix(obj["density"], "state.density")
-        if matrix.shape != (dimension, dimension):
-            _fail("state.density", f"has shape {matrix.shape}, dimension is {dimension}")
-        try:
-            return DensityOperator(matrix)
-        except EngineError as exc:
-            _fail("state.density", str(exc))
-    _fail("state", f"must contain exactly one of 'vector' or 'density', got {sorted(keys)}")
+        loc, make, data = "state.vector", StateVector, _complex_vector(obj["vector"], "state.vector")
+        if data.size != dimension:
+            _fail(loc, f"has {data.size} amplitudes, dimension is {dimension}")
+    elif keys == {"density"}:
+        loc, make, data = "state.density", DensityOperator, _complex_matrix(obj["density"], "state.density")
+        if data.shape != (dimension, dimension):
+            _fail(loc, f"has shape {data.shape}, dimension is {dimension}")
+    else:
+        _fail("state", f"must contain exactly one of 'vector' or 'density', got {sorted(keys)}")
+    try:
+        return make(data)
+    except EngineError as exc:
+        _fail(loc, str(exc))
 
 
 def _parse_variable(node, index: int, dimension: int) -> DecisionVariable:
@@ -337,21 +334,18 @@ def parse_scenario(text: str) -> Scenario:
 
     state = _parse_state(_require(root, "state", "document"), dimension)
 
-    variables = []
-    seen = set()
+    var_map = {}  # in document order
     for i, node in enumerate(_as_array(_require(root, "variables", "document"), "variables")):
         v = _parse_variable(node, i, dimension)
-        if v.name in seen:
+        if v.name in var_map:
             _fail(f"variables[{i}].name", f"duplicate variable name {v.name!r}")
-        seen.add(v.name)
-        variables.append(v)
-    var_map = {v.name: v for v in variables}
+        var_map[v.name] = v
 
     queries = [
         _parse_query(node, i, var_map)
         for i, node in enumerate(_as_array(_require(root, "queries", "document"), "queries"))
     ]
-    return Scenario(context, dimension, state, tuple(variables), tuple(queries))
+    return Scenario(context, dimension, state, tuple(var_map.values()), tuple(queries))
 
 
 # ---------------------------------------------------------------------------

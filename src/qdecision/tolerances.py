@@ -39,10 +39,10 @@ NOISE_BOUND = 1e-6              # residual bound before samples count as inconsi
 GRAM_CONDITION_MAX = 1e6        # cond(D^T D) of the effect design, enforced by reconstruct_density
 
 # Scope: the largest dimension a document, ``demo reconstruct --dim``, ``ic_effect_basis`` or ``run_reconstruct_demo``
-# may ask for (the IC family is r^2 effects of r x r entries, held as windows of 2r - 1 buffers, 1.5 MB at 32),
-# and the most directions ``demo spin --samples`` or the spin library may draw. The draw streams through fixed
-# blocks, so this bounds time, not memory: 10^7 of them take about 0.1 s and peak at about 36 MB RSS, the
-# interpreter included.
+# may ask for (the IC family is r^2 effects of r x r entries, held as windows of 2r - 1 buffers and cached once built
+# for each dimension: 1.5 MB at 32, 13 MB for all 31), and the most directions ``demo spin --samples`` or the spin
+# library may draw. The draw streams through fixed blocks, so this bounds time, not memory: 10^7 of them take about
+# 0.1 s and peak at about 36 MB RSS, the interpreter included.
 MAX_DIMENSION = 32
 MAX_SPIN_SAMPLES = 10_000_000
 

@@ -32,6 +32,7 @@ from .linalg import (
     StateVector,
     _frozen,
     _Immutable,
+    _check_dims,
     _norm,
     _real,
     _span_projection,
@@ -275,8 +276,7 @@ def is_one_to_one_related(v1: DecisionVariable, v2: DecisionVariable) -> bool:
     distance below ``PROJECTOR_MATCH_TOL`` must exist; values may differ (the
     variables are then invertible relabelings of each other).
     """
-    if v1.dim != v2.dim:
-        raise DimensionMismatch(f"dimensions differ: {v1.dim} vs {v2.dim}")
+    _check_dims(v1.dim, v2.dim)
     if len(v1.eigenprojectors) != len(v2.eigenprojectors):
         return False
     unused = list(v2.eigenprojectors)

@@ -31,6 +31,7 @@ from qdecision import (
     variable_from_spectrum,
 )
 from qdecision import engine
+from qdecision.variables import is_one_to_one_related
 
 from conftest import random_density, random_maximal_variable, random_state, rng_for
 
@@ -622,6 +623,23 @@ def test_r_squared_samples_of_mixed_dimensions_raise_the_first_mismatch():
     samples = [GPMSample(f, 0.5) for f in two[:2] + three[:2]]
     with pytest.raises(DimensionMismatch, match=r"^dimensions differ: 2 vs 3$"):
         reconstruct_density(samples)
+
+
+_DIMENSIONS_DIFFER = {
+    "transition_probability": lambda a, b: transition_probability(StateVector(np.eye(a)[0]), StateVector(np.eye(b)[0])),
+    "StateVector.inner": lambda a, b: StateVector(np.eye(a)[0]).inner(StateVector(np.eye(b)[0])),
+    "is_one_to_one_related": lambda a, b: is_one_to_one_related(
+        random_maximal_variable(a, rng_for(70)), random_maximal_variable(b, rng_for(71))
+    ),
+    "event_probability": lambda a, b: engine.event_probability(StateVector(np.eye(a)[0]), Effect(np.eye(b))),
+}
+
+
+@pytest.mark.parametrize("call", _DIMENSIONS_DIFFER.values(), ids=_DIMENSIONS_DIFFER)
+@pytest.mark.parametrize("a, b", [(2, 3), (3, 2)])
+def test_each_dimension_check_names_both_dimensions_in_order(call, a, b):
+    with pytest.raises(DimensionMismatch, match=f"^dimensions differ: {a} vs {b}$"):
+        call(a, b)
 
 
 def test_ic_family_with_a_foreign_last_effect_raises_its_mismatch():

@@ -31,6 +31,7 @@ from qdecision import (
     InvariantViolation,
     LikelihoodTable,
     NonOrthonormalBasis,
+    NotHermitian,
     NotUnitary,
     Projector,
     StateVector,
@@ -149,6 +150,21 @@ HUGE_ENTRY = {
         lambda: variable_from_spectrum("v", [0, 1], [[[1e100, 0]], [[0, 1]]]),
         NonOrthonormalBasis,
         "eigenbasis is not orthonormal: ||V^dag V - I||_F = inf",
+    ),
+    "HermitianOperator": (
+        lambda: HermitianOperator([[0, 1e308], [-1e308, 0]]),
+        NotHermitian,
+        "HermitianOperator is not self-adjoint: max |A - A^dag| entry = inf > 1.0e-12",
+    ),
+    "DensityOperator": (
+        lambda: DensityOperator([[1e308, 0], [0, 1e308]]),
+        InvariantViolation,
+        "density operator trace inf differs from 1",
+    ),
+    "projector_onto_span": (
+        lambda: projector_onto_span([[1e308, 1e308]]),
+        InvariantViolation,
+        "vectors to project onto are too large to give a finite projector",
     ),
     "StateVector 1e154": (
         lambda: StateVector([1e154, 0]),

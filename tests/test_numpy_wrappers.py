@@ -21,9 +21,11 @@ numpy's scalar ``deg2rad``, ``cos`` and ``sin``: each is checked against the
 code it replaced.
 """
 
+import ast
 import dataclasses
 import math
 import warnings
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -43,7 +45,7 @@ from qdecision import (
     reconstruct_density,
     variable_from_spectrum,
 )
-from qdecision import engine, report, variables
+from qdecision import engine, linalg, report, variables
 from qdecision import tolerances as tol
 from qdecision.linalg import _norm, _span_projection
 
@@ -89,6 +91,27 @@ def test_span_projection_leaves_its_columns_alone():
     before = cols.copy()
     _span_projection(cols)
     assert np.array_equal(cols, before)
+
+
+def test_only_linalg_names_numpys_private_api():
+    """``_umath_linalg`` and ``._implementation`` appear in ``linalg`` alone, which binds what ``engine`` calls: a
+    numpy release that drops one of them is then a one-module edit."""
+    private = {"_umath_linalg", "_implementation"}
+    named = {}
+    for path in sorted((Path(linalg.__file__).parent).glob("*.py")):
+        names = set()
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif isinstance(node, ast.alias):
+                names.update({node.name, node.asname})
+            elif isinstance(node, ast.ImportFrom):
+                names.update((node.module or "").split("."))
+        named[path.name] = names & private
+    assert named.pop("linalg.py") == private
+    assert not any(named.values()), named
 
 
 # ---------------------------------------------------------------------------
@@ -177,7 +200,7 @@ def bits(x) -> np.ndarray:
 
 
 def test_the_eigh_gufunc_takes_complex_matrices():
-    assert "D->dD" in _umath_linalg.eigh_lo.types
+    assert linalg._eigh_lo is _umath_linalg.eigh_lo and "D->dD" in linalg._eigh_lo.types
 
 
 @pytest.mark.parametrize("r", range(2, 33))
@@ -185,15 +208,16 @@ def test_engine_vdot_is_numpys_vdot(r):
     rng = np.random.default_rng(5600 + r)
     a = rng.normal(size=r) + 1j * rng.normal(size=r)
     m, n = random_hermitian(r, rng), random_density(r, rng)
+    assert engine._vdot is linalg._vdot
     for x, y in ((a, m @ a), (n, m), (m, n), (a.real, a)):
-        assert np.array_equal(bits(engine._vdot(x, y)), bits(np.vdot(x, y))), r
+        assert np.array_equal(bits(linalg._vdot(x, y)), bits(np.vdot(x, y))), r
 
 
 @pytest.mark.parametrize("r", range(2, 33))
 def test_the_eigh_gufunc_is_numpys_eigh(r):
     rng = np.random.default_rng(5700 + r)
     for a in (random_hermitian(r, rng), random_density(r, rng), np.eye(r, dtype=complex)):
-        w, v = _umath_linalg.eigh_lo(a, signature="D->dD")
+        w, v = linalg._eigh_lo(a, signature="D->dD")
         want_w, want_v = np.linalg.eigh(a)
         assert np.array_equal(bits(w), bits(want_w)) and np.array_equal(bits(v), bits(want_v)), r
 
@@ -260,7 +284,7 @@ def test_a_nan_eigenvalue_raises_no_convergence(monkeypatch):
     def no_convergence(a, signature):
         return np.full(a.shape[-1], np.nan), np.full(a.shape, np.nan, dtype=complex)
 
-    monkeypatch.setattr(engine._umath_linalg, "eigh_lo", no_convergence)
+    monkeypatch.setattr(engine, "_eigh_lo", no_convergence)
     with pytest.raises(NoConvergence, match="^eigensolver did not converge"):
         reconstruct_density(samples)
 

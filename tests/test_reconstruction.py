@@ -5,6 +5,7 @@ import pytest
 
 from qdecision import (
     DensityOperator,
+    DimensionMismatch,
     Effect,
     GPMSample,
     InsufficientSpan,
@@ -294,6 +295,35 @@ def test_warm_gate_gives_the_cold_result(r, noisy, generic_calls):
     assert generic_calls == [r]
     assert np.linalg.norm(dropped.rho.matrix - cold.rho.matrix, "fro") <= 1e-12
     assert dropped.condition_number == pytest.approx(cold.condition_number, rel=1e-11)
+
+
+@pytest.mark.parametrize("r", [3, 4, 8])
+def test_a_held_family_keeps_its_closed_form_after_other_dimensions_are_built(r, generic_calls):
+    """The family is recognised by identity, so it stays cached for every dimension: a family obtained before four
+    other dimensions were built still takes the closed form, bit for bit a fresh family's result."""
+    engine._ic_basis.cache_clear()
+    samples = ic_samples(r, 1100 + r, noisy=False)
+    for other in [d for d in range(2, 7) if d != r][:4]:
+        ic_effect_basis(other)
+    held = reconstruct_density(samples)
+    engine._ic_basis.cache_clear()
+    fresh = reconstruct_density([GPMSample(f, s.probability) for f, s in zip(ic_effect_basis(r), samples)])
+    assert generic_calls == []
+    assert np.array_equal(held.rho.matrix.view(np.uint64), fresh.rho.matrix.view(np.uint64))
+    assert np.array_equal(
+        np.array([held.residual, held.min_eigenvalue, held.condition_number]).view(np.uint64),
+        np.array([fresh.residual, fresh.min_eigenvalue, fresh.condition_number]).view(np.uint64),
+    )
+
+
+def test_no_family_is_built_beyond_the_dimension_bound():
+    """Every family built stays cached, so r^2 samples of a dimension no family has must not build one to compare."""
+    engine._ic_basis.cache_clear()
+    r = tol.MAX_DIMENSION + 1
+    samples = [GPMSample(np.eye(r) / 2, 0.5)] * (r * r - 1) + [GPMSample(np.eye(2) / 2, 0.5)]
+    with pytest.raises(DimensionMismatch, match=f"^dimensions differ: {r} vs 2$"):
+        reconstruct_density(samples)
+    assert engine._ic_basis.cache_info().currsize == 0
 
 
 def rejection_message(samples):

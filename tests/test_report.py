@@ -2,7 +2,7 @@
 
 import pytest
 
-from qdecision.report import Report, QueryResult, emit_report, format_number
+from qdecision.report import REPORT_FORMATS, Report, QueryResult, emit_report, format_number
 
 
 @pytest.mark.parametrize(
@@ -66,3 +66,13 @@ def test_structured_format_is_valid_json():
     tree = json.loads(emit_report(sample_report(), "structured"))
     assert tree["results"][0]["outputs"]["probability"] == 0.75
     assert tree["results"][0]["flags"]["some_flag"] is True
+
+
+@pytest.mark.parametrize("fmt", ["bogus", "TEXT", "", None, ["text"]], ids=repr)
+def test_an_unknown_format_is_a_value_error_listing_the_formats_in_order(fmt):
+    """One table gives the emitters and ``REPORT_FORMATS``; a format outside it, unhashable ones too, is refused."""
+    assert REPORT_FORMATS == ("text", "csv", "structured")
+    report = Report("0.1.0", "ctx", 2, 0, ())
+    with pytest.raises(ValueError) as exc:
+        emit_report(report, fmt)
+    assert str(exc.value) == f"unknown report format {fmt!r} (choose from ('text', 'csv', 'structured'))"
