@@ -150,7 +150,7 @@ def collapse_onto(state: State, projector: Projector) -> State:
             f"cannot condition on an outcome of probability {p:.3e}"
         )
     if isinstance(state, StateVector):
-        return StateVector._trusted(post / math.sqrt(p))
+        return StateVector._trusted(amplitudes=_frozen(post / math.sqrt(p)))
     # rounding in P rho P compounds with the input's own slack, so the
     # normalized result goes through the full density check
     return DensityOperator((post + post.conj().T) / (2.0 * p))
@@ -305,7 +305,7 @@ class GPMSample:
 _set_effect, _set_probability = GPMSample.effect.__set__, GPMSample.probability.__set__
 
 
-@functools.lru_cache(maxsize=4)
+@functools.cache  # reconstruct_density and ic_effect_basis stop at MAX_DIMENSION, so at most 31 dimensions
 def _upper(r: int) -> tuple[np.ndarray, np.ndarray]:
     """``np.triu_indices(r, 1)``, built once per dimension as arrays no caller can make writeable."""
     return tuple(_frozen(a) for a in np.triu_indices(r, 1))
@@ -325,9 +325,15 @@ def _ic_basis(r: int) -> tuple[Effect, ...]:
     for q, m in enumerate(vectors[:, :, None] * vectors.conj()[:, None, :]):
         pad = (r - (q + 1) // 2 - 1) * (r + 1)
         buf = np.frombuffer(np.concatenate([np.zeros(pad, complex), m.ravel()]).tobytes(), complex)
-        shifted.append([Effect._trusted(buf[pad - j * (r + 1):][: r * r].reshape(r, r)) for j in range(r - (q + 1) // 2)])
+        shifted.append([Effect._trusted(matrix=buf[pad - j * (r + 1):][: r * r].reshape(r, r)) for j in range(r - (q + 1) // 2)])
     j, k = _upper(r)
     return (*shifted[0], *(shifted[2 * (b - a) - 1 + p][a] for a, b in zip(j.tolist(), k.tolist()) for p in (0, 1)))
+
+
+def _check_bound(r: int) -> None:
+    """Refuse a dimension above ``MAX_DIMENSION`` before any work that scales with it."""
+    if r > tol.MAX_DIMENSION:
+        raise DimensionMismatch(f"dimension must be at most {tol.MAX_DIMENSION}, got {_shown(r, str)}")
 
 
 def ic_effect_basis(r: int) -> list[Effect]:
@@ -340,8 +346,7 @@ def ic_effect_basis(r: int) -> list[Effect]:
     """
     if r < 2:
         raise DimensionMismatch(f"informational completeness needs dimension >= 2, got {_shown(r, str)}")
-    if r > tol.MAX_DIMENSION:  # before the r^2 effects of r x r entries are built
-        raise DimensionMismatch(f"dimension must be at most {tol.MAX_DIMENSION}, got {_shown(r, str)}")
+    _check_bound(r)  # before the r^2 effects of r x r entries are built
     return list(_ic_basis(r))
 
 
@@ -357,7 +362,7 @@ def _hermitian_coords(mats: np.ndarray) -> np.ndarray:
     return design
 
 
-@functools.lru_cache(maxsize=4)
+@functools.cache
 def _slots(r: int) -> np.ndarray:
     """Float-view places of the diagonal re, then of each upper entry's re, its mirror's re, upper im and mirror im."""
     i, j = _upper(r)
@@ -417,6 +422,7 @@ def reconstruct_density(samples: Sequence[GPMSample]) -> DensityReconstruction:
     ``-PSD_CLIP_TOL`` are clipped, the trace renormalized, and the adjustment reported.
 
     Raises:
+        DimensionMismatch: effects of two dimensions, or of one above ``MAX_DIMENSION``.
         InsufficientSpan: no samples, or ``cond(G) > GRAM_CONDITION_MAX`` (the
             effects do not span the Hermitian space, or too weakly to invert).
         InconsistentSamples: the residual exceeds ``NOISE_BOUND``.
@@ -425,8 +431,8 @@ def reconstruct_density(samples: Sequence[GPMSample]) -> DensityReconstruction:
     if not samples:
         raise InsufficientSpan("no samples given")
     r = samples[0].effect.dim
-    # by identity, as effects define no ==; no family exists beyond MAX_DIMENSION, so none is built there to compare
-    ic = r <= tol.MAX_DIMENSION and len(samples) == r * r and tuple(map(_EFFECT, samples)) == _ic_basis(r)
+    _check_bound(r)  # before the r^2 x r^2 design, or a family to compare with, is built
+    ic = len(samples) == r * r and tuple(map(_EFFECT, samples)) == _ic_basis(r)  # by identity: effects define no ==
     if not ic:  # the shared family holds r x r effects by construction
         for s in samples:
             _check_dims(r, s.effect.dim)
@@ -473,4 +479,4 @@ def reconstruct_density(samples: Sequence[GPMSample]) -> DensityReconstruction:
         raw = (v * w) @ v.conj().T
         raw = (raw + raw.conj().T) / 2.0
     # a density by construction: eigh fixed the spectrum, the constraint or the clip the trace, every fit is self-adjoint
-    return DensityReconstruction(DensityOperator._trusted(raw), residual, clipped, min_eig, cond)
+    return DensityReconstruction(DensityOperator._trusted(matrix=_frozen(raw)), residual, clipped, min_eig, cond)

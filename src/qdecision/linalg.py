@@ -5,7 +5,7 @@ self-adjoint operators, projectors, density operators and effects. The
 public constructors enforce every invariant (hard errors, not warnings) and
 all values are immutable afterwards, so they can be shared freely. Values
 the engine builds itself, exact by construction from already validated
-inputs, go through the private ``_trusted`` constructors instead.
+inputs, go through the one private ``_Immutable._trusted`` instead.
 """
 
 from __future__ import annotations
@@ -97,9 +97,8 @@ def _unwarned(arr: np.ndarray):
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:
-    """A read-only view of ``arr``: ``arr`` and its memory's owner are frozen, so the view refuses ``setflags(write=True)``.
-    An owner numpy allocated, reachable as ``.base``, can still be made writeable; one backed by ``bytes`` (the IC
-    effects' buffers) cannot. So every value but the IC effects still has an owner a caller could re-enable."""
+    """A read-only view of ``arr``, which with its memory's owner is frozen: the view refuses ``setflags(write=True)``. An
+    owner numpy allocated (``.base``) can be re-enabled, as ``vars(value)`` can be written; one backed by ``bytes`` cannot."""
     (arr if arr.base is None else arr.base).setflags(write=False)
     arr.setflags(write=False)
     return arr.view()
@@ -107,6 +106,13 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
 
 class _Immutable:
     """Refuses every attribute write and delete: each constructor writes its attributes once into the instance dict."""
+
+    @classmethod
+    def _trusted(cls, **attrs):
+        """A ``cls`` of ``attrs`` the engine built valid; checks and freezes nothing, so pass arrays already read-only."""
+        self = cls.__new__(cls)
+        vars(self).update(attrs)
+        return self
 
     def __setattr__(self, name: str, value) -> None:
         raise AttributeError(f"{type(self).__name__}.{name} is immutable")
@@ -131,13 +137,6 @@ class StateVector(_Immutable):
                 f"state vector violates the unit-norm invariant: ||psi|| = {nrm!r}"
             )
         vars(self)["amplitudes"] = _frozen(arr)
-
-    @classmethod
-    def _trusted(cls, amplitudes: np.ndarray) -> "StateVector":
-        """Wrap a finite vector the engine normalized itself; checks nothing."""
-        self = cls.__new__(cls)
-        vars(self)["amplitudes"] = _frozen(amplitudes)
-        return self
 
     @property
     def dim(self) -> int:
@@ -167,14 +166,6 @@ class HermitianOperator(_Immutable):
                 f"max |A - A^dag| entry = {dev:.3e} > {tol.HERMITIAN_ENTRY_TOL:.1e}"
             )
         vars(self)["matrix"] = _frozen(arr)
-
-    @classmethod
-    def _trusted(cls, matrix: np.ndarray):
-        """Wrap a finite matrix the engine built to be exactly self-adjoint
-        and to meet the invariants of ``cls``; checks nothing."""
-        self = cls.__new__(cls)
-        vars(self)["matrix"] = _frozen(matrix)
-        return self
 
     @property
     def dim(self) -> int:
@@ -215,13 +206,6 @@ class Projector(Effect):
             )
         vars(self)["rank"] = rank
 
-    @classmethod
-    def _trusted(cls, matrix: np.ndarray, rank: int) -> "Projector":
-        """Wrap a read-only projector matrix of ``rank`` the engine built; checks nothing, and writes both at once."""
-        self = cls.__new__(cls)
-        vars(self).update(matrix=matrix, rank=rank)
-        return self
-
 
 class DensityOperator(HermitianOperator):
     """Positive semidefinite, trace-one operator; a possibly mixed state."""
@@ -242,7 +226,7 @@ class DensityOperator(HermitianOperator):
     def from_state(cls, psi: StateVector) -> "DensityOperator":
         """Rank-one density |psi><psi| / <psi|psi> of the ray, so its trace is 1 however far ||psi|| is from 1."""
         a = psi.amplitudes
-        return cls(np.outer(a, a.conj()) / np.vdot(a, a).real)
+        return cls._trusted(matrix=_frozen(np.outer(a, a.conj()) / np.vdot(a, a).real))
 
 
 @dataclass(frozen=True)

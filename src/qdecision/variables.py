@@ -161,7 +161,7 @@ class DecisionVariable(_Immutable):
             raise InvariantViolation(
                 f"variable {self.name!r} values must be finite and give a finite operator: {list(self.values)}"
             )
-        return HermitianOperator._trusted(op)
+        return HermitianOperator._trusted(matrix=_frozen(op))
 
     @property
     def dim(self) -> int:
@@ -226,7 +226,7 @@ def variable_from_spectrum(
         stack = _span_projection(batch.swapaxes(-1, -2))
         matrices.update(zip(members, _frozen(stack)))  # one freeze per stack; each row is a read-only view of it
     order = sorted(range(len(vals)), key=lambda j: vals[j])
-    projectors = [Projector._trusted(matrices[j], len(groups[j])) for j in order]
+    projectors = [Projector._trusted(matrix=matrices[j], rank=len(groups[j])) for j in order]
     v = DecisionVariable.__new__(DecisionVariable)  # the basis check stands for every invariant but the values'
     v._assign(name, [vals[j] for j in order], projectors, {keys[j]: i for i, j in enumerate(order)})
     return v

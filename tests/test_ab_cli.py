@@ -127,15 +127,15 @@ def test_reconstructions_differing_only_in_a_zeros_sign_differ():
     assert np.array_equal(plus, minus)  # equal by value, so == and np.array_equal cannot tell them apart
 
     def rec(matrix, residual=0.0):
-        return DensityReconstruction(DensityOperator._trusted(matrix.copy()), residual, False, 0.5, 9.0)
+        return DensityReconstruction(DensityOperator._trusted(matrix=matrix.copy()), residual, False, 0.5, 9.0)
 
     assert ab_cli._same(rec(plus), rec(plus))
     assert not ab_cli._same(rec(plus), rec(minus))
     assert not ab_cli._same(rec(plus), rec(plus, residual=-0.0))
     nan = rec(plus, residual=float("nan"))
     assert ab_cli._same(nan, rec(plus, residual=float("nan")))  # nan equals itself bit for bit
-    psi = StateVector._trusted(np.array([1.0, 0.0], dtype=complex))
-    assert not ab_cli._same(psi, StateVector._trusted(np.array([1.0, complex(0.0, -0.0)])))
+    psi = StateVector._trusted(amplitudes=np.array([1.0, 0.0], dtype=complex))
+    assert not ab_cli._same(psi, StateVector._trusted(amplitudes=np.array([1.0, complex(0.0, -0.0)])))
 
 
 def test_numbers_and_report_fields_are_compared_bit_for_bit():

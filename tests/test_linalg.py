@@ -17,11 +17,14 @@ from qdecision import (
     NotHermitian,
     Projector,
     StateVector,
+    collapse,
     event_probability,
     gpm_evaluate,
     hermitian_eig,
+    ic_effect_basis,
     outcome_distribution,
     projector_onto_span,
+    reconstruct_density,
 )
 from qdecision import tolerances as tol
 from qdecision.linalg import _frozen, as_complex_matrix
@@ -41,15 +44,15 @@ def _variable():
 _VARIABLE_ATTRIBUTES = ("name", "values", "_index", "eigenprojectors", "operator")
 _IMMUTABLE_ATTRIBUTES = {
     "StateVector": (lambda: StateVector([1.0, 0.0]), ("amplitudes",)),
-    "StateVector._trusted": (lambda: StateVector._trusted(np.array([1.0, 0.0j])), ("amplitudes",)),
+    "StateVector._trusted": (lambda: StateVector._trusted(amplitudes=np.array([1.0, 0.0j])), ("amplitudes",)),
     "HermitianOperator": (lambda: HermitianOperator(np.eye(2)), ("matrix",)),
-    "HermitianOperator._trusted": (lambda: HermitianOperator._trusted(np.eye(2, dtype=complex)), ("matrix",)),
+    "HermitianOperator._trusted": (lambda: HermitianOperator._trusted(matrix=np.eye(2, dtype=complex)), ("matrix",)),
     "Effect": (lambda: Effect(np.eye(2) / 2.0), ("matrix",)),
-    "Effect._trusted": (lambda: Effect._trusted(np.eye(2, dtype=complex) / 2.0), ("matrix",)),
+    "Effect._trusted": (lambda: Effect._trusted(matrix=np.eye(2, dtype=complex) / 2.0), ("matrix",)),
     "Projector": (lambda: Projector(np.diag([1.0, 0.0])), ("matrix", "rank")),
-    "Projector._trusted": (lambda: Projector._trusted(_frozen(np.diag([1.0, 0.0j])), 1), ("matrix", "rank")),
+    "Projector._trusted": (lambda: Projector._trusted(matrix=_frozen(np.diag([1.0, 0.0j])), rank=1), ("matrix", "rank")),
     "DensityOperator": (lambda: DensityOperator(np.eye(2) / 2.0), ("matrix",)),
-    "DensityOperator._trusted": (lambda: DensityOperator._trusted(np.eye(2, dtype=complex) / 2.0), ("matrix",)),
+    "DensityOperator._trusted": (lambda: DensityOperator._trusted(matrix=np.eye(2, dtype=complex) / 2.0), ("matrix",)),
     "UnitaryOperator": (lambda: UnitaryOperator(np.eye(2)), ("matrix",)),
     "DecisionVariable": (_variable, _VARIABLE_ATTRIBUTES),
     "DecisionVariable-checked": (lambda: DecisionVariable("v", [0.0, 1.0], _variable().eigenprojectors), _VARIABLE_ATTRIBUTES),
@@ -97,19 +100,19 @@ def test_a_likelihood_table_owns_its_rows():
         table.entries["z"] = row
 
 
+# ``_Immutable._trusted`` freezes nothing, so each array an engine path hands it is listed by that path
 _FROZEN_ARRAYS = {
     "StateVector": lambda: StateVector([1.0, 0.0]).amplitudes,
     "StateVector-column": lambda: StateVector([[1.0], [0.0]]).amplitudes,  # reshaped to a view of its copy
-    "StateVector._trusted": lambda: StateVector._trusted(np.array([1.0, 0.0j])).amplitudes,
+    "collapse": lambda: collapse(StateVector([0.6, 0.8]), _variable(), 1.0).amplitudes,
     "HermitianOperator": lambda: HermitianOperator(np.eye(2)).matrix,
-    "HermitianOperator._trusted": lambda: HermitianOperator._trusted(np.eye(2, dtype=complex)).matrix,
+    "DensityOperator.from_state": lambda: DensityOperator.from_state(StateVector([0.6, 0.8])).matrix,
     "Projector": lambda: Projector(np.diag([1.0, 0.0])).matrix,
-    "Projector._trusted": lambda: Projector._trusted(_frozen(np.diag([1.0, 0.0j])), 1).matrix,
     "variable_from_spectrum projector": lambda: _variable().eigenprojectors[0].matrix,
     "DensityOperator": lambda: DensityOperator(np.eye(2) / 2.0).matrix,
-    "DensityOperator._trusted": lambda: DensityOperator._trusted(np.eye(2, dtype=complex) / 2.0).matrix,
+    "reconstruct_density": lambda: reconstruct_density([GPMSample(f, 0.5) for f in ic_effect_basis(2)]).rho.matrix,
     "Effect": lambda: Effect(np.eye(2) / 2.0).matrix,
-    "Effect._trusted": lambda: Effect._trusted(np.eye(2, dtype=complex) / 2.0).matrix,
+    "ic_effect_basis": lambda: ic_effect_basis(2)[2].matrix,
     "UnitaryOperator": lambda: UnitaryOperator(np.eye(2)).matrix,
     "DecisionVariable.operator": lambda: _variable().operator.matrix,
     "LikelihoodTable row": lambda: LikelihoodTable(_variable(), {"z": [1.0, 1.0]}).entries["z"],

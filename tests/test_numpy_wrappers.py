@@ -381,7 +381,7 @@ def test_the_chain_probability_is_the_numpy_scalar_one_on_many_states():
     chain = random_maximal_variable(2, rng).eigenprojectors[:1]
     amplitudes = rng.normal(size=(20_000, 2)) + 1j * rng.normal(size=(20_000, 2))
     for a in amplitudes / np.linalg.norm(amplitudes, axis=1, keepdims=True):
-        state = StateVector._trusted(a)
+        state = StateVector._trusted(amplitudes=a)
         assert bits(engine._chain(state, chain)[1]) == bits(frozen_chain(state, chain)[1]), a
 
 

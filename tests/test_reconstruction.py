@@ -1,5 +1,7 @@
 """Density reconstruction: design matrix, one-factorization solve, conditioning gate, and the IC family's closed form."""
 
+import time
+
 import numpy as np
 import pytest
 
@@ -270,7 +272,7 @@ def generic_calls(monkeypatch):
 
 def on_copies(samples):
     """The same samples on equal copies of their effects, which only the generic path inverts."""
-    return [GPMSample(Effect._trusted(s.effect.matrix.copy()), s.probability) for s in samples]
+    return [GPMSample(Effect._trusted(matrix=s.effect.matrix.copy()), s.probability) for s in samples]
 
 
 @pytest.mark.parametrize("r", [*range(2, 9), 32])
@@ -316,14 +318,28 @@ def test_a_held_family_keeps_its_closed_form_after_other_dimensions_are_built(r,
     )
 
 
+_BOUND_MESSAGE = f"^dimension must be at most {tol.MAX_DIMENSION}, got {tol.MAX_DIMENSION + 1}$"
+
+
 def test_no_family_is_built_beyond_the_dimension_bound():
     """Every family built stays cached, so r^2 samples of a dimension no family has must not build one to compare."""
     engine._ic_basis.cache_clear()
     r = tol.MAX_DIMENSION + 1
     samples = [GPMSample(np.eye(r) / 2, 0.5)] * (r * r - 1) + [GPMSample(np.eye(2) / 2, 0.5)]
-    with pytest.raises(DimensionMismatch, match=f"^dimensions differ: {r} vs 2$"):
+    with pytest.raises(DimensionMismatch, match=_BOUND_MESSAGE):
         reconstruct_density(samples)
     assert engine._ic_basis.cache_info().currsize == 0
+
+
+def test_a_dimension_above_the_bound_is_refused_before_any_work(generic_calls):
+    """r^2 samples of r x r effects above ``MAX_DIMENSION`` end as ``ic_effect_basis`` ends, before the general path's
+    r^2 x r^2 design and its O(r^6) Gram eigenvalues are built (about a second at r = 33 without the bound)."""
+    r = tol.MAX_DIMENSION + 1
+    samples = [GPMSample(Effect(np.eye(r) / 2), 0.5)] * (r * r)
+    start = time.perf_counter()
+    with pytest.raises(DimensionMismatch, match=_BOUND_MESSAGE):
+        reconstruct_density(samples)
+    assert time.perf_counter() - start < 0.05 and generic_calls == []
 
 
 def rejection_message(samples):
@@ -449,7 +465,7 @@ def test_ic_windows_hold_the_dense_stack_bits_and_evaluate_as_copies(r):
     for f, m in zip(ic_effect_basis(r), dense_ic_effect_basis(r), strict=True):
         assert np.array_equal(f.matrix.view(np.uint64), m.view(np.uint64))
         assert f.matrix.flags.c_contiguous and not f.matrix.flags.writeable
-        copy = Effect._trusted(f.matrix.copy())
+        copy = Effect._trusted(matrix=f.matrix.copy())
         for s in states:
             assert bits(gpm_evaluate(s, f)) == bits(gpm_evaluate(s, copy))
 
@@ -488,7 +504,7 @@ def test_every_reconstruction_passes_the_density_check(r, noisy, generic_calls):
     rng = rng_for(1100 + r)
     families = {
         "ic": ic_effect_basis(r),
-        "copies": [Effect._trusted(f.matrix.copy()) for f in ic_effect_basis(r)],
+        "copies": [Effect._trusted(matrix=f.matrix.copy()) for f in ic_effect_basis(r)],
         "ic_plus_random": [Effect(m) for m in effect_families(r)["ic_plus_random"]],
     }
     for kind, rho in states_to_reconstruct(r, rng).items():
