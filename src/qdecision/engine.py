@@ -14,7 +14,6 @@ import functools
 import math
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
-from operator import attrgetter
 from types import MappingProxyType
 
 import numpy as np
@@ -69,8 +68,7 @@ __all__ = [
 ]
 
 State = StateVector | DensityOperator
-_EFFECT, _PROBABILITY = attrgetter("effect"), attrgetter("probability")
-_SIGN = _frozen(np.array([1.0, -1.0]))
+_re = complex.real.__get__  # np.complex128 subclasses complex: its real part as a float, with no np.float64 made
 
 
 def transition_probability(from_state: StateVector, to_state: StateVector) -> float:
@@ -85,11 +83,11 @@ def _born(state: State, m: np.ndarray) -> float:
         a = state.amplitudes
         if len(a) != len(m):
             _check_dims(len(a), len(m))
-        return float(_vdot(a, m.dot(a)).real)  # ndarray.dot: the same zgemv call as @, without the ufunc's overhead
+        return _re(_vdot(a, m.dot(a)))  # ndarray.dot: the same zgemv call as @, without the ufunc's overhead
     rho = state.matrix
     if len(rho) != len(m):
         _check_dims(len(rho), len(m))
-    return float(_vdot(rho, m).real)  # trace(rho M), both Hermitian
+    return _re(_vdot(rho, m))  # trace(rho M), both Hermitian
 
 
 def _event(state: State, effect: Effect) -> tuple[np.ndarray, float]:
@@ -100,8 +98,8 @@ def _event(state: State, effect: Effect) -> tuple[np.ndarray, float]:
         _check_dims(len(x), len(m))
     if x.ndim == 1:
         phi = m.dot(x)
-        return phi, float(_vdot(x, phi).real)
-    return m @ x @ m, float(_vdot(x, m).real)
+        return phi, _re(_vdot(x, phi))
+    return m @ x @ m, _re(_vdot(x, m))
 
 
 def _chain(state: State | np.ndarray, projectors: Sequence[Projector]) -> tuple[np.ndarray, float]:
@@ -284,7 +282,13 @@ def _as_effect(f) -> Effect:
 
 def gpm_evaluate(state: State, f) -> float:
     """Generalized probability measure: trace(rho F), or <psi|F|psi>, for an effect F."""
-    return _born(state, (f if isinstance(f, Effect) else _as_effect(f)).matrix)
+    m = (f if isinstance(f, Effect) else _as_effect(f)).matrix
+    if isinstance(state, DensityOperator):  # _born's density branch inline: a tomography round trip calls this r^2 times
+        rho = state.matrix
+        if len(rho) != len(m):
+            _check_dims(len(rho), len(m))
+        return _re(_vdot(rho, m))
+    return _born(state, m)
 
 
 @dataclass(frozen=True, slots=True, init=False)
@@ -295,14 +299,15 @@ class GPMSample:
     probability: float
 
     def __init__(self, effect: Effect, probability: float):  # once per sample: the generated one's __post_init__ costs
-        if not -tol.PROB_FLOOR <= probability <= 1.0 + tol.PROB_FLOOR:
+        if not _P_LO <= probability <= _P_HI:
             raise InvariantViolation(f"sample probability {_shown(probability)} outside [0, 1]")
         _set_effect(self, effect if isinstance(effect, Effect) else _as_effect(effect))
         _set_probability(self, probability)
 
 
-# each slot's own setter, past the frozen __setattr__
+# each slot's own setter, past the frozen __setattr__, and the probability range, each built once
 _set_effect, _set_probability = GPMSample.effect.__set__, GPMSample.probability.__set__
+_P_LO, _P_HI = -tol.PROB_FLOOR, 1.0 + tol.PROB_FLOOR
 
 
 @functools.cache  # reconstruct_density and ic_effect_basis stop at MAX_DIMENSION, so at most 31 dimensions
@@ -370,17 +375,18 @@ def _slots(r: int) -> np.ndarray:
     return _frozen(np.concatenate([2 * (r + 1) * np.arange(r), up, lo, up + 1, lo + 1]))
 
 
-def _hermitian_from_coords(x: np.ndarray, r: int) -> np.ndarray:
-    """The matrix of coordinates ``x``, bit for bit ``re + 1j * im`` above the diagonal and ``re - 1j * im`` below.
-    That product adds t = im * 0 to the real part, so a zero real part may take t's sign; a zero imaginary one is +0."""
-    re, im = x[r::2], x[r + 1::2]
+def _hermitian_from_coords(diag: np.ndarray, re: np.ndarray, im: np.ndarray) -> np.ndarray:
+    """The matrix of coordinates ``diag``, then ``re`` and ``im`` of each upper entry (row-major), bit for bit
+    ``re + 1j * im`` above the diagonal and ``re - 1j * im`` below. That product adds t = im * 0 to the real part,
+    so a zero real part may take t's sign; a zero imaginary one is +0."""
+    r = len(diag)
     t = im * 0.0
     out = np.zeros((r, r), dtype=complex)
-    out.view(np.float64).put(_slots(r), np.concatenate([x[:r], re + t, re - t, im + 0.0, 0.0 - im]))
+    out.view(np.float64).put(_slots(r), np.concatenate([diag, re + t, re - t, im + 0.0, 0.0 - im]))
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class DensityReconstruction:
     """Result of a density reconstruction.
 
@@ -395,6 +401,10 @@ class DensityReconstruction:
     min_eigenvalue: float
     condition_number: float
 
+    def __init__(self, rho, residual, clipped, min_eigenvalue, condition_number):  # one write, as phenomena's reports
+        self.__dict__.update(rho=rho, residual=residual, clipped=clipped, min_eigenvalue=min_eigenvalue,
+                             condition_number=condition_number)
+
 
 def _ic_fit(mu: np.ndarray, r: int) -> tuple[np.ndarray, float]:
     """The minimizer and its residual on ``_ic_basis(r)``, whose design D is square and block-triangular.
@@ -405,10 +415,9 @@ def _ic_fit(mu: np.ndarray, r: int) -> tuple[np.ndarray, float]:
     diag = mu[:r] + (1.0 - mu[:r].sum()) / r
     j, k = _upper(r)
     mid = (diag[j] + diag[k])[:, None] / 2.0
-    d = mu[r:].reshape(-1, 2) - mid
-    x = np.concatenate([diag, (d * _SIGN).ravel()])
+    d = mu[r:].reshape(-1, 2) - mid  # x is (Re, Im) = (d_0, -d_1), written without building x
     fitted = np.concatenate([diag, (mid + d).ravel()])  # D x, by the family's forward map: mid + x * sign, sign^2 = 1
-    return _hermitian_from_coords(x, r), _norm(fitted - mu)
+    return _hermitian_from_coords(diag, d[:, 0], d[:, 1] * -1.0), _norm(fitted - mu)
 
 
 def reconstruct_density(samples: Sequence[GPMSample]) -> DensityReconstruction:
@@ -432,14 +441,14 @@ def reconstruct_density(samples: Sequence[GPMSample]) -> DensityReconstruction:
         raise InsufficientSpan("no samples given")
     r = samples[0].effect.dim
     _check_bound(r)  # before the r^2 x r^2 design, or a family to compare with, is built
-    ic = len(samples) == r * r and tuple(map(_EFFECT, samples)) == _ic_basis(r)  # by identity: effects define no ==
+    ic = len(samples) == r * r and tuple([s.effect for s in samples]) == _ic_basis(r)  # by identity: effects define no ==
     if not ic:  # the shared family holds r x r effects by construction
         for s in samples:
             _check_dims(r, s.effect.dim)
 
-    mu = np.fromiter(map(_PROBABILITY, samples), float, len(samples))
+    mu = np.fromiter([s.probability for s in samples], float, len(samples))  # slot reads: faster than map over an attrgetter
     if ic:  # the eigenvalues of G span [1 / l, l], l = (r + 1 + sqrt((r + 1)^2 - 4)) / 2
-        cond = float((r + 1 + np.sqrt((r + 1) ** 2 - 4.0)) / 2.0) ** 2
+        cond = ((r + 1 + math.sqrt((r + 1) ** 2 - 4.0)) / 2.0) ** 2
     else:
         mats = [s.effect.matrix for s in samples]
         design = _hermitian_coords(np.array(mats))  # the dims check above makes this a stack
@@ -457,7 +466,8 @@ def reconstruct_density(samples: Sequence[GPMSample]) -> DensityReconstruction:
     else:
         c = np.arange(d_mu.size) < r  # the trace vector: 1 on the r diagonal parameters, else 0
         x0, g = np.linalg.solve(gram, np.stack([d_mu, c], axis=1)).T
-        raw = _hermitian_from_coords(x0 + ((1.0 - x0[:r].sum()) / g[:r].sum()) * g, r)
+        x = x0 + ((1.0 - x0[:r].sum()) / g[:r].sum()) * g
+        raw = _hermitian_from_coords(x[:r], x[r::2], x[r + 1::2])
         # a second copy of the effects: holding the first stack or using the design instead raised peak RSS
         fitted = np.reshape(mats, (len(mats), -1)) @ raw.T.ravel()  # trace(raw F_i)
         residual = _norm(fitted.real - mu)
@@ -474,7 +484,7 @@ def reconstruct_density(samples: Sequence[GPMSample]) -> DensityReconstruction:
     if min_eig < -tol.DENSITY_EIG_FLOOR:
         # clip below the density validity floor as well, but only eigenvalues
         # past PSD_CLIP_TOL count as a reported adjustment
-        w = np.clip(w, 0.0, None)
+        w = np.maximum(w, 0.0)  # np.clip(w, 0.0, None) calls this ufunc, through Python wrappers
         w = w / w.sum()
         raw = (v * w) @ v.conj().T
         raw = (raw + raw.conj().T) / 2.0

@@ -156,10 +156,10 @@ class HermitianOperator(_Immutable):
 
     def __init__(self, matrix):
         arr = as_complex_matrix(matrix, type(self).__name__)
-        if arr.shape[0] != arr.shape[1]:
-            raise DimensionMismatch(f"{type(self).__name__} must be square, got {arr.shape}")
+        if arr.shape[0] != arr.shape[1] or not arr.size:
+            raise DimensionMismatch(f"{type(self).__name__} must be square and non-empty, got {arr.shape}")
         with _unwarned(arr):
-            dev = float(np.abs(arr - arr.conj().T).max()) if arr.size else 0.0
+            dev = float(np.abs(arr - arr.conj().T).max())
         if not (dev <= tol.HERMITIAN_ENTRY_TOL):
             raise NotHermitian(
                 f"{type(self).__name__} is not self-adjoint: "
@@ -181,7 +181,7 @@ class Effect(HermitianOperator):
     def __init__(self, matrix):
         super().__init__(matrix)
         w = np.linalg.eigvalsh(self.matrix)
-        if w.size and not (w[0] >= -tol.EFFECT_EIG_TOL and w[-1] <= 1.0 + tol.EFFECT_EIG_TOL):
+        if not (w[0] >= -tol.EFFECT_EIG_TOL and w[-1] <= 1.0 + tol.EFFECT_EIG_TOL):
             raise InvalidEffect(f"effect spectrum [{w[0]:.3e}, {w[-1]:.3e}] is not within [0, 1]")
 
 

@@ -62,7 +62,7 @@ def round_value(x: float) -> float:
     return float(f"{x if type(x) is float else _real(x):{_VALUE_FORMAT}}")  # a float skips the call: every value lookup runs this
 
 
-@functools.lru_cache(maxsize=4)
+@functools.cache  # documents stop at MAX_DIMENSION; a library caller adds one table per dimension it builds in
 def _eye(r: int) -> np.ndarray:
     """``np.eye(r)``, built once per dimension as an array no caller can make writeable, like ``engine._upper``."""
     return _frozen(np.eye(r))
@@ -80,8 +80,8 @@ class UnitaryOperator(_Immutable):
 
     def __init__(self, matrix):
         arr = as_complex_matrix(getattr(matrix, "matrix", matrix))
-        if arr.shape[0] != arr.shape[1]:
-            raise DimensionMismatch(f"unitary must be square, got {arr.shape}")
+        if arr.shape[0] != arr.shape[1] or not arr.size:
+            raise DimensionMismatch(f"unitary must be square and non-empty, got {arr.shape}")
         with _unwarned(arr):
             dev = _norm(arr.conj().T @ arr - np.eye(arr.shape[0]))
         if not (dev <= tol.UNITARY_TOL):
@@ -245,7 +245,10 @@ def apply_function(v: DecisionVariable, f: Callable[[float], float]) -> Decision
     """
     merged: dict[float, np.ndarray] = {}
     for u, p in zip(v.values, v.eigenprojectors):
-        key = round_value(f(u))
+        image = f(u)
+        key = round_value(image)
+        if not math.isfinite(key):  # an int beyond the float range reads as nan here: name the int
+            raise InvariantViolation(f"f({v.name!r}) must be finite, got f({_shown(u)}) = {_shown(image)}")
         merged[key] = merged.get(key, 0.0) + p.matrix
     new_values = sorted(merged)
     projectors = [Projector(merged[u]) for u in new_values]

@@ -1,7 +1,9 @@
 """``tools/ab_cli.py``: one round of a benchmark workload on two trees, interleaved, with equal output required."""
 
 import json
+import re
 import shutil
+import statistics
 import subprocess
 import sys
 from pathlib import Path
@@ -24,8 +26,24 @@ def test_a_tree_against_itself_prints_every_kind_and_the_round():
     for kind in ("medical", "explicit", "density", "d16", "malformed", "text", "csv", "structured"):
         assert any(line.startswith(kind + " ") for line in lines), kind
     assert "round: 360 ops, identical output on both trees, 1 repeats, seed 3" in lines
+    # an even count: the median averages two ops, each named by its document kind and format rows
+    op = r"op \d+ \((medical|explicit|density|d16|malformed), (text|csv|structured)\)"
+    assert re.fullmatch(rf"latency_p50_ms is set by  parent: {op} and {op}  change: {op} and {op}", lines[-3]), lines[-3]
     assert lines[-2].startswith("latency_p50_ms  parent ")
     assert lines[-1].startswith("throughput_ops_s  parent ")
+
+
+def test_the_median_ops_are_those_statistics_median_reads():
+    sys.path[:0] = [str(ROOT / "tools")]
+    try:
+        import ab_cli
+    finally:
+        del sys.path[0]
+    for times in ([0.3], [0.5, 0.1, 0.4], [0.2, 0.9, 0.1, 0.4], [0.7, 0.2, 0.5, 0.1, 0.6, 0.3]):
+        ops = ab_cli._median_ops(times)
+        assert len(ops) == 2 - len(times) % 2
+        assert statistics.median(times) == sum(times[i] for i in ops) / len(ops)
+    assert ab_cli._median_ops([0.5, 0.1, 0.4]) == [2] and ab_cli._median_ops([0.2, 0.9, 0.1, 0.4]) == [0, 3]
 
 
 def test_trees_whose_reports_differ_exit_1(tmp_path):
@@ -63,6 +81,9 @@ def test_bulk_numeric_tree_against_itself_prints_every_tag_and_the_p50():
     for tag in ("tomography r8 exact", "tomography r8 noisy", "tomography r16 exact", "tomography r32 noisy", "spin"):
         assert any(line.startswith(tag + " ") for line in lines), tag
     assert "round: 169 ops, identical output on both trees, 1 repeats, seed 3" in lines
+    # 136 of the 169 ops are r = 8 round trips, so the median op is one of them on each tree
+    setter = r"op \d+ \(tomography r8 (exact|noisy)\)"
+    assert re.fullmatch(rf"latency_p50_ms is set by  parent: {setter}  change: {setter}", lines[-3]), lines[-3]
     assert lines[-2].startswith("latency_p50_ms  parent ")
     assert lines[-1].startswith("throughput_ops_s  parent ")
 

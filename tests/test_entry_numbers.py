@@ -116,6 +116,7 @@ NAMED_IN_THE_MESSAGE = {
     "LikelihoodTable label row length": (lambda n: LikelihoodTable(VAR, {n: [1]}), DimensionMismatch),
     "LikelihoodTable label range": (lambda n: LikelihoodTable(VAR, {n: [2, -1]}), InvariantViolation),
     "likelihood_effect label": (lambda n: likelihood_effect(LikelihoodTable(VAR, {"z": [1, 1]}), n), UnknownDataLabel),
+    "apply_function image": (lambda n: apply_function(VAR, lambda u: n), InvariantViolation),
 }
 
 ANGLES = {
@@ -199,6 +200,13 @@ def test_a_dimension_above_the_bound_is_refused_before_any_allocation(call, r):
 def test_a_message_gives_an_int_beyond_the_digit_limit_by_its_size(call, error, sign):
     with pytest.raises(error, match=r"\b(an|a negative) int of 16610 bits\b"):
         call(sign * BEYOND_DIGITS)
+
+
+@pytest.mark.parametrize("big", [10**400, -(10**400)], ids=["plus", "minus"])
+def test_apply_function_names_an_image_beyond_the_float_range_and_its_value(big):
+    with pytest.raises(InvariantViolation) as exc:
+        apply_function(VAR, lambda u: big)
+    assert str(exc.value) == f"f('v') must be finite, got f(0.0) = {big!r}"
 
 
 @pytest.mark.parametrize("call", RAGGED.values(), ids=RAGGED)

@@ -203,6 +203,22 @@ def test_operators_reject_a_non_square_matrix(make, message):
         make(np.zeros((2, 3)))
 
 
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (HermitianOperator, "^HermitianOperator must be square and non-empty, got \\(0, 0\\)$"),
+        (Effect, "^Effect must be square and non-empty, got \\(0, 0\\)$"),
+        (Projector, "^Projector must be square and non-empty, got \\(0, 0\\)$"),
+        (DensityOperator, "^DensityOperator must be square and non-empty, got \\(0, 0\\)$"),
+        (UnitaryOperator, "^unitary must be square and non-empty, got \\(0, 0\\)$"),
+    ],
+    ids=["hermitian", "effect", "projector", "density", "unitary"],
+)
+def test_operators_reject_a_0_by_0_matrix(make, message):
+    with pytest.raises(DimensionMismatch, match=message):
+        make(np.zeros((0, 0)))
+
+
 def test_hermitian_operator_rejects_asymmetry():
     with pytest.raises(NotHermitian):
         HermitianOperator([[0.0, 1.0], [0.0, 0.0]])

@@ -4,7 +4,9 @@
 that ``np.linalg.qr`` calls, ``linalg._norm`` is ``np.linalg.norm``'s own
 arithmetic, and ``variables._spectral_sum`` skips its overflow guard when no
 value can overflow. The tomography round trip calls ``np.vdot``'s C function
-without its dispatch and ``np.linalg.eigh``'s gufunc without its wrapper, and
+without its dispatch and ``np.linalg.eigh``'s gufunc without its wrapper, reads
+the real part of ``np.vdot``'s ``np.complex128`` through ``complex.real``, clips
+with ``np.maximum`` where ``np.clip`` calls it through Python wrappers, and
 writes its minimizer through the matrix's float view. Each must give exactly
 what the wrapped or guarded path gives, compared by ``uint64`` view where a
 zero's sign could differ. A numpy release that renames or retypes the gufuncs
@@ -34,6 +36,8 @@ from numpy.linalg import _umath_linalg
 
 from qdecision import (
     DensityOperator,
+    DensityReconstruction,
+    DimensionMismatch,
     Effect,
     GPMSample,
     InvariantViolation,
@@ -49,7 +53,7 @@ from qdecision import engine, linalg, report, variables
 from qdecision import tolerances as tol
 from qdecision.linalg import _norm, _span_projection
 
-from conftest import random_density, random_hermitian, random_maximal_variable, random_unitary
+from conftest import random_density, random_hermitian, random_maximal_variable, random_state, random_unitary
 
 hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")
@@ -250,7 +254,7 @@ _SPECIAL = st.sampled_from([0.0, -0.0, 0.5, 0.25, 1.0, -1e-12, 1e-300, -1e-300])
 def test_the_coordinate_writer_is_the_old_one_bit_for_bit(data, r):
     element = st.one_of(_SPECIAL, st.floats(-1e3, 1e3))
     x = data.draw(hnp.arrays(float, r * r, elements=element))
-    assert np.array_equal(bits(engine._hermitian_from_coords(x, r)), bits(frozen_from_coords(x, r)))
+    assert np.array_equal(bits(engine._hermitian_from_coords(x[:r], x[r::2], x[r + 1::2])), bits(frozen_from_coords(x, r)))
 
 
 @hypothesis.settings(max_examples=300, deadline=None)
@@ -287,6 +291,84 @@ def test_a_nan_eigenvalue_raises_no_convergence(monkeypatch):
     monkeypatch.setattr(engine, "_eigh_lo", no_convergence)
     with pytest.raises(NoConvergence, match="^eigensolver did not converge"):
         reconstruct_density(samples)
+
+
+# ---------------------------------------------------------------------------
+# the density Born path without numpy scalars, the clip without np.clip's wrappers, and the reconstruction record
+
+_PARTS = [0.0, -0.0, 1.5, -2.25, 1e308, math.inf, -math.inf, math.nan, -math.nan, 5e-324, -5e-324, 2.2250738585072014e-308 / 3]
+
+
+@pytest.mark.parametrize("re", _PARTS, ids=repr)
+@pytest.mark.parametrize("im", [0.0, -0.0, 1.0, math.nan], ids=repr)
+def test_the_real_part_reader_is_float_of_real(re, im):
+    z = np.complex128(complex(re, im))
+    assert type(z) is np.complex128 and isinstance(z, complex)
+    assert type(engine._re(z)) is float and bits(engine._re(z)) == bits(float(z.real))
+
+
+@hypothesis.settings(max_examples=300, deadline=None)
+@hypothesis.given(re=st.floats(), im=st.floats())
+def test_the_real_part_reader_keeps_every_bit(re, im):
+    z = np.complex128(complex(re, im))
+    assert bits(engine._re(z)) == bits(float(z.real))
+
+
+@pytest.mark.parametrize("r", range(2, 33))
+def test_gpm_evaluate_is_the_real_part_of_public_vdot(r):
+    """Densities take the inline branch and vectors ``_born``'s; both against ``float(np.vdot(...).real)``."""
+    rng = np.random.default_rng(5800 + r)
+    rho, psi = DensityOperator(random_density(r, rng)), random_state(r, rng)
+    family = ic_effect_basis(r)
+    effects = [family[0], family[-1], family[len(family) // 2], Effect(random_density(r, rng))]
+    assert type(linalg._vdot(rho.matrix, effects[0].matrix)) is np.complex128
+    for f in effects:
+        got = gpm_evaluate(rho, f)
+        assert type(got) is float and bits(got) == bits(float(np.vdot(rho.matrix, f.matrix).real)), r
+        a = psi.amplitudes
+        got = gpm_evaluate(psi, f.matrix)  # a matrix is checked as an effect first
+        assert type(got) is float and bits(got) == bits(float(np.vdot(a, f.matrix @ a).real)), r
+
+
+def test_gpm_evaluate_still_checks_a_density_against_the_effect():
+    with pytest.raises(DimensionMismatch, match="^dimensions differ: 3 vs 2$"):
+        gpm_evaluate(DensityOperator(np.eye(3) / 3), ic_effect_basis(2)[0])
+
+
+_EIGEN = st.one_of(st.sampled_from([0.0, -0.0, -1e-12, -5e-324, 5e-324, -0.5]), st.floats(-1.0, 1.0))
+
+
+@hypothesis.settings(max_examples=300, deadline=None)
+@hypothesis.given(w=hnp.arrays(float, st.integers(1, 32), elements=_EIGEN))
+def test_the_clip_is_np_clip_bit_for_bit(w):
+    w = np.sort(w)  # ascending, as eigh gives them
+    assert np.array_equal(bits(np.maximum(w, 0.0)), bits(np.clip(w, 0.0, None)))
+
+
+@pytest.mark.parametrize("r", [2, 8, 32])
+def test_the_clip_is_np_clip_on_eigenvalues_of_indefinite_minimizers(r):
+    rng = np.random.default_rng(5900 + r)
+    w = np.linalg.eigvalsh(random_density(r, rng) - 0.5 / r * np.eye(r))
+    w[-1], w[0] = -0.0, min(w[0], -1e-9)
+    assert (w < 0.0).any() and np.signbit(w).sum() > (w < 0.0).sum()
+    assert np.array_equal(bits(np.maximum(w, 0.0)), bits(np.clip(w, 0.0, None)))
+
+
+def test_a_reconstruction_stays_a_frozen_dataclass():
+    names = ("rho", "residual", "clipped", "min_eigenvalue", "condition_number")
+    assert tuple(f.name for f in dataclasses.fields(DensityReconstruction)) == names
+    assert all(f.compare and f.init for f in dataclasses.fields(DensityReconstruction))
+    rho = DensityOperator(np.eye(2) / 2)
+    values = (rho, 1e-17, False, 0.5, 9.0)
+    rec = DensityReconstruction(*values)
+    assert vars(rec) == dict(zip(names, values))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        rec.residual = 0.0
+    assert rec == DensityReconstruction(**dict(zip(names, values))) and hash(rec) == hash(DensityReconstruction(*values))
+    assert rec != DensityReconstruction(rho, 0.0, False, 0.5, 9.0)
+    assert rec != DensityReconstruction(DensityOperator(np.eye(2) / 2), *values[1:])  # rho compares by identity
+    assert repr(rec) == f"DensityReconstruction(rho={rho!r}, residual=1e-17, clipped=False, min_eigenvalue=0.5, condition_number=9.0)"
+    assert dataclasses.replace(rec, clipped=True) == DensityReconstruction(rho, 1e-17, True, 0.5, 9.0)
 
 
 # ---------------------------------------------------------------------------

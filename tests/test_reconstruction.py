@@ -113,7 +113,7 @@ def test_design_is_the_per_entry_formula_and_evaluates_traces(r):
     assert np.array_equal(design, loop_design(mats))
     for _ in range(3):
         x = rng.normal(size=r * r)
-        h = _hermitian_from_coords(x, r)
+        h = _hermitian_from_coords(x[:r], x[r::2], x[r + 1::2])
         assert np.array_equal(h, loop_from_coords(x, r))
         traces = np.array([np.trace(h @ m).real for m in mats])
         assert np.allclose(design @ x, traces, rtol=0.0, atol=1e-12)
@@ -340,6 +340,13 @@ def test_a_dimension_above_the_bound_is_refused_before_any_work(generic_calls):
     with pytest.raises(DimensionMismatch, match=_BOUND_MESSAGE):
         reconstruct_density(samples)
     assert time.perf_counter() - start < 0.05 and generic_calls == []
+
+
+@pytest.mark.parametrize("effect", [lambda: Effect(np.zeros((0, 0))), lambda: np.zeros((0, 0))], ids=["effect", "matrix"])
+def test_a_0_by_0_effect_is_a_dimension_mismatch_before_any_reconstruction(effect):
+    """A 0 x 0 matrix ended in a bare ``IndexError`` at the Gram eigenvalues; no effect of it can now be built."""
+    with pytest.raises(DimensionMismatch, match="^Effect must be square and non-empty, got \\(0, 0\\)$"):
+        reconstruct_density([GPMSample(effect(), 1.0)])
 
 
 def rejection_message(samples):

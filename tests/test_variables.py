@@ -10,6 +10,7 @@ from qdecision import (
     DimensionMismatch,
     DuplicateValues,
     EngineError,
+    InvariantViolation,
     NonOrthonormalBasis,
     NotUnitary,
     Projector,
@@ -276,6 +277,13 @@ def test_mod_two_grouping():
     assert [p.rank for p in w.eigenprojectors] == [1, 2]
     assert np.allclose(w.eigenprojectors[0].matrix, np.diag([0.0, 1.0, 0.0]), atol=1e-12)
     assert np.allclose(w.eigenprojectors[1].matrix, np.diag([1.0, 0.0, 1.0]), atol=1e-12)
+
+
+@pytest.mark.parametrize("image", [math.inf, -math.inf, math.nan], ids=repr)
+def test_apply_function_names_a_non_finite_image_and_its_value(image):
+    v = variable_from_spectrum("v", [0.0, 1.0], [[[1.0, 0.0]], [[0.0, 1.0]]])
+    with pytest.raises(InvariantViolation, match=f"^f\\('v'\\) must be finite, got f\\(1.0\\) = {image!r}$"):
+        apply_function(v, lambda u: image if u == 1.0 else u)
 
 
 def test_apply_function_is_coarsening():

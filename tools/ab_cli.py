@@ -34,7 +34,10 @@ that above 1 is a speedup: per document kind and per report format for
 ``(op, r, noisy)`` tag for ``bulk_numeric``, with the median latency of
 each tag's ops and its ratio next to it. The rows for the whole round are the
 ratios of ``latency_p50_ms`` and ``throughput_ops_s``, on every workload, as the
-benchmark gates both on each.
+benchmark gates both on each. Before them, a line names on each tree the op
+whose latency is the round's median (or the two ops a median of an even count
+averages) and the table rows it is counted in, so that a change in
+``latency_p50_ms`` can be read against the row of the op that sets it.
 
 Why interleave: on a shared host a core's speed drifts for seconds at a
 time, so two ``bench/run.py`` runs of one tree can differ by a third. Ops
@@ -166,6 +169,17 @@ def _tag_key(tags: dict) -> str:
     return f"{tags['op']} d{tags['d']}" if "d" in tags else tags["op"]
 
 
+def _row(tags: dict, key: str) -> str:
+    """The name of the table row that holds an op with ``tags``, in the table keyed by ``key``."""
+    return _tag_key(tags) if key == "op" else str(tags[key])
+
+
+def _median_ops(times: list[float]) -> list[int]:
+    """The op whose latency ``statistics.median`` returns, or the two whose latencies it averages."""
+    order = sorted(range(len(times)), key=times.__getitem__)
+    return order[(len(order) - 1) // 2:len(order) // 2 + 1]
+
+
 def _print_table(title: str, rows: dict[str, list[list[float]]], *, width: int = 12, p50: bool = False) -> None:
     head = f"{title:<{width}} {'ops':>4} {'parent ms':>10} {'change ms':>10} {'ratio':>6}"
     print(head + (f" {'parent p50':>10} {'change p50':>10} {'ratio':>6}" if p50 else ""))
@@ -220,16 +234,20 @@ def main() -> int:
                         return 1
 
     best = [fastest[k] for k in slot]
-    for key in ("doc", "fmt") if args.workload == "analyze_mix" else ("op",):
+    keys = ("doc", "fmt") if args.workload == "analyze_mix" else ("op",)
+    for key in keys:
         rows: dict[str, list[list[float]]] = {}
         for (tags, _, _, _), times in zip(ops, best):
-            row = rows.setdefault(_tag_key(tags) if key == "op" else str(tags[key]), [[], []])
+            row = rows.setdefault(_row(tags, key), [[], []])
             row[0].append(times[0])
             row[1].append(times[1])
         _print_table(key, rows, width=max(22, *map(len, rows)) if key == "op" else 12, p50=key == "op")
         print()
     parent, change = ([b[t] for b in best] for t in (0, 1))
     print(f"round: {len(ops)} ops, identical output on both trees, {args.reps} repeats, seed {args.seed}")
+    setters = [" and ".join(f"op {i} ({', '.join(_row(ops[i][0], key) for key in keys)})" for i in _median_ops(times))
+               for times in (parent, change)]
+    print(f"latency_p50_ms is set by  parent: {setters[0]}  change: {setters[1]}")
     mp, mc = statistics.median(parent), statistics.median(change)
     print(f"latency_p50_ms  parent {mp * 1e3:.4f}  change {mc * 1e3:.4f}  ratio {mp / mc:.3f}")
     print(f"throughput_ops_s  parent {len(ops) / sum(parent):.1f}  change {len(ops) / sum(change):.1f}  ratio {sum(parent) / sum(change):.3f}")
