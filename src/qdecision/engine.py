@@ -45,7 +45,7 @@ from .linalg import (
     _real,
     _vdot,
 )
-from .variables import DecisionVariable, _position, _spectral_sum
+from .variables import DecisionVariable, _bounded, _position, _spectral_sum
 
 __all__ = [
     "OutcomeDistribution",
@@ -206,13 +206,16 @@ def expectation(state: State, v: DecisionVariable) -> float:
 
 
 def expectation_of_function(state: State, v: DecisionVariable, f) -> float:
-    """Expected value of f(v): the Born rule on ``sum_j f(u_j) P_j``, which is ``sum_j f(u_j) p_j``.
+    """Expected value of f(v): ``sum_j f(u_j) p_j`` over the Born probabilities ``outcome_distribution`` returns.
 
     ``f`` is evaluated once on each declared value ``u_j`` of ``v`` and weights
-    ``v``'s own eigenprojectors, so nothing is diagonalized. ``f`` may be a
-    callable or a value table keyed by the declared values (matched at
-    ``VALUE_SIG_DIGITS``). A non-finite f(u_j), or one that overflows the
-    operator, raises ``InvariantViolation``.
+    the probability of ``v``'s own eigenprojector ``P_j``, so nothing is
+    diagonalized and no operator is built. ``f`` may be a callable or a value
+    table keyed by the declared values (matched at ``VALUE_SIG_DIGITS``).
+    Images at or above 1e300 / m in size, for m values, take the Born rule on
+    ``sum_j f(u_j) P_j`` instead, which keeps that operator's overflow gate:
+    a non-finite f(u_j), or one that overflows the operator, raises
+    ``InvariantViolation``.
     """
     if isinstance(f, Mapping):
         table = {_position(v._index, k): _real(val) for k, val in f.items()}  # value position -> image; None for no value
@@ -221,6 +224,8 @@ def expectation_of_function(state: State, v: DecisionVariable, f) -> float:
             raise InvariantViolation(f"value table has no entry for {v.values[images.index(None)]!r}")
     else:
         images = [_real(f(u)) for u in v.values]
+    if _bounded(images, len(images)):  # the sum cannot overflow: no operator is built
+        return sum(u * _born(state, p.matrix) for u, p in zip(images, v.eigenprojectors))
     op = _spectral_sum(images, v.eigenprojectors)
     if op is None:
         raise InvariantViolation(f"f({v.name}) must be finite and give a finite operator")

@@ -276,8 +276,8 @@ def hermitian_eig(a) -> SpectralDecomposition:
         NoConvergence: the solver failed or missed its residual contract.
     """
     arr = as_complex_matrix(getattr(a, "matrix", a))
-    if arr.shape[0] != arr.shape[1]:
-        raise DimensionMismatch(f"eigendecomposition requires a square matrix, got {arr.shape}")
+    if arr.shape[0] != arr.shape[1] or not arr.size:
+        raise DimensionMismatch(f"eigendecomposition input must be square and non-empty, got {arr.shape}")
     nrm = _norm(arr)
     asym = _norm(arr - arr.conj().T)
     if asym > tol.HERMITIAN_REL_TOL * max(nrm, np.finfo(float).tiny):
@@ -289,7 +289,7 @@ def hermitian_eig(a) -> SpectralDecomposition:
     except np.linalg.LinAlgError as exc:
         raise NoConvergence(f"eigensolver did not converge: {exc}") from exc
 
-    spread = float(w[-1] - w[0]) if w.size else 0.0
+    spread = float(w[-1] - w[0])
     degeneracy_tol = tol.DEGENERACY_TOL_SCALE * max(1.0, spread)
 
     groups: list[list[int]] = []

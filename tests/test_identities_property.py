@@ -6,9 +6,11 @@
 - Sum_j tr(P_j rho P_j) = 1 for every partition {P_j} of the identity.
 - The outcome distribution of every validated variable is a probability
   distribution, and its eigenprojectors resolve the identity.
-- E[f(v)] = sum_j f(u_j) p_j: the spectral sum over v's declared values
-  equals the Born rule on f(A) computed by diagonalizing A, and equals the
-  expectation of the variable f(v) (Helland's "function of a variable").
+- E[f(v)] = sum_j f(u_j) p_j: the sum over v's declared values equals, bit
+  for bit, the sum over the probabilities ``outcome_distribution`` returns
+  whenever no image can overflow the operator sum_j f(u_j) P_j, equals the
+  Born rule on f(A) computed by diagonalizing A, and equals the expectation
+  of the variable f(v) (Helland's "function of a variable").
 - Reciprocity: p(B|A) = p(A|B) for rank-one events A and B.
 - A sure-thing conditional p(C | j), the ratio of a partition term to p_j, is
   the probability of C in the Lüders-collapsed state.
@@ -43,6 +45,7 @@ from qdecision import (
     total_probability_report,
     variable_from_spectrum,
 )
+from qdecision import engine, variables
 from qdecision.variables import round_value
 
 from conftest import commuting_setup, random_state, random_unitary
@@ -164,12 +167,42 @@ def test_expectation_of_function_is_the_spectral_sum(data):
     got = expectation_of_function(state, v, f)
 
     dist = outcome_distribution(state, v)
-    assert abs(got - sum(f(u) * p for u, p in zip(dist.values, dist.probabilities))) <= IDENTITY_TOL
+    # these images are bounded, so the engine sums over the same Born probabilities: the same bits
+    assert _bits(got) == _bits(sum(float(f(u)) * p for u, p in zip(dist.values, dist.probabilities)))
     # the route through a fresh eigendecomposition of A, used before the spectral sum
     assert abs(got - _born(state, _spectral_function(v.operator.matrix, f))) <= IDENTITY_TOL
     # the variable f(v) carries its values rounded to VALUE_SIG_DIGITS
     rounded = expectation_of_function(state, v, lambda u: round_value(f(u)))
     assert abs(rounded - expectation(state, apply_function(v, f))) <= IDENTITY_TOL
+
+
+def _bits(x: float) -> int:
+    return int(np.float64(x).view(np.uint64))
+
+
+# image scales on both sides of the bound 1e300 / m for m = 2 .. 32 values
+SCALES = [1.0, 1e-300, 1e150, 1e298, 3e298, 1e299]
+
+
+@hypothesis.settings(max_examples=200, deadline=None)
+@hypothesis.given(data=st.data())
+def test_bounded_images_give_the_outcome_distribution_sum_bit_for_bit(data):
+    """``expectation_of_function`` on ``_bounded`` images is sum_j f(u_j) p_j over ``outcome_distribution``'s
+    probabilities, by ``uint64`` view; other finite images keep the Born rule on the operator sum_j f(u_j) P_j."""
+    d, state, rng = _state_and_dimension(data, top=32)
+    sizes = [1] * d if data.draw(st.booleans(), label="maximal") else _sizes(data, d)
+    v = _variable("v", sizes, rng, _values(len(sizes), rng))
+    g = FUNCTIONS[data.draw(st.sampled_from(sorted(FUNCTIONS)), label="f")]
+    scale = data.draw(st.sampled_from(SCALES), label="scale")
+    images = [float(g(u)) * scale for u in v.values]
+    table = dict(zip(v.values, images))
+    got = expectation_of_function(state, v, table if data.draw(st.booleans(), label="table") else table.__getitem__)
+
+    if variables._bounded(images, len(images)):
+        dist = outcome_distribution(state, v)
+        assert _bits(got) == _bits(sum(x * p for x, p in zip(images, dist.probabilities)))
+    else:
+        assert _bits(got) == _bits(engine._born(state, variables._spectral_sum(images, v.eigenprojectors)))
 
 
 def _rank_one(d: int, rng: np.random.Generator) -> Projector:

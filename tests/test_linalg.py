@@ -1,5 +1,7 @@
 """Core linear algebra: contracts, hand oracles, and random-draw properties."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -309,6 +311,13 @@ def test_eig_residual_random_r8():
     sd = hermitian_eig(a)
     rebuilt = (sd.eigenvectors * sd.eigenvalues) @ sd.eigenvectors.conj().T
     assert np.linalg.norm(a - rebuilt, "fro") <= 1e-10 * max(1.0, np.linalg.norm(a, "fro"))
+
+
+@pytest.mark.parametrize("shape", [(0, 0), (2, 3)])
+def test_eig_rejects_an_empty_or_non_square_matrix_as_the_operator_types_do(shape):
+    message = f"eigendecomposition input must be square and non-empty, got {shape}"
+    with pytest.raises(DimensionMismatch, match=f"^{re.escape(message)}$"):
+        hermitian_eig(np.zeros(shape))
 
 
 def test_eig_rejects_non_hermitian():

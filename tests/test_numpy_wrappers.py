@@ -3,7 +3,8 @@
 ``linalg._span_projection`` runs the Householder QR on the two private gufuncs
 that ``np.linalg.qr`` calls, ``linalg._norm`` is ``np.linalg.norm``'s own
 arithmetic, and ``variables._spectral_sum`` skips its overflow guard when no
-value can overflow. The tomography round trip calls ``np.vdot``'s C function
+value can overflow; ``expectation_of_function`` builds that sum only for images
+that can. The tomography round trip calls ``np.vdot``'s C function
 without its dispatch and ``np.linalg.eigh``'s gufunc without its wrapper, reads
 the real part of ``np.vdot``'s ``np.complex128`` through ``complex.real``, clips
 with ``np.maximum`` where ``np.clip`` calls it through Python wrappers, and
@@ -193,6 +194,38 @@ def test_an_operator_that_overflows_is_rejected_without_a_warning():
         v = _basis_variable([0.0, 1.0])
         with pytest.raises(InvariantViolation, match="finite operator"):
             expectation_of_function(StateVector([1.0, 0.0]), v, lambda u: 1e308)
+
+
+@pytest.mark.parametrize(
+    "images, calls",
+    [
+        ([0.25, -3.0, 7.5], 0),
+        ([np.nextafter(1e300 / 3, 0.0)] * 3, 0),
+        ([1e300 / 3] * 3, 1),
+        ([4e307, -4e307, 0.0], 1),
+        ([1e308] * 3, 1),
+        ([math.nan, 1.0, 1.0], 1),
+    ],
+    ids=["small", "below-bound", "at-bound", "large", "overflow", "nan"],
+)
+def test_only_images_that_can_overflow_build_the_operator(images, calls):
+    """``_bounded`` images are summed over the Born probabilities with no ``_spectral_sum``; the others build the
+    operator once, and give its Born rule or its ``InvariantViolation``."""
+    v = random_maximal_variable(3, np.random.default_rng(5800))
+    psi = random_state(3, np.random.default_rng(5801))
+    spy = mock.Mock(wraps=variables._spectral_sum)
+    with mock.patch.object(engine, "_spectral_sum", spy), mock.patch.object(variables, "_spectral_sum", spy):
+        try:
+            got = expectation_of_function(psi, v, dict(zip(v.values, images)))
+        except InvariantViolation:
+            got = None
+    assert spy.call_count == calls
+    if calls:
+        op = variables._spectral_sum(images, v.eigenprojectors)
+        want = None if op is None else engine._born(psi, op)
+    else:
+        want = sum(x * engine._born(psi, p.matrix) for x, p in zip(images, v.eigenprojectors))
+    assert (got is None) == (want is None) and (got is None or np.array_equal(bits(got), bits(want)))
 
 
 # ---------------------------------------------------------------------------
@@ -478,8 +511,8 @@ def test_round_value_is_the_nested_spec_bit_for_bit(x):
 
 @pytest.mark.parametrize("m", [2, 3, 7, 32])
 def test_the_spectral_sum_of_a_list_is_that_of_the_array(m):
-    """The images ``expectation_of_function`` passes as a list, against the array it passed before: the finite
-    sums bit for bit, and None alike for nan, inf and 1e308 over many projectors."""
+    """A list of values against the array of them, as ``expectation_of_function`` passes the images that can
+    overflow the operator: the finite sums bit for bit, and None alike for nan, inf and 1e308 over many projectors."""
     projectors = random_maximal_variable(m, np.random.default_rng(5900 + m)).eigenprojectors
     finite = [list(np.random.default_rng(6000 + m).normal(size=m)), [0.0, -0.0] * (m // 2) + [-0.0] * (m % 2),
               [4e307, -4e307] + [0.0] * (m - 2), [1e300 / m] * m]
