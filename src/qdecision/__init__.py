@@ -56,7 +56,6 @@ from .linalg import (
     Effect,
     HermitianOperator,
     Projector,
-    SpectralDecomposition,
     StateVector,
     hermitian_eig,
     projector_onto_span,

@@ -41,7 +41,7 @@ class NotUnitary(InvariantViolation):
 
 
 class NoConvergence(EngineError):
-    """Eigensolver did not converge, or missed its residual contract."""
+    """Eigensolver did not converge: it gave an eigenvalue that is not finite."""
 
 
 class DegenerateSpan(EngineError):

@@ -13,7 +13,6 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from contextlib import nullcontext
-from dataclasses import dataclass
 
 import numpy as np
 from numpy.linalg import _umath_linalg
@@ -34,7 +33,6 @@ __all__ = [
     "Projector",
     "DensityOperator",
     "Effect",
-    "SpectralDecomposition",
     "as_complex_matrix",
     "hermitian_eig",
     "projector_onto_span",
@@ -229,93 +227,18 @@ class DensityOperator(HermitianOperator):
         return cls._trusted(matrix=_frozen(np.outer(a, a.conj()) / np.vdot(a, a).real))
 
 
-@dataclass(frozen=True)
-class SpectralDecomposition:
-    """Eigenvalues ascending, orthonormal eigenvector columns, degeneracy groups.
-
-    ``groups`` partitions the index range; indices land in the same group
-    when their eigenvalues differ by less than the degeneracy tolerance used
-    at decomposition time.
-    """
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-    groups: tuple[tuple[int, ...], ...]
-
-
-def _fix_column_phases(v: np.ndarray) -> np.ndarray:
-    """Rotate each column so its first non-negligible entry is real positive."""
-    v = v.copy()
-    for k in range(v.shape[1]):
-        col = v[:, k]
-        nz = np.flatnonzero(np.abs(col) > 1e-12)
-        if nz.size:
-            lead = col[nz[0]]
-            v[:, k] = col * (lead.conj() / abs(lead))
-    return v
-
-
-def _column_sort_key(col: np.ndarray) -> tuple:
-    nz = np.flatnonzero(np.abs(col) > 1e-12)
-    first = int(nz[0]) if nz.size else col.size
-    rounded = np.round(np.concatenate([col.real, col.imag]), 10)
-    return (first, tuple(-rounded))
-
-
-def hermitian_eig(a) -> SpectralDecomposition:
-    """Eigendecomposition of a Hermitian matrix with a fixed output convention.
-
-    Eigenvalues are sorted ascending. Each eigenvector's global phase is
-    fixed (first non-negligible component real positive) and columns inside
-    a degeneracy group are deterministically ordered, so repeated runs on
-    the same input produce identical output. Adjacent eigenvalues closer
-    than ``DEGENERACY_TOL_SCALE * max(1, spectral range)`` share a group.
+def hermitian_eig(a) -> tuple[np.ndarray, np.ndarray]:
+    """``(w, v)`` of a self-adjoint matrix, read-only: eigenvalues ascending and orthonormal eigenvector columns, as
+    LAPACK returns them. The input is a ``HermitianOperator`` or what its constructor accepts.
 
     Raises:
-        NotHermitian: relative asymmetry above ``HERMITIAN_REL_TOL``.
-        NoConvergence: the solver failed or missed its residual contract.
+        DimensionMismatch, InvariantViolation, NotHermitian: ``HermitianOperator``'s errors for the input.
+        NoConvergence: an eigenvalue is not finite (LAPACK did not converge, or the entries overflow it).
     """
-    arr = as_complex_matrix(getattr(a, "matrix", a))
-    if arr.shape[0] != arr.shape[1] or not arr.size:
-        raise DimensionMismatch(f"eigendecomposition input must be square and non-empty, got {arr.shape}")
-    nrm = _norm(arr)
-    asym = _norm(arr - arr.conj().T)
-    if asym > tol.HERMITIAN_REL_TOL * max(nrm, np.finfo(float).tiny):
-        raise NotHermitian(
-            f"matrix is not Hermitian: ||A - A^dag||_F = {asym:.3e} vs ||A||_F = {nrm:.3e}"
-        )
-    try:
-        w, v = np.linalg.eigh(arr)
-    except np.linalg.LinAlgError as exc:
-        raise NoConvergence(f"eigensolver did not converge: {exc}") from exc
-
-    spread = float(w[-1] - w[0])
-    degeneracy_tol = tol.DEGENERACY_TOL_SCALE * max(1.0, spread)
-
-    groups: list[list[int]] = []
-    for i in range(w.size):
-        if groups and w[i] - w[groups[-1][-1]] < degeneracy_tol:
-            groups[-1].append(i)
-        else:
-            groups.append([i])
-
-    v = _fix_column_phases(v)
-    w = w.copy()
-    for g in groups:
-        if len(g) > 1:
-            # reorder eigenpairs jointly so pairing stays exact
-            order = sorted(g, key=lambda i: _column_sort_key(v[:, i]))
-            v[:, g] = v[:, order]
-            w[g] = w[order]
-
-    residual = _norm(arr - (v * w) @ v.conj().T)
-    if residual > tol.EIG_RESIDUAL_TOL * max(1.0, nrm):
-        raise NoConvergence(
-            f"eigendecomposition residual {residual:.3e} exceeds contract"
-        )
-    w.setflags(write=False)
-    v.setflags(write=False)
-    return SpectralDecomposition(w, v, tuple(tuple(g) for g in groups))
+    w, v = _eigh_lo(HermitianOperator(getattr(a, "matrix", a)).matrix, signature="D->dD")
+    if not np.isfinite(w).all():
+        raise NoConvergence(f"eigensolver did not converge: eigenvalues {w.tolist()}")
+    return _frozen(w), _frozen(v)
 
 
 def _span_projection(cols: np.ndarray) -> np.ndarray:

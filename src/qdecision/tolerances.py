@@ -17,11 +17,8 @@ DENSITY_TRACE_TOL = 1e-10       # | trace(rho) - 1 |
 EFFECT_EIG_TOL = 1e-10          # spectrum within [-tol, 1 + tol]
 UNITARY_TOL = 1e-10             # || W^dag W - I ||_F
 
-# Eigensolver contract.
-HERMITIAN_REL_TOL = 1e-8        # relative || A - A^dag ||_F gate before solving
-EIG_RESIDUAL_TOL = 1e-10        # || A - V L V^dag ||_F <= tol * max(1, ||A||_F)
+# Declared eigenbases and spans.
 ORTHONORMALITY_TOL = 1e-10      # || V^dag V - I ||_F
-DEGENERACY_TOL_SCALE = 1e-8     # grouping gap = scale * max(1, spectral range)
 SPAN_RANK_TOL = 1e-10           # smallest singular value gate for spans
 
 # Variables and relatedness.

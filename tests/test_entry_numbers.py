@@ -30,6 +30,7 @@ from qdecision import (
     InvalidSeed,
     InvariantViolation,
     LikelihoodTable,
+    NoConvergence,
     NonOrthonormalBasis,
     NotHermitian,
     NotUnitary,
@@ -43,6 +44,7 @@ from qdecision import (
     collapse,
     comparison_report,
     expectation_of_function,
+    hermitian_eig,
     ic_effect_basis,
     likelihood_effect,
     outcome_distribution,
@@ -166,6 +168,11 @@ HUGE_ENTRY = {
         lambda: projector_onto_span([[1e308, 1e308]]),
         InvariantViolation,
         "vectors to project onto are too large to give a finite projector",
+    ),
+    "hermitian_eig": (
+        lambda: hermitian_eig([[1e308, 1e308], [1e308, 1e308]]),
+        NoConvergence,
+        "eigensolver did not converge: eigenvalues [0.0, inf]",
     ),
     "StateVector 1e154": (
         lambda: StateVector([1e154, 0]),

@@ -46,6 +46,7 @@ from qdecision import (
     StateVector,
     expectation_of_function,
     gpm_evaluate,
+    hermitian_eig,
     ic_effect_basis,
     reconstruct_density,
     variable_from_spectrum,
@@ -313,17 +314,28 @@ def test_a_uniform_sample_has_exact_zero_coordinates_and_keeps_their_signs(r):
         assert not raw.imag.any()
 
 
-def test_a_nan_eigenvalue_raises_no_convergence(monkeypatch):
-    """The gufunc reports a LAPACK failure as nan eigenvalues, not as an exception."""
+def _exact_ic_fit() -> float:
     samples = [GPMSample(f, gpm_evaluate(DensityOperator(np.eye(3) / 3), f)) for f in ic_effect_basis(3)]
-    assert reconstruct_density(samples).min_eigenvalue > 0.0
+    return reconstruct_density(samples).min_eigenvalue
+
+
+@pytest.mark.parametrize(
+    "module, call",
+    [(engine, _exact_ic_fit), (linalg, lambda: hermitian_eig(np.eye(3))[0][0])],
+    ids=["reconstruct_density", "hermitian_eig"],
+)
+def test_a_nan_eigenvalue_raises_no_convergence(monkeypatch, module, call):
+    """The gufunc reports a LAPACK failure as nan eigenvalues, not as an exception."""
+    assert call() > 0.0
 
     def no_convergence(a, signature):
         return np.full(a.shape[-1], np.nan), np.full(a.shape, np.nan, dtype=complex)
 
-    monkeypatch.setattr(engine, "_eigh_lo", no_convergence)
-    with pytest.raises(NoConvergence, match="^eigensolver did not converge"):
-        reconstruct_density(samples)
+    monkeypatch.setattr(module, "_eigh_lo", no_convergence)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(NoConvergence, match="^eigensolver did not converge"):
+            call()
 
 
 # ---------------------------------------------------------------------------

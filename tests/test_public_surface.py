@@ -37,9 +37,6 @@ KEPT = {
 
 KEPT_MEMBERS = {
     "probability_of": "acceptance criterion 7 reads an outcome's probability by value",
-    "eigenvalues": "read only by the hermitian_eig tests; leaves with the eigensolver (direction 1)",
-    "eigenvectors": "read only by the hermitian_eig tests; leaves with the eigensolver (direction 1)",
-    "groups": "read only by the hermitian_eig tests; leaves with the eigensolver (direction 1)",
 }
 
 # class -> the fields a getattr table in bench/ reads from its instances, by the strings that name them there
