@@ -211,25 +211,29 @@ def expectation_of_function(state: State, v: DecisionVariable, f) -> float:
     ``f`` is evaluated once on each declared value ``u_j`` of ``v`` and weights
     the probability of ``v``'s own eigenprojector ``P_j``, so nothing is
     diagonalized and no operator is built. ``f`` may be a callable or a value
-    table keyed by the declared values (matched at ``VALUE_SIG_DIGITS``).
-    Images at or above 1e300 / m in size, for m values, take the Born rule on
-    ``sum_j f(u_j) P_j`` instead, which keeps that operator's overflow gate:
-    a non-finite f(u_j), or one that overflows the operator, raises
-    ``InvariantViolation``.
+    table keyed by the declared values (matched at ``VALUE_SIG_DIGITS``): a
+    value with no key, two keys of one value, and a key of no value are
+    refused. Each image must be finite and below 1e300 / m in size, for m
+    values, as a variable's values must, so the sum cannot overflow; any
+    other raises ``InvariantViolation``.
     """
     if isinstance(f, Mapping):
-        table = {_position(v._index, k): _real(val) for k, val in f.items()}  # value position -> image; None for no value
+        positions = [_position(v._index, k) for k in f]  # the value each key matches; None for none
+        table = dict(zip(positions, map(_real, f.values())))
         images = [table.get(j) for j in range(len(v.values))]
         if None in images:
             raise InvariantViolation(f"value table has no entry for {v.values[images.index(None)]!r}")
+        if None in table:
+            raise UnknownValue(f"{_shown(list(f)[positions.index(None)])} is not a value of variable {v.name!r}")
+        if len(table) < len(f):  # two keys matched one value, and the later one replaced the earlier
+            j = next(j for j in positions if positions.count(j) > 1)
+            first, second = [k for k, i in zip(f, positions) if i == j][:2]
+            raise InvariantViolation(f"value table keys {_shown(first)} and {_shown(second)} both match the value {v.values[j]!r}")
     else:
         images = [_real(f(u)) for u in v.values]
-    if _bounded(images, len(images)):  # the sum cannot overflow: no operator is built
-        return sum(u * _born(state, p.matrix) for u, p in zip(images, v.eigenprojectors))
-    op = _spectral_sum(images, v.eigenprojectors)
-    if op is None:
+    if not _bounded(images, len(images)):
         raise InvariantViolation(f"f({v.name}) must be finite and give a finite operator")
-    return _born(state, op)
+    return sum(u * _born(state, p.matrix) for u, p in zip(images, v.eigenprojectors))
 
 
 class LikelihoodTable(_Immutable):

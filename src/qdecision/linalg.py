@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from contextlib import nullcontext
 
 import numpy as np
 from numpy.linalg import _umath_linalg
@@ -64,13 +63,28 @@ def _array(data, dtype=complex) -> np.ndarray:
         raise DimensionMismatch("nested lists of unequal lengths do not form an array") from None
 
 
+_ENTRY_MAX = 1e60  # no accepted entry is larger in size, so no product, norm or eigenvalue of them overflows
+
+
+def _in_range(arr: np.ndarray) -> bool:
+    """Every entry of ``arr`` finite and at most ``_ENTRY_MAX`` in size: one reduction over its float view, which a NaN
+    fails. The range gate of every array that enters, so that no check after it can overflow or warn."""
+    return abs(arr.ravel().view(float)).max(initial=0.0) <= _ENTRY_MAX
+
+
+def _out_of_range(arr: np.ndarray) -> str:
+    """What fails ``_in_range`` in ``arr``, for its entry point's message."""
+    return "non-finite entries" if not np.isfinite(arr).all() else f"entries above {_ENTRY_MAX:g} in size"
+
+
 def as_complex_matrix(data, name: str = "matrix") -> np.ndarray:
-    """Copy ``data`` into a 2-d complex array, rejecting NaN/Inf entries and ints beyond the float range."""
+    """Copy ``data`` into a 2-d complex array, rejecting NaN/Inf entries, ints beyond the float range and entries
+    above ``_ENTRY_MAX`` in size."""
     arr = _array(data)
     if arr.ndim != 2:
         raise DimensionMismatch(f"{name} must be two-dimensional, got shape {arr.shape}")
-    if not np.isfinite(arr).all():
-        raise InvariantViolation(f"{name} contains non-finite entries")
+    if not _in_range(arr):
+        raise InvariantViolation(f"{name} contains {_out_of_range(arr)}")
     return arr
 
 
@@ -87,17 +101,11 @@ def _check_dims(a: int, b: int) -> None:
         raise DimensionMismatch(f"dimensions differ: {a} vs {b}")
 
 
-def _unwarned(arr: np.ndarray):
-    """A null context that gives True when no entry of ``arr`` is NaN or above 1e60 in size, so no product or norm of
-    them overflows; else numpy's overflow and invalid-value warnings off, so a check on them fails on its value unwarned."""
-    moderate = abs(arr.ravel().view(float)).max(initial=0.0) <= 1e60
-    return nullcontext(True) if moderate else np.errstate(over="ignore", invalid="ignore")
-
-
 def _frozen(arr: np.ndarray) -> np.ndarray:
     """A read-only view of ``arr``, which with its memory's owner is frozen: the view refuses ``setflags(write=True)``. An
     owner numpy allocated (``.base``) can be re-enabled, as ``vars(value)`` can be written; one backed by ``bytes`` cannot."""
-    (arr if arr.base is None else arr.base).setflags(write=False)
+    if arr.base is not None:
+        arr.base.setflags(write=False)
     arr.setflags(write=False)
     return arr.view()
 
@@ -126,10 +134,9 @@ class StateVector(_Immutable):
         arr = _array(amplitudes).reshape(-1)
         if arr.size == 0:
             raise DimensionMismatch("state vector cannot be empty")
-        with _unwarned(arr) as moderate:
-            if not (moderate or np.isfinite(arr).all()):
-                raise InvariantViolation("state vector contains non-finite entries")
-            nrm = _norm(arr)
+        if not _in_range(arr):
+            raise InvariantViolation(f"state vector contains {_out_of_range(arr)}")
+        nrm = _norm(arr)
         if not (abs(nrm - 1.0) <= tol.UNIT_NORM_TOL):
             raise InvariantViolation(
                 f"state vector violates the unit-norm invariant: ||psi|| = {nrm!r}"
@@ -156,8 +163,7 @@ class HermitianOperator(_Immutable):
         arr = as_complex_matrix(matrix, type(self).__name__)
         if arr.shape[0] != arr.shape[1] or not arr.size:
             raise DimensionMismatch(f"{type(self).__name__} must be square and non-empty, got {arr.shape}")
-        with _unwarned(arr):
-            dev = float(np.abs(arr - arr.conj().T).max())
+        dev = float(np.abs(arr - arr.conj().T).max())
         if not (dev <= tol.HERMITIAN_ENTRY_TOL):
             raise NotHermitian(
                 f"{type(self).__name__} is not self-adjoint: "
@@ -190,8 +196,7 @@ class Projector(Effect):
     def __init__(self, matrix):
         HermitianOperator.__init__(self, matrix)
         m = self.matrix
-        with _unwarned(m):
-            idem_dev = _norm(m @ m - m)
+        idem_dev = _norm(m @ m - m)
         if not (idem_dev <= tol.PROJECTOR_IDEM_TOL):
             raise InvariantViolation(
                 f"projector violates idempotence: ||P@P - P||_F = {idem_dev:.3e} > {tol.PROJECTOR_IDEM_TOL:.1e}"
@@ -210,8 +215,7 @@ class DensityOperator(HermitianOperator):
 
     def __init__(self, matrix):
         super().__init__(matrix)
-        with _unwarned(self.matrix):
-            tr = float(self.matrix.trace().real)
+        tr = float(self.matrix.trace().real)
         if not (abs(tr - 1.0) <= tol.DENSITY_TRACE_TOL):
             raise InvariantViolation(f"density operator trace {tr!r} differs from 1")
         lo = float(np.linalg.eigvalsh(self.matrix).min())
@@ -233,7 +237,7 @@ def hermitian_eig(a) -> tuple[np.ndarray, np.ndarray]:
 
     Raises:
         DimensionMismatch, InvariantViolation, NotHermitian: ``HermitianOperator``'s errors for the input.
-        NoConvergence: an eigenvalue is not finite (LAPACK did not converge, or the entries overflow it).
+        NoConvergence: an eigenvalue is not finite (LAPACK did not converge).
     """
     w, v = _eigh_lo(HermitianOperator(getattr(a, "matrix", a)).matrix, signature="D->dD")
     if not np.isfinite(w).all():
@@ -269,21 +273,19 @@ def projector_onto_span(vectors: Sequence[StateVector | np.ndarray] | np.ndarray
     """Orthogonal projector onto the span of ``vectors``, given as one group of ``variable_from_spectrum`` is.
 
     Raises ``DimensionMismatch`` for vectors of two lengths or an array that is not k x r, ``InvariantViolation`` for a
-    NaN or infinite entry or entries too large for a finite projector, and ``DegenerateSpan`` for no vectors or vectors
-    linearly dependent within ``SPAN_RANK_TOL`` (smallest singular value).
+    NaN or infinite entry or one above ``_ENTRY_MAX`` in size, and ``DegenerateSpan`` for no vectors or vectors
+    linearly dependent within ``SPAN_RANK_TOL`` (smallest singular value). The QR of independent columns is
+    orthonormal to rounding, so the projector is built as ``variable_from_spectrum`` builds each of its own.
     """
-    cols = _vector_rows(vectors).T  # one vector per column
+    rows = _vector_rows(vectors)
+    cols = rows.T  # one vector per column
     if cols.shape[1] == 0:
         raise DegenerateSpan("cannot project onto the span of an empty list")
     if cols.shape[1] > cols.shape[0]:
         raise DegenerateSpan(f"{cols.shape[1]} vectors cannot be independent in dimension {cols.shape[0]}")
-    with _unwarned(cols) as moderate:
-        if not (moderate or np.isfinite(cols).all()):
-            raise InvariantViolation("vectors to project onto contain non-finite entries")
-        sing = np.linalg.svd(cols, compute_uv=False)
-        if sing.min() <= tol.SPAN_RANK_TOL:
-            raise DegenerateSpan(f"vectors are linearly dependent: smallest singular value {sing.min():.3e}")
-        p = _span_projection(cols)
-        if not (moderate or np.isfinite(p).all()):
-            raise InvariantViolation("vectors to project onto are too large to give a finite projector")
-    return Projector(p)
+    if not _in_range(rows):
+        raise InvariantViolation(f"vectors to project onto contain {_out_of_range(rows)}")
+    sing = np.linalg.svd(cols, compute_uv=False)
+    if sing.min() <= tol.SPAN_RANK_TOL:
+        raise DegenerateSpan(f"vectors are linearly dependent: smallest singular value {sing.min():.3e}")
+    return Projector._trusted(matrix=_frozen(_span_projection(cols)), rank=cols.shape[1])

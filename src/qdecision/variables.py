@@ -11,7 +11,6 @@ from __future__ import annotations
 import functools
 import math
 from collections.abc import Callable, Sequence
-from contextlib import nullcontext
 
 import numpy as np
 
@@ -33,10 +32,10 @@ from .linalg import (
     _frozen,
     _Immutable,
     _check_dims,
+    _in_range,
     _norm,
     _real,
     _span_projection,
-    _unwarned,
     _vector_rows,
     as_complex_matrix,
 )
@@ -82,8 +81,7 @@ class UnitaryOperator(_Immutable):
         arr = as_complex_matrix(getattr(matrix, "matrix", matrix))
         if arr.shape[0] != arr.shape[1] or not arr.size:
             raise DimensionMismatch(f"unitary must be square and non-empty, got {arr.shape}")
-        with _unwarned(arr):
-            dev = _norm(arr.conj().T @ arr - np.eye(arr.shape[0]))
+        dev = _norm(arr.conj().T @ arr - np.eye(arr.shape[0]))
         if not (dev <= tol.UNITARY_TOL):
             raise NotUnitary(f"||W^dag W - I||_F = {dev:.3e} > {tol.UNITARY_TOL:.1e}")
         vars(self)["matrix"] = _frozen(arr)
@@ -93,29 +91,27 @@ class UnitaryOperator(_Immutable):
         return self.matrix.shape[0]
 
 
+_SUM_MAX = 1e300  # m values or images each below _SUM_MAX / m in size: no sum over m projectors or probabilities overflows
+
+
 def _bounded(values: Sequence[float], m: int) -> bool:
-    """Every ``u_j`` finite and below 1e300 / m in size, so ``sum_j u_j P_j`` cannot overflow: no projector entry exceeds 1."""
-    return all(map(math.isfinite, values)) and max(map(abs, values)) < 1e300 / m
+    """Every ``u_j`` finite and below ``_SUM_MAX / m`` in size, so ``sum_j u_j P_j`` cannot overflow: no projector entry
+    exceeds 1."""
+    return all(map(math.isfinite, values)) and max(map(abs, values)) < _SUM_MAX / m
 
 
-def _spectral_sum(values: Sequence[float], projectors: Sequence[Projector]) -> np.ndarray | None:
-    """``sum_j u_j P_j`` made exactly self-adjoint, or None when it is not finite: a NaN or infinite ``u_j`` is caught
-    before any arithmetic, finite ones whose sum overflows after it, unless they are ``_bounded`` and cannot overflow."""
-    bounded = _bounded(values, len(projectors))
-    if not (bounded or all(map(math.isfinite, values))):
-        return None
-    with nullcontext() if bounded else np.errstate(over="ignore", invalid="ignore"):
-        op = sum(u * p.matrix for u, p in zip(values, projectors))
-        op = (op + op.conj().T) / 2.0
-    return op if bounded or np.isfinite(op).all() else None
+def _spectral_sum(values: Sequence[float], projectors: Sequence[Projector]) -> np.ndarray:
+    """``sum_j u_j P_j`` made exactly self-adjoint, of ``_bounded`` values, as every caller passes, so it is finite."""
+    op = sum(u * p.matrix for u, p in zip(values, projectors))
+    return (op + op.conj().T) / 2.0
 
 
 class DecisionVariable(_Immutable):
     """Named variable with strictly increasing values and eigenprojectors.
 
-    Invariants (checked here): values strictly increasing; projectors
-    mutually orthogonal and resolving the identity within
-    ``ORTHONORMALITY_TOL``; operator ``sum_j u_j P_j`` finite.
+    Invariants (checked here): values strictly increasing and ``_bounded``;
+    projectors mutually orthogonal and resolving the identity within
+    ``ORTHONORMALITY_TOL``.
     """
 
     def __init__(self, name: str, values: Sequence[float], projectors: Sequence[Projector]):
@@ -146,22 +142,16 @@ class DecisionVariable(_Immutable):
         self._assign(name, vals, projectors, index)
 
     def _assign(self, name: str, vals: list[float], projectors: Sequence[Projector], index: dict[float, int]) -> None:
-        """Set every attribute in one write to the instance dict. The operator is left to its first read when the
-        values are ``_bounded``, where ``_spectral_sum`` cannot fail; otherwise it is gated here."""
-        vars(self).update(name=str(name), values=tuple(vals), _index=index, eigenprojectors=tuple(projectors))
+        """Refuse values that are not ``_bounded``, then set every attribute in one write to the instance dict."""
         if not _bounded(vals, len(projectors)):
-            self.operator  # the sum may overflow, so it is built and gated now
+            raise InvariantViolation(f"variable {name!r} values must be finite and give a finite operator: {vals}")
+        vars(self).update(name=str(name), values=tuple(vals), _index=index, eigenprojectors=tuple(projectors))
 
     @functools.cached_property
     def operator(self) -> HermitianOperator:
-        """The self-adjoint ``sum_j u_j P_j``, built on its first read unless the constructor built it; later reads
-        find it in the instance dict. _Immutable refuses to write or delete it, before its first read too."""
-        op = _spectral_sum(self.values, self.eigenprojectors)
-        if op is None:
-            raise InvariantViolation(
-                f"variable {self.name!r} values must be finite and give a finite operator: {list(self.values)}"
-            )
-        return HermitianOperator._trusted(matrix=_frozen(op))
+        """The self-adjoint ``sum_j u_j P_j``, built on its first read; later reads find it in the instance dict.
+        _Immutable refuses to write or delete it, before its first read too."""
+        return HermitianOperator._trusted(matrix=_frozen(_spectral_sum(self.values, self.eigenprojectors)))
 
     @property
     def dim(self) -> int:
@@ -212,8 +202,8 @@ def variable_from_spectrum(
     basis = np.concatenate(filled)  # one eigenvector per row
     if len(basis) != r:
         raise DimensionMismatch(f"total eigenvector count {len(basis)} must equal the dimension {r}")
-    with _unwarned(basis) as moderate:  # a NaN or infinite entry leaves the Gram deviation undefined: not computed
-        gram_dev = _norm(basis.conj() @ basis.T - _eye(r)) if moderate or np.isfinite(basis).all() else math.nan
+    # an entry that fails the range gate leaves the Gram deviation uncomputed, as nan
+    gram_dev = _norm(basis.conj() @ basis.T - _eye(r)) if _in_range(basis) else math.nan
     if not (gram_dev <= tol.ORTHONORMALITY_TOL):
         raise NonOrthonormalBasis(f"eigenbasis is not orthonormal: ||V^dag V - I||_F = {gram_dev:.3e}")
     if len(filled) != len(groups):

@@ -55,6 +55,32 @@ def test_trees_whose_reports_differ_exit_1(tmp_path):
     assert "the trees differ" in done.stdout
 
 
+def test_trees_whose_numbers_differ_are_timed_to_the_end_with_the_count_and_largest_difference(tmp_path):
+    shutil.copytree(ROOT / "src" / "qdecision", tmp_path / "src" / "qdecision", ignore=shutil.ignore_patterns("__pycache__"))
+    engine = tmp_path / "src" / "qdecision" / "engine.py"
+    text = engine.read_text(encoding="utf-8")
+    exact = "return _born(state, v.operator.matrix)"
+    assert text.count(exact) == 1
+    engine.write_text(text.replace(exact, exact + " * (1.0 + 2.0**-50)"), encoding="utf-8")  # expectation, 4 ulps up
+    done = subprocess.run(
+        [sys.executable, str(SCRIPT), str(ROOT), str(tmp_path), "--workload", "engine_calls", "--seed", "3", "--reps", "1"],
+        capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 1, done.stdout + done.stderr
+    lines = done.stdout.splitlines()
+    assert "the trees differ" in lines[0]
+    for kind in ("outcome_distribution", "expectation", "collapse"):  # timed after the first differing op
+        assert any(line.startswith(f"{kind} d16 ") for line in lines), kind
+    row = next(line.split() for line in lines if line.startswith("expectation d2 "))
+    round_line = next(line for line in lines if line.startswith("round: "))
+    found = re.fullmatch(r"round: 576 ops, (\d+) differ between the trees, largest relative difference (\S+), 1 repeats, seed 3",
+                         round_line)
+    assert found, round_line
+    # every expectation op differs, and by about 2**-50: an expectation near zero can read a few times more
+    assert int(found[1]) >= int(row[2]) > 0 and 2.0**-51 < float(found[2]) < 1e-12
+    assert lines[-1].startswith("throughput_ops_s  parent ")
+
+
 def test_each_rebuilt_command_line_reads_the_document_of_its_op(tmp_path):
     sys.path[:0] = [str(ROOT / "bench"), str(ROOT / "tools")]
     try:

@@ -327,6 +327,25 @@ def test_expectation_of_function_takes_a_table_keyed_by_the_declared_values():
         expectation_of_function(psi, v, {0.1 + 1e-11: 3.0, 0.7: -1.5})
 
 
+def test_a_table_key_that_matches_no_value_is_an_unknown_value():
+    v = variable_from_spectrum("v", [0, 1], [[[1, 0]], [[0, 1]]])
+    psi = StateVector([0.6, 0.8])
+    assert expectation_of_function(psi, v, {0.0: 5.0, 1.0: 7.0}) == pytest.approx(6.28, abs=1e-12)
+    with pytest.raises(UnknownValue, match="^3.0 is not a value of variable 'v'$"):
+        expectation_of_function(psi, v, {0.0: 5.0, 1.0: 7.0, 3.0: 100.0})
+    with pytest.raises(InvariantViolation, match="^value table has no entry for 1.0$"):  # a value with no key is named first
+        expectation_of_function(psi, v, {0.0: 5.0, 3.0: 100.0})
+
+
+def test_two_table_keys_that_match_one_value_are_both_named():
+    v = variable_from_spectrum("v", [0, 1], [[[1, 0]], [[0, 1]]])
+    psi = StateVector([0.6, 0.8])
+    with pytest.raises(InvariantViolation, match=r"^value table keys 1\.0 and 1\.0000000000001 both match the value 1\.0$"):
+        expectation_of_function(psi, v, {0.0: 5.0, 1.0: 7.0, 1.0000000000001: 100.0})
+    with pytest.raises(InvariantViolation, match=r"^value table keys 1 and 1\.0000000000001 both match the value 1\.0$"):
+        expectation_of_function(psi, v, {1: 7.0, 0.0: 5.0, 1.0000000000001: 100.0})
+
+
 @pytest.mark.parametrize(
     "f",
     [

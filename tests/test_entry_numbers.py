@@ -6,20 +6,31 @@ each seeded function, must raise an ``EngineError`` subclass (or a
 ``TypeError``), never a bare ``OverflowError`` or numpy ``ValueError``. So
 must a dimension above ``MAX_DIMENSION``, nested lists of unequal lengths
 and an angle that is not finite, with numpy's ``RuntimeWarning`` an error.
-An entry of 1e308, finite but past what a product or norm can square, ends
-in the constructor's own error and message with no ``RuntimeWarning`` first.
+An entry above 1e60 in size (1e308 is past what a product or norm can
+square) is refused by the one range gate where arrays enter, with its
+message and no ``RuntimeWarning`` first.
 An int beyond Python's 4 300-digit int-to-string limit (10**5000) is one too,
 and a message that names it gives its size in bits.
+
+The tables above are the first rows of one table over every public callable
+of ``qdecision`` that takes a number. Each row is fed NaN, +-inf, 1e61,
+1e308, ints beyond the float range and any float above 1e60 in size, with
+every warning an error: it returns, or raises an ``EngineError`` or a
+``TypeError``. An array entry is refused at every such number, and a value
+or image at every one at or above 1e300 / m in size.
 """
 
+import inspect
 import math
 import warnings
 
 import numpy as np
 import pytest
 
+import qdecision
 from qdecision import (
     DecisionVariable,
+    Direction,
     DensityOperator,
     DimensionMismatch,
     Effect,
@@ -30,10 +41,7 @@ from qdecision import (
     InvalidSeed,
     InvariantViolation,
     LikelihoodTable,
-    NoConvergence,
     NonOrthonormalBasis,
-    NotHermitian,
-    NotUnitary,
     Projector,
     StateVector,
     UnitaryOperator,
@@ -41,9 +49,13 @@ from qdecision import (
     UnknownValue,
     apply_function,
     classical_conditional,
+    classical_conditional_analytic,
     collapse,
     comparison_report,
+    conjugate,
+    event_probability,
     expectation_of_function,
+    gpm_evaluate,
     hermitian_eig,
     ic_effect_basis,
     likelihood_effect,
@@ -51,9 +63,11 @@ from qdecision import (
     planar_projector,
     planar_state,
     projector_onto_span,
+    quantum_conditional,
     sample_phi,
     sequential_probability,
     spin_component,
+    sure_thing_check,
     variable_from_spectrum,
 )
 from qdecision.demos import run_reconstruct_demo, run_spin_demo
@@ -132,17 +146,17 @@ HUGE_ENTRY = {
     "StateVector": (
         lambda: StateVector([1e308, 0]),
         InvariantViolation,
-        "state vector violates the unit-norm invariant: ||psi|| = inf",
+        "state vector contains entries above 1e+60 in size",
     ),
     "Projector": (
         lambda: Projector([[1e308, 0], [0, 0]]),
         InvariantViolation,
-        "projector violates idempotence: ||P@P - P||_F = nan > 1.0e-10",
+        "Projector contains entries above 1e+60 in size",
     ),
     "UnitaryOperator": (
         lambda: UnitaryOperator([[1e308, 0], [0, 1]]),
-        NotUnitary,
-        "||W^dag W - I||_F = nan > 1.0e-10",
+        InvariantViolation,
+        "matrix contains entries above 1e+60 in size",
     ),
     "variable_from_spectrum": (
         lambda: variable_from_spectrum("v", [0, 1], [[[1e308, 0]], [[0, 1]]]),
@@ -152,32 +166,32 @@ HUGE_ENTRY = {
     "variable_from_spectrum 1e100": (
         lambda: variable_from_spectrum("v", [0, 1], [[[1e100, 0]], [[0, 1]]]),
         NonOrthonormalBasis,
-        "eigenbasis is not orthonormal: ||V^dag V - I||_F = inf",
+        "eigenbasis is not orthonormal: ||V^dag V - I||_F = nan",
     ),
     "HermitianOperator": (
         lambda: HermitianOperator([[0, 1e308], [-1e308, 0]]),
-        NotHermitian,
-        "HermitianOperator is not self-adjoint: max |A - A^dag| entry = inf > 1.0e-12",
+        InvariantViolation,
+        "HermitianOperator contains entries above 1e+60 in size",
     ),
     "DensityOperator": (
         lambda: DensityOperator([[1e308, 0], [0, 1e308]]),
         InvariantViolation,
-        "density operator trace inf differs from 1",
+        "DensityOperator contains entries above 1e+60 in size",
     ),
     "projector_onto_span": (
         lambda: projector_onto_span([[1e308, 1e308]]),
         InvariantViolation,
-        "vectors to project onto are too large to give a finite projector",
+        "vectors to project onto contain entries above 1e+60 in size",
     ),
     "hermitian_eig": (
         lambda: hermitian_eig([[1e308, 1e308], [1e308, 1e308]]),
-        NoConvergence,
-        "eigensolver did not converge: eigenvalues [0.0, inf]",
+        InvariantViolation,
+        "HermitianOperator contains entries above 1e+60 in size",
     ),
     "StateVector 1e154": (
         lambda: StateVector([1e154, 0]),
         InvariantViolation,
-        "state vector violates the unit-norm invariant: ||psi|| = 1e+154",
+        "state vector contains entries above 1e+60 in size",
     ),
 }
 
@@ -253,3 +267,118 @@ def test_an_entry_of_1e308_is_the_constructors_error_with_no_runtime_warning(cal
         with pytest.raises(error) as exc:
             call()
     assert str(exc.value) == message
+
+
+# ---------------------------------------------------------------------------
+# one table over every public callable that takes a number
+
+hypothesis = pytest.importorskip("hypothesis")
+st = pytest.importorskip("hypothesis.strategies")
+
+
+def _matrix(x):
+    return [[x, 0], [0, 1]]
+
+
+# an array entry: the range gate refuses every number it is fed here
+ENTRIES = {
+    "StateVector": lambda x: StateVector([x, 1]),
+    **{cls.__name__: (lambda x, cls=cls: cls(_matrix(x))) for cls in (HermitianOperator, Effect, Projector, DensityOperator)},
+    "UnitaryOperator": lambda x: UnitaryOperator(_matrix(x)),
+    "projector_onto_span": lambda x: projector_onto_span([[x, 1]]),
+    "variable_from_spectrum groups": lambda x: variable_from_spectrum("v", [0, 1], [[[x, 0]], [[0, 1]]]),
+    "hermitian_eig": lambda x: hermitian_eig(_matrix(x)),
+    "event_probability effect": lambda x: event_probability(PSI, _matrix(x)),
+    "gpm_evaluate effect": lambda x: gpm_evaluate(PSI, _matrix(x)),
+    "GPMSample effect": lambda x: GPMSample(_matrix(x), 0.5),
+    "conjugate unitary": lambda x: conjugate(VAR, _matrix(x)),
+}
+
+# a value or image of a variable of two values, the other 0: refused at and above 1e300 / 2 in size, taken below
+VALUES = {
+    "DecisionVariable values": lambda x: DecisionVariable("v", [-abs(x), 0], VAR.eigenprojectors),
+    "variable_from_spectrum values": BEYOND_FLOAT["variable_from_spectrum values"],
+    "expectation_of_function image": lambda x: expectation_of_function(PSI, VAR, lambda u: x if u else 0.0),
+    "expectation_of_function table value": BEYOND_FLOAT["expectation_of_function table value"],
+}
+
+NUMBERS = {
+    **BEYOND_FLOAT,
+    **{f"{name} seed": call for name, call in SEEDED.items()},
+    **{f"{name} dimension": call for name, call in DIMENSIONED.items()},
+    **{name: call for name, (call, _) in NAMED_IN_THE_MESSAGE.items()},
+    **ANGLES,
+    **ENTRIES,
+    **VALUES,
+    "Direction": Direction,
+    "classical_conditional angle": lambda x: classical_conditional(x, 0.3, 10, 1),
+    "classical_conditional_analytic": lambda x: classical_conditional_analytic(0.3, x),
+    "quantum_conditional": lambda x: quantum_conditional(x, 0.3),
+    "comparison_report count": lambda x: comparison_report(0.1, 0.3, x, 1),
+    "run_spin_demo delta": lambda x: run_spin_demo(x, 10, 1),
+    "sure_thing_check threshold": lambda x: sure_thing_check(StateVector([0.6, 0.8]), VAR, VAR.eigenprojectors[0], x),
+}
+
+# public callables that take no number of their own, each with the reason
+NO_NUMBERS = {
+    **dict.fromkeys(
+        ["ConjunctionReport", "DensityReconstruction", "OutcomeDistribution", "Query", "QueryResult", "Report",
+         "Scenario", "SpinComparison", "SureThingReport", "TotalProbabilityReport"],
+        "a record of results the engine computed, checked by nothing",
+    ),
+    **dict.fromkeys(
+        ["are_complementary", "collapse_onto", "conjunction_report", "emit_report", "expectation", "is_maximal",
+         "is_one_to_one_related", "outcome_distribution", "reconstruct_density", "run_scenario",
+         "scenario_to_document", "sequential_event_probability", "total_probability_report", "transition_probability"],
+        "takes only values the library built, whose numbers passed their gate",
+    ),
+    "parse_scenario": "takes a document: its numbers are the malformed corpus's rows, refused as a ScenarioError",
+    "format_number": "formats the engine's own results for a report, which hold no number outside the gate",
+}
+
+OUTSIDE_THE_GATE = [math.nan, math.inf, -math.inf, 1e61, -1e61, 1e308, 10**400, -(10**400)]
+
+
+def _public_callables() -> set[str]:
+    return {
+        name for name, obj in vars(qdecision).items()
+        if not name.startswith("_") and callable(obj) and not inspect.ismodule(obj)
+        and not (inspect.isclass(obj) and issubclass(obj, BaseException))
+    }
+
+
+def test_every_public_callable_is_a_row_or_takes_no_number():
+    rows = {name.split()[0] for name in NUMBERS}
+    assert _public_callables() - set(NO_NUMBERS) <= rows, sorted(_public_callables() - set(NO_NUMBERS) - rows)
+    assert not set(NO_NUMBERS) & rows and set(NO_NUMBERS) <= _public_callables()
+
+
+def _outcome(call, x) -> bool:
+    """True when ``call(x)`` raised an ``EngineError`` or a ``TypeError``, False when it returned; any other
+    exception, a ``RuntimeWarning`` among them, propagates."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            call(x)
+        except (EngineError, TypeError):
+            return True
+    return False
+
+
+@hypothesis.settings(max_examples=800, deadline=None)
+@hypothesis.given(
+    row=st.sampled_from(sorted(NUMBERS)),
+    x=st.one_of(st.sampled_from(OUTSIDE_THE_GATE), st.floats().filter(lambda x: not abs(x) <= 1e60)),
+)
+def test_a_number_outside_the_gate_returns_or_is_an_engine_error(row, x):
+    refused = _outcome(NUMBERS[row], x)
+    if row in ENTRIES:
+        assert refused, (row, x)
+    if row in VALUES:
+        assert refused == (not abs(x) < 1e300 / 2), (row, x)  # nan is not below it either
+
+
+@pytest.mark.parametrize("row", ENTRIES)
+@pytest.mark.parametrize("x", OUTSIDE_THE_GATE, ids=repr)
+def test_every_array_entry_refuses_every_number_outside_the_gate(row, x):
+    assert _outcome(ENTRIES[row], x)

@@ -28,6 +28,7 @@ import pytest
 from qdecision import (
     DensityOperator,
     Effect,
+    InvariantViolation,
     Projector,
     StateVector,
     apply_function,
@@ -45,7 +46,7 @@ from qdecision import (
     total_probability_report,
     variable_from_spectrum,
 )
-from qdecision import engine, variables
+from qdecision import variables
 from qdecision.variables import round_value
 
 from conftest import commuting_setup, random_state, random_unitary
@@ -188,7 +189,7 @@ SCALES = [1.0, 1e-300, 1e150, 1e298, 3e298, 1e299]
 @hypothesis.given(data=st.data())
 def test_bounded_images_give_the_outcome_distribution_sum_bit_for_bit(data):
     """``expectation_of_function`` on ``_bounded`` images is sum_j f(u_j) p_j over ``outcome_distribution``'s
-    probabilities, by ``uint64`` view; other finite images keep the Born rule on the operator sum_j f(u_j) P_j."""
+    probabilities, by ``uint64`` view; other finite images are refused."""
     d, state, rng = _state_and_dimension(data, top=32)
     sizes = [1] * d if data.draw(st.booleans(), label="maximal") else _sizes(data, d)
     v = _variable("v", sizes, rng, _values(len(sizes), rng))
@@ -196,13 +197,14 @@ def test_bounded_images_give_the_outcome_distribution_sum_bit_for_bit(data):
     scale = data.draw(st.sampled_from(SCALES), label="scale")
     images = [float(g(u)) * scale for u in v.values]
     table = dict(zip(v.values, images))
-    got = expectation_of_function(state, v, table if data.draw(st.booleans(), label="table") else table.__getitem__)
+    f = table if data.draw(st.booleans(), label="table") else table.__getitem__
 
     if variables._bounded(images, len(images)):
         dist = outcome_distribution(state, v)
-        assert _bits(got) == _bits(sum(x * p for x, p in zip(images, dist.probabilities)))
+        assert _bits(expectation_of_function(state, v, f)) == _bits(sum(x * p for x, p in zip(images, dist.probabilities)))
     else:
-        assert _bits(got) == _bits(engine._born(state, variables._spectral_sum(images, v.eigenprojectors)))
+        with pytest.raises(InvariantViolation, match="finite operator"):
+            expectation_of_function(state, v, f)
 
 
 def _rank_one(d: int, rng: np.random.Generator) -> Projector:

@@ -1,6 +1,7 @@
 """Core linear algebra: contracts, hand oracles, and random-draw properties."""
 
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -111,6 +112,7 @@ _FROZEN_ARRAYS = {
     "DensityOperator.from_state": lambda: DensityOperator.from_state(StateVector([0.6, 0.8])).matrix,
     "Projector": lambda: Projector(np.diag([1.0, 0.0])).matrix,
     "variable_from_spectrum projector": lambda: _variable().eigenprojectors[0].matrix,
+    "projector_onto_span": lambda: projector_onto_span([[0.6, 0.8]]).matrix,
     "DensityOperator": lambda: DensityOperator(np.eye(2) / 2.0).matrix,
     "reconstruct_density": lambda: reconstruct_density([GPMSample(f, 0.5) for f in ic_effect_basis(2)]).rho.matrix,
     "Effect": lambda: Effect(np.eye(2) / 2.0).matrix,
@@ -129,6 +131,60 @@ def test_value_arrays_cannot_be_made_writeable_again(make):
         arr[0] = 0.5
     with pytest.raises(ValueError):
         arr.setflags(write=True)
+
+
+class _Counted(np.ndarray):
+    """An ndarray that records each ``setflags`` call by the id of the array it was made on."""
+
+    calls: list[int] = []
+
+    def setflags(self, **flags):
+        _Counted.calls.append(id(self))
+        super().setflags(**flags)
+
+
+@pytest.mark.parametrize("view", [False, True], ids=["fresh", "view"])
+def test_frozen_sets_each_arrays_flag_once_and_the_owner_and_view_refuse_writes(view):
+    """One ``setflags`` call on ``arr`` and one on its owner when that is another array. The view ``_frozen`` returns
+    refuses ``setflags(write=True)``; the owner is read-only too, though numpy lets an owner it allocated re-enable it."""
+    owner = np.ndarray.__new__(_Counted, (6,))
+    owner[:] = 0.0
+    arr = owner[1:4] if view else owner
+    _Counted.calls = []
+    got = _frozen(arr)
+    assert sorted(_Counted.calls) == sorted({id(arr), id(owner)})
+    assert got.base is owner
+    with pytest.raises(ValueError):
+        got.setflags(write=True)
+    for a in (owner, arr, got):
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[0] = 1.0
+
+
+def test_the_range_gate_probes_each_public_construction_once(monkeypatch):
+    """Each validated type, ``variable_from_spectrum`` and ``projector_onto_span`` runs ``_in_range`` on its input
+    once: no check after the gate probes again, and ``projector_onto_span`` builds its projector unchecked."""
+    import qdecision.linalg
+    import qdecision.variables
+
+    probe = mock.Mock(wraps=qdecision.linalg._in_range)
+    monkeypatch.setattr(qdecision.linalg, "_in_range", probe)
+    monkeypatch.setattr(qdecision.variables, "_in_range", probe)
+    constructions = {
+        "StateVector": lambda: StateVector([0.6, 0.8]),
+        "HermitianOperator": lambda: HermitianOperator([[1.0, 2.0], [2.0, -1.0]]),
+        "Effect": lambda: Effect(np.eye(2) / 2.0),
+        "Projector": lambda: Projector(np.diag([1.0, 0.0])),
+        "DensityOperator": lambda: DensityOperator(np.eye(2) / 2.0),
+        "UnitaryOperator": lambda: UnitaryOperator(np.eye(2)),
+        "variable_from_spectrum": lambda: variable_from_spectrum("v", [0.0, 1.0], [[[1.0, 0.0]], [[0.0, 1.0]]]),
+        "projector_onto_span": lambda: projector_onto_span([[0.6, 0.8]]),
+    }
+    for name, make in constructions.items():
+        probe.reset_mock()
+        make()
+        assert probe.call_count == 1, name
 
 
 # ---------------------------------------------------------------------------

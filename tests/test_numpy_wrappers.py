@@ -2,9 +2,9 @@
 
 ``linalg._span_projection`` runs the Householder QR on the two private gufuncs
 that ``np.linalg.qr`` calls, ``linalg._norm`` is ``np.linalg.norm``'s own
-arithmetic, and ``variables._spectral_sum`` skips its overflow guard when no
-value can overflow; ``expectation_of_function`` builds that sum only for images
-that can. The tomography round trip calls ``np.vdot``'s C function
+arithmetic, and ``variables._spectral_sum`` has no overflow guard: every value
+and image it can be given is below 1e300 / m in size, and
+``expectation_of_function`` never builds it. The tomography round trip calls ``np.vdot``'s C function
 without its dispatch and ``np.linalg.eigh``'s gufunc without its wrapper, reads
 the real part of ``np.vdot``'s ``np.complex128`` through ``complex.real``, clips
 with ``np.maximum`` where ``np.clip`` calls it through Python wrappers, and
@@ -36,6 +36,7 @@ import pytest
 from numpy.linalg import _umath_linalg
 
 from qdecision import (
+    DecisionVariable,
     DensityOperator,
     DensityReconstruction,
     DimensionMismatch,
@@ -164,27 +165,35 @@ def _reference_sum(values, projectors):
 
 
 @pytest.mark.parametrize("m", [2, 3, 7])
-def test_values_on_both_sides_of_the_bound_give_the_same_bits(m):
-    """Just below 1e300 / m the sum runs unguarded, from there up guarded; each result is the plain sum's."""
-    projectors = variable_from_spectrum(
-        "v", list(range(m)), [[row] for row in random_unitary(m, np.random.default_rng(5500 + m))]
-    ).eigenprojectors
+def test_values_on_both_sides_of_the_bound_give_the_plain_sum_or_are_refused(m):
+    """Just below 1e300 / m both constructors take the values and the operator is the plain sum bit for bit; from
+    the bound up both refuse them, with no ``RuntimeWarning``."""
+    groups = [[row] for row in random_unitary(m, np.random.default_rng(5500 + m))]
+    var = variable_from_spectrum("v", list(range(m)), groups)
     bound = 1e300 / m
-    for top, guarded in ((np.nextafter(bound, 0.0), False), (bound, True), (np.nextafter(bound, np.inf), True)):
-        values = np.linspace(-top, top, m)
-        with mock.patch.object(variables.np, "errstate", wraps=np.errstate) as errstate:
-            got = variables._spectral_sum(values, projectors)
-        assert errstate.called == guarded, top
-        assert np.array_equal(got, _reference_sum(values, projectors)), top
-
-
-def test_finite_values_beyond_the_bound_still_give_a_variable():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        v = _basis_variable([-4e307, 4e307])
-        assert np.array_equal(v.operator.matrix, np.diag([-4e307, 4e307]).astype(complex))
+        values = list(np.linspace(-np.nextafter(bound, 0.0), np.nextafter(bound, 0.0), m))
+        v = DecisionVariable("v", values, var.eigenprojectors)
+        assert np.array_equal(v.operator.matrix, _reference_sum(values, var.eigenprojectors))
+        assert np.isfinite(v.operator.matrix).all()
+        for top in (bound, np.nextafter(bound, np.inf)):
+            values = list(np.linspace(-top, top, m))
+            with pytest.raises(InvariantViolation, match="^variable 'v' values must be finite and give a finite operator: "):
+                DecisionVariable("v", values, var.eigenprojectors)
+            with pytest.raises(InvariantViolation, match="^variable 'v' values must be finite and give a finite operator: "):
+                variable_from_spectrum("v", values, groups)
+
+
+def test_finite_values_beyond_the_bound_are_refused_as_values_and_as_images():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvariantViolation, match="finite operator"):
+            _basis_variable([-4e307, 4e307])
         psi = StateVector([1.0, 0.0])
-        assert expectation_of_function(psi, v, {-4e307: 4e307, 4e307: -4e307}) == 4e307
+        v = _basis_variable([-1.0, 1.0])
+        with pytest.raises(InvariantViolation, match="finite operator"):
+            expectation_of_function(psi, v, {-1.0: 4e307, 1.0: -4e307})
 
 
 def test_an_operator_that_overflows_is_rejected_without_a_warning():
@@ -198,35 +207,32 @@ def test_an_operator_that_overflows_is_rejected_without_a_warning():
 
 
 @pytest.mark.parametrize(
-    "images, calls",
+    "images, bounded",
     [
-        ([0.25, -3.0, 7.5], 0),
-        ([np.nextafter(1e300 / 3, 0.0)] * 3, 0),
-        ([1e300 / 3] * 3, 1),
-        ([4e307, -4e307, 0.0], 1),
-        ([1e308] * 3, 1),
-        ([math.nan, 1.0, 1.0], 1),
+        ([0.25, -3.0, 7.5], True),
+        ([np.nextafter(1e300 / 3, 0.0)] * 3, True),
+        ([1e300 / 3] * 3, False),
+        ([4e307, -4e307, 0.0], False),
+        ([1e308] * 3, False),
+        ([math.nan, 1.0, 1.0], False),
     ],
     ids=["small", "below-bound", "at-bound", "large", "overflow", "nan"],
 )
-def test_only_images_that_can_overflow_build_the_operator(images, calls):
-    """``_bounded`` images are summed over the Born probabilities with no ``_spectral_sum``; the others build the
-    operator once, and give its Born rule or its ``InvariantViolation``."""
+def test_no_image_builds_the_operator(images, bounded):
+    """``_bounded`` images are summed over the Born probabilities; the others raise ``InvariantViolation``. Neither
+    builds ``sum_j f(u_j) P_j``."""
     v = random_maximal_variable(3, np.random.default_rng(5800))
     psi = random_state(3, np.random.default_rng(5801))
     spy = mock.Mock(wraps=variables._spectral_sum)
     with mock.patch.object(engine, "_spectral_sum", spy), mock.patch.object(variables, "_spectral_sum", spy):
-        try:
+        if bounded:
             got = expectation_of_function(psi, v, dict(zip(v.values, images)))
-        except InvariantViolation:
-            got = None
-    assert spy.call_count == calls
-    if calls:
-        op = variables._spectral_sum(images, v.eigenprojectors)
-        want = None if op is None else engine._born(psi, op)
-    else:
-        want = sum(x * engine._born(psi, p.matrix) for x, p in zip(images, v.eigenprojectors))
-    assert (got is None) == (want is None) and (got is None or np.array_equal(bits(got), bits(want)))
+            want = sum(x * engine._born(psi, p.matrix) for x, p in zip(images, v.eigenprojectors))
+            assert np.array_equal(bits(got), bits(want))
+        else:
+            with pytest.raises(InvariantViolation, match="finite operator"):
+                expectation_of_function(psi, v, dict(zip(v.values, images)))
+    assert spy.call_count == 0
 
 
 # ---------------------------------------------------------------------------
@@ -523,20 +529,18 @@ def test_round_value_is_the_nested_spec_bit_for_bit(x):
 
 @pytest.mark.parametrize("m", [2, 3, 7, 32])
 def test_the_spectral_sum_of_a_list_is_that_of_the_array(m):
-    """A list of values against the array of them, as ``expectation_of_function`` passes the images that can
-    overflow the operator: the finite sums bit for bit, and None alike for nan, inf and 1e308 over many projectors."""
+    """A list of ``_bounded`` values against the array of them, bit for bit and with no ``RuntimeWarning``, up to
+    just below 1e300 / m."""
     projectors = random_maximal_variable(m, np.random.default_rng(5900 + m)).eigenprojectors
     finite = [list(np.random.default_rng(6000 + m).normal(size=m)), [0.0, -0.0] * (m // 2) + [-0.0] * (m % 2),
-              [4e307, -4e307] + [0.0] * (m - 2), [1e300 / m] * m]
-    infinite = [[1e308] * m, [math.nan] + [1.0] * (m - 1), [1.0] * (m - 1) + [-math.inf], [math.inf] * m]
-    for images, overflows in [(x, False) for x in finite] + [(x, True) for x in infinite]:
+              [np.nextafter(1e300 / m, 0.0), -np.nextafter(1e300 / m, 0.0)] + [0.0] * (m - 2),
+              [np.nextafter(1e300 / m, 0.0)] * m]
+    for images in finite:
+        assert variables._bounded(images, m), images
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             got, want = variables._spectral_sum(images, projectors), variables._spectral_sum(np.array(images), projectors)
-        if overflows:
-            assert got is None and want is None, images
-        else:
-            assert np.array_equal(bits(got), bits(want)), images
+        assert np.isfinite(got).all() and np.array_equal(bits(got), bits(want)), images
 
 
 def test_python_sqrt_and_pow_are_numpys_on_this_host():

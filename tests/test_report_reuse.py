@@ -123,10 +123,13 @@ def test_value_lookups_give_the_answer_or_error_of_the_rounding_lookup(value):
         assert VAR.value_index(value) == want
         assert DIST.probability_of(value) == DIST.probabilities[want]
     if not isinstance(value, np.ndarray):  # a table key must be hashable
-        # f = 1 on the value asked for, 0 on every other declared value; a key that is no value is ignored
+        # f = 1 on the value asked for, 0 on every other declared value; a key that is no value is refused
         table = {value: 1.0, **{u: 0.0 for j, u in enumerate(VALUES) if j != want}}
-        expected = 0.0 if want is None else DIST.probabilities[want]
-        assert expectation_of_function(RHO, VAR, table) == pytest.approx(expected, abs=1e-15)
+        if want is None:
+            with pytest.raises(UnknownValue):
+                expectation_of_function(RHO, VAR, table)
+        else:
+            assert expectation_of_function(RHO, VAR, table) == pytest.approx(DIST.probabilities[want], abs=1e-15)
 
 
 RECORDS = {

@@ -203,16 +203,21 @@ def _spread_variables(m: int, top: float) -> list[DecisionVariable]:
 
 
 @pytest.mark.parametrize("m", [2, 3, 7])
-@pytest.mark.parametrize("side", ["below", "at", "above"])
-def test_the_operator_is_the_eager_spectral_sum_on_both_sides_of_the_bound(m, side):
-    """Below 1e300 / m the operator waits for its first read; from the bound up it is built and gated at once."""
+def test_the_operator_waits_for_its_first_read_below_the_bound_and_values_from_it_up_are_refused(m):
+    """Below 1e300 / m the operator waits for its first read, the spectral sum; from the bound up both constructors
+    refuse the values, so no operator is ever built eagerly."""
     bound = 1e300 / m
-    top = {"below": math.nextafter(bound, 0.0), "at": bound, "above": math.nextafter(bound, math.inf)}[side]
-    for v in _spread_variables(m, top):
+    below = _spread_variables(m, math.nextafter(bound, 0.0))
+    for v in below:
         assert v.dim == m and repr(v)  # neither reads the operator
-        assert ("operator" in vars(v)) == (side != "below")
+        assert "operator" not in vars(v)
         assert np.array_equal(v.operator.matrix, _spectral_sum(v.values, v.eigenprojectors))
         assert v.operator is v.operator
+    for top in (bound, math.nextafter(bound, math.inf)):
+        values = list(np.linspace(-top, top, m))
+        for make in (lambda: _spread_variables(m, top), lambda: DecisionVariable("v", values, below[0].eigenprojectors)):
+            with pytest.raises(InvariantViolation, match="^variable 'v' values must be finite and give a finite operator: "):
+                make()
 
 
 @pytest.mark.parametrize("read_first", [False, True], ids=["before-first-read", "after-first-read"])

@@ -26,8 +26,12 @@ their ``uint64`` views, so a zero of the other sign differs and nan equals
 nan; a report dataclass by its compared fields, each float in them, in a
 tuple too, bit for bit and each int, bool or string by ``==``.
 On the first, the workload's own check must accept each op's result on
-both trees. At the first op where the trees differ, or whose check fails,
-the script prints the op and exits 1. Otherwise it prints the summed
+both trees where the two agree: at the first op whose check fails, the
+script prints the op and exits 1. Where the trees differ, it prints the first such op and keeps
+timing; its last lines then give the count of ops that differed on any
+repeat and the largest relative difference among their results (inf where a
+result other than a float differs, such as a CLI call's output), and it
+exits 1. Either way it prints the summed
 fastest latencies on each tree and their ratio, parent over change, so
 that above 1 is a speedup: per document kind and per report format for
 ``analyze_mix``; per ``(op, d)`` tag for ``engine_calls`` and
@@ -152,6 +156,41 @@ def _same(a, b) -> bool:
     return _same_value(a, b)
 
 
+def _numbers(result) -> list:
+    """The values a result holds, in order: a state's amplitudes, a reconstruction's matrix and four fields, a report's
+    compared fields, and a tuple's items, each in turn."""
+    if hasattr(result, "amplitudes"):
+        result = result.amplitudes
+    elif hasattr(result, "rho"):
+        result = (result.rho.matrix, *(getattr(result, k) for k in RECONSTRUCTION_FIELDS))
+    elif dataclasses.is_dataclass(result):
+        result = _compared(result)[1]
+    if isinstance(result, np.ndarray):
+        return result.ravel().tolist()
+    if isinstance(result, tuple):
+        return [y for x in result for y in _numbers(x)]
+    return [result]
+
+
+def _relative_difference(a, b) -> float:
+    """The largest ``|x - y| / max(|x|, |y|)`` over the floats two results hold, pair by pair, two zeros and two nans
+    giving 0; inf where anything else differs: a nan against a number, an int, bool or string, or the count of values."""
+    xs, ys = _numbers(a), _numbers(b)
+    if len(xs) != len(ys):
+        return math.inf
+    worst = 0.0
+    for x, y in zip(xs, ys):
+        if not (isinstance(x, (float, complex)) and isinstance(y, (float, complex))):
+            if x != y:
+                return math.inf
+        elif x != x or y != y:  # a nan
+            if not (x != x and y != y):
+                return math.inf
+        elif x != y:
+            worst = max(worst, abs(x - y) / max(abs(x), abs(y)))
+    return worst
+
+
 def _describe(result) -> str:
     if isinstance(result, tuple):
         code, out, err = result
@@ -215,6 +254,7 @@ def main() -> int:
         slots: dict[int, int] = {}
         slot = [slots.setdefault(id(calls[1]), len(slots)) for _, _, calls, _ in ops]
         fastest = [[math.inf, math.inf] for _ in slots]
+        differ: dict[int, float] = {}  # op -> the largest relative difference of its results over the repeats
         clock = time.perf_counter
         for rep in range(args.reps):
             for i, (tags, argv, calls, checks) in enumerate(ops):
@@ -224,14 +264,16 @@ def main() -> int:
                     outs[t] = calls[t]()
                     fastest[slot[i]][t] = min(fastest[slot[i]][t], clock() - t0)
                 if not _same(*outs):
-                    print(f"op {i} {tags} {argv}: the trees differ")
-                    for t, out in zip(TREES, outs):
-                        print(f"  {t}: {_describe(out)}")
-                    return 1
-                for t, check, out in zip(TREES, checks, outs):
-                    if rep == 0 and (problem := check(out)):
-                        print(f"op {i} {tags} {argv}: the workload's check fails on the {t} tree: {problem}")
-                        return 1
+                    if not differ:
+                        print(f"op {i} {tags} {argv}: the trees differ")
+                        for t, out in zip(TREES, outs):
+                            print(f"  {t}: {_describe(out)}")
+                    differ[i] = max(differ.get(i, 0.0), _relative_difference(*outs))
+                elif rep == 0:  # a differing result may be one the check cannot read
+                    for t, check, out in zip(TREES, checks, outs):
+                        if problem := check(out):
+                            print(f"op {i} {tags} {argv}: the workload's check fails on the {t} tree: {problem}")
+                            return 1
 
     best = [fastest[k] for k in slot]
     keys = ("doc", "fmt") if args.workload == "analyze_mix" else ("op",)
@@ -244,14 +286,16 @@ def main() -> int:
         _print_table(key, rows, width=max(22, *map(len, rows)) if key == "op" else 12, p50=key == "op")
         print()
     parent, change = ([b[t] for b in best] for t in (0, 1))
-    print(f"round: {len(ops)} ops, identical output on both trees, {args.reps} repeats, seed {args.seed}")
+    same = f"{len(differ)} differ between the trees, largest relative difference {max(differ.values()):.3g}" if differ else (
+        "identical output on both trees")
+    print(f"round: {len(ops)} ops, {same}, {args.reps} repeats, seed {args.seed}")
     setters = [" and ".join(f"op {i} ({', '.join(_row(ops[i][0], key) for key in keys)})" for i in _median_ops(times))
                for times in (parent, change)]
     print(f"latency_p50_ms is set by  parent: {setters[0]}  change: {setters[1]}")
     mp, mc = statistics.median(parent), statistics.median(change)
     print(f"latency_p50_ms  parent {mp * 1e3:.4f}  change {mc * 1e3:.4f}  ratio {mp / mc:.3f}")
     print(f"throughput_ops_s  parent {len(ops) / sum(parent):.1f}  change {len(ops) / sum(change):.1f}  ratio {sum(parent) / sum(change):.3f}")
-    return 0
+    return 1 if differ else 0
 
 
 if __name__ == "__main__":
